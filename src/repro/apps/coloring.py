@@ -33,9 +33,27 @@ from repro.engine.vertex_program import GraphApplication
 from repro.errors import EngineError
 from repro.graph.digraph import DiGraph
 from repro.apps.triangle_count import undirected_simple_edges
+from repro.kernels.csr import concat_ranges
 from repro.utils.rng import hash_to_unit, mix64
 
 __all__ = ["GraphColoring"]
+
+
+def _csr(rows, cols, n):
+    """``(indptr, indices)`` of ``cols`` grouped by ``rows``.
+
+    Order within a row is arbitrary (unstable sort): every consumer
+    scatters, subtracts or takes ``np.unique``, none of which sees it.
+    """
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols[np.argsort(rows)]
+
+
+def _gather(indptr, indices, rows):
+    """Rows ``rows`` of a CSR, concatenated, and each row's length."""
+    starts, stops = indptr[rows], indptr[rows + 1]
+    return indices[concat_ranges(starts, stops)], stops - starts
 
 
 class GraphColoring(GraphApplication):
@@ -75,12 +93,17 @@ class GraphColoring(GraphApplication):
     def color(self, graph: DiGraph):
         """Colour the undirected simple skeleton.
 
+        Runs the Jones–Plassmann waves as a countdown (DESIGN.md §11):
+        a vertex joins the wave after its last uncoloured higher-priority
+        neighbour is coloured, so every skeleton edge is visited a
+        constant number of times in total rather than once per round.
+
         Returns
         -------
         (colors, rounds_log)
             ``colors`` — int array, -1 never occurs on return;
-            ``rounds_log`` — list of per-round colored-vertex masks (used
-            for work accounting).
+            ``rounds_log`` — per-round int arrays of the vertex ids
+            coloured in that wave, ascending (used for work accounting).
         """
         n = graph.num_vertices
         u, v = undirected_simple_edges(graph)
@@ -98,41 +121,48 @@ class GraphColoring(GraphApplication):
             mix64(np.arange(n, dtype=np.int64), seed=self.seed)
         )
 
+        # Orient each edge from its lower- to its higher-priority end; a
+        # tie makes ``v`` the lower end.
+        u_lower = priority[u] < priority[v]
+        lo = np.where(u_lower, u, v)
+        hi = np.where(u_lower, v, u)
+        up_ptr, up = _csr(lo, hi, n)  # higher-priority neighbours
+        down_ptr, down = _csr(hi, lo, n)  # lower-priority neighbours
+        # A vertex's uncoloured higher-priority neighbours; it is a
+        # priority maximum among the uncoloured exactly when this is 0.
+        pending = np.diff(up_ptr)
+
+        uncolored = colors < 0
+        winners = np.nonzero(uncolored & (pending == 0))[0]
+        remaining = int(np.count_nonzero(uncolored))
         rounds_log = []
         max_color = 0
         for _ in range(self.max_rounds):
-            uncolored = colors < 0
-            if not np.any(uncolored):
+            if remaining == 0:
                 break
-            # Edges whose endpoints are both uncoloured suppress the lower
-            # priority side from this wave.
-            is_max = uncolored.copy()
-            both = uncolored[u] & uncolored[v]
-            bu, bv = u[both], v[both]
-            u_lower = priority[bu] < priority[bv]
-            is_max[bu[u_lower]] = False
-            is_max[bv[~u_lower]] = False
-
-            winners = np.nonzero(is_max)[0]
             if winners.size == 0:
                 raise EngineError(
                     "colouring wave stalled: no priority maxima found"
                 )
 
-            # Minimum excluded colour per winner, over coloured neighbours.
-            width = max_color + 2
-            used = np.zeros((winners.size, width), dtype=bool)
-            widx = np.full(n, -1, dtype=np.int64)
-            widx[winners] = np.arange(winners.size)
-            for a, b in ((u, v), (v, u)):
-                sel = (widx[a] >= 0) & (colors[b] >= 0)
-                used[widx[a[sel]], colors[b[sel]]] = True
+            # Minimum excluded colour per winner.  Its coloured neighbours
+            # are exactly its higher-priority ones.
+            highs, counts = _gather(up_ptr, up, winners)
+            used = np.zeros((winners.size, max_color + 2), dtype=bool)
+            used[np.repeat(np.arange(winners.size), counts), colors[highs]] = True
             mex = np.argmin(used, axis=1)  # first False column
             colors[winners] = mex
             max_color = max(max_color, int(mex.max(initial=0)))
             rounds_log.append(winners)
+            remaining -= winners.size
 
-        if np.any(colors < 0):
+            # Count down the winners' lower-priority neighbours; those
+            # reaching 0 form the next wave, in ascending vertex order.
+            lows, _ = _gather(down_ptr, down, winners)
+            np.subtract.at(pending, lows, 1)
+            winners = np.unique(lows[pending[lows] == 0])
+
+        if remaining:
             raise EngineError(
                 f"colouring did not finish within {self.max_rounds} rounds"
             )

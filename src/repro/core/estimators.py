@@ -17,7 +17,7 @@ each machine receive for this application?* — from different information:
 from __future__ import annotations
 
 import abc
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -94,25 +94,21 @@ class ProxyCCREstimator(CapabilityEstimator):
     ):
         self.profiler = profiler if profiler is not None else ProxyProfiler()
         self.pool = pool if pool is not None else CCRPool()
-        # Pools are valid per machine-type composition; remember which
-        # composition the cached tables describe.
-        self._pool_signature: Optional[Tuple[str, ...]] = None
-
-    @staticmethod
-    def _signature(cluster: Cluster) -> Tuple[str, ...]:
-        return tuple(sorted(cluster.representatives()))
 
     def ensure_profiled(self, cluster: Cluster, app_name: str) -> None:
-        """Profile on demand (one-time per cluster composition)."""
-        sig = self._signature(cluster)
-        if self._pool_signature != sig:
-            self.pool = CCRPool()
-            self._pool_signature = sig
-        if app_name not in self.pool:
-            report = ProxyProfiler(
-                proxies=self.profiler.proxies, apps=(app_name,)
-            ).profile(cluster)
-            self.pool.add(report.pool.get(app_name))
+        """Profile on demand (one-time per cluster composition).
+
+        A table is valid for exactly the machine types it was profiled
+        on, so a supplied or cached table is kept while those equal the
+        cluster's types and re-profiled otherwise.
+        """
+        types = sorted(cluster.representatives())
+        if app_name in self.pool and sorted(self.pool.get(app_name).ratios) == types:
+            return
+        report = ProxyProfiler(
+            proxies=self.profiler.proxies, apps=(app_name,)
+        ).profile(cluster)
+        self.pool.add(report.pool.get(app_name))
 
     def weights(
         self, cluster: Cluster, app_name: str, graph: Optional[DiGraph] = None

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.coloring import GraphColoring
 from repro.apps.triangle_count import undirected_simple_edges
 from repro.engine.distributed_graph import DistributedGraph
+from repro.errors import EngineError
 from repro.graph.digraph import DiGraph
 from repro.partition import RandomHashPartitioner
 from repro.partition.base import PartitionResult
+from tests.oracle.coloring import reference_color
 
 
 def assert_proper(graph, colors):
@@ -110,3 +114,56 @@ class TestExecution:
         trace = GraphColoring(seed=1).execute(DistributedGraph(part))
         per_round = [sum(p.work.flops for p in s.phases) for s in trace.supersteps]
         assert per_round[-1] < per_round[0]
+
+
+@st.composite
+def multigraphs(draw):
+    """Small digraphs with self loops, parallel and reciprocal edges, and
+    isolated vertices (some trailing, beyond every edge endpoint)."""
+    n = draw(st.integers(1, 80))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=4 * n))
+    if edges:
+        repeats = draw(
+            st.lists(st.tuples(st.sampled_from(edges), st.booleans()), max_size=n)
+        )
+        edges += [(b, a) if flip else (a, b) for (a, b), flip in repeats]
+    return DiGraph.from_edges(edges, num_vertices=n + draw(st.integers(0, 3)))
+
+
+def outcome(color):
+    try:
+        return color()
+    except EngineError:
+        return EngineError
+
+
+class TestCountdownMatchesPerRoundOracle:
+    """The countdown loop reproduces the per-round rescan byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        graph=multigraphs(),
+        seed=st.integers(0, 5),
+        max_rounds=st.one_of(st.integers(1, 3), st.just(500)),
+    )
+    def test_same_colors_and_rounds(self, graph, seed, max_rounds):
+        got = outcome(lambda: GraphColoring(seed, max_rounds).color(graph))
+        want = outcome(lambda: reference_color(graph, seed, max_rounds))
+        if want is EngineError or got is EngineError:
+            assert got is want
+            return
+        (colors, rounds), (ref_colors, ref_rounds) = got, want
+        assert colors.dtype == ref_colors.dtype
+        assert np.array_equal(colors, ref_colors)
+        assert len(rounds) == len(ref_rounds)
+        for winners, ref_winners in zip(rounds, ref_rounds):
+            assert winners.dtype == ref_winners.dtype
+            assert np.array_equal(winners, ref_winners)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_powerlaw_matches(self, powerlaw_graph, seed):
+        colors, rounds = GraphColoring(seed=seed).color(powerlaw_graph)
+        ref_colors, ref_rounds = reference_color(powerlaw_graph, seed=seed)
+        assert np.array_equal(colors, ref_colors)
+        assert [w.tolist() for w in rounds] == [w.tolist() for w in ref_rounds]

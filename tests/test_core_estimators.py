@@ -92,7 +92,6 @@ class TestProxyCCR:
         pool = CCRPool()
         pool.add(CCRTable("pagerank", {"c4.xlarge": 1.0, "c4.2xlarge": 4.0}))
         est = ProxyCCREstimator(pool=pool)
-        est._pool_signature = est._signature(cluster)
         w = est.weights(cluster, "pagerank")
         assert w[1] / w[0] == pytest.approx(4.0)
 

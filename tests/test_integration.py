@@ -125,10 +125,13 @@ class TestProfilingReuse:
 
         from repro.core.ccr import CCRPool
 
-        est = ProxyCCREstimator(pool=CCRPool.load(path))
-        est._pool_signature = est._signature(cluster)
+        loaded = CCRPool.load(path)
+        table = loaded.get("pagerank")
+        est = ProxyCCREstimator(pool=loaded)
         w = est.weights(cluster, "pagerank")
         assert w[1] > w[0]
+        # The loaded table is served as is, not re-profiled.
+        assert est.pool.get("pagerank") is table
 
     def test_all_four_apps_profile(self, perf, proxies):
         cluster = Cluster(
