@@ -28,11 +28,12 @@ import numpy as np
 
 from repro.engine.accounting import AppCostModel
 from repro.engine.distributed_graph import DistributedGraph
-from repro.engine.trace import ExecutionTrace, MachinePhase, SuperstepTrace
+from repro.engine.trace import ExecutionTrace
 from repro.engine.vertex_program import GraphApplication
 from repro.errors import EngineError
 from repro.graph.digraph import DiGraph
 from repro.apps.triangle_count import undirected_simple_edges
+from repro.kernels.accounting import coloring_trace
 from repro.kernels.csr import concat_ranges
 from repro.utils.rng import hash_to_unit, mix64
 
@@ -171,55 +172,6 @@ class GraphColoring(GraphApplication):
     # ------------------------------------------------------------------ #
 
     def execute(self, dgraph: DistributedGraph) -> ExecutionTrace:
-        from repro.kernels.backend import vectorized_enabled
-
-        if vectorized_enabled():
-            # Memoised colouring + histogram accounting; bit-identical
-            # trace (see repro.kernels.accounting.coloring_trace).
-            from repro.kernels.accounting import coloring_trace
-
-            return coloring_trace(self, dgraph)
-        graph = dgraph.graph
-        m = dgraph.num_machines
-        colors, rounds_log = self.color(graph)
-
-        trace = ExecutionTrace(app=self.name, num_machines=m)
-        uncolored = np.ones(graph.num_vertices, dtype=bool)
-        masters = [dgraph.masters_on(i) for i in range(m)]
-        for winners in rounds_log:
-            # Each still-uncoloured vertex scans its neighbourhood during
-            # the round (to learn priorities and used colours), so a
-            # machine's edge work is its local edges touching the
-            # uncoloured set at round start.
-            comm = dgraph.sync_bytes(uncolored, self.cost.value_bytes)
-            phases = []
-            winner_mask = np.zeros(graph.num_vertices, dtype=bool)
-            winner_mask[winners] = True
-            for i in range(m):
-                ls, ld = dgraph.local_src[i], dgraph.local_dst[i]
-                if ls.size:
-                    edge_ops = float(
-                        np.count_nonzero(uncolored[ls] | uncolored[ld])
-                    )
-                else:
-                    edge_ops = 0.0
-                vertex_ops = float(np.count_nonzero(winner_mask[masters[i]]))
-                work = self.cost.work(
-                    edge_ops=edge_ops,
-                    vertex_ops=vertex_ops,
-                    working_set_mb=float(dgraph.working_set_mb[i]),
-                )
-                phases.append(MachinePhase(work=work, comm_bytes=float(comm[i])))
-            trace.append(
-                SuperstepTrace(
-                    phases=phases, sync_rounds=self.cost.sync_rounds, label="wave"
-                )
-            )
-            uncolored[winners] = False
-
-        trace.result = {
-            "colors": colors,
-            "num_colors": int(colors.max(initial=0)) + 1,
-            "rounds": len(rounds_log),
-        }
-        return trace
+        # Memoised colouring + histogram accounting over its waves (see
+        # repro.kernels.accounting.coloring_trace).
+        return coloring_trace(self, dgraph)

@@ -34,7 +34,7 @@ class ConnectedComponents(SyncVertexProgram):
     undirected = True
     max_supersteps = 500
     # messages() is values[s] per edge — pure elementwise, so the
-    # vectorized backend may hoist it across machines.
+    # engine may hoist it across machines.
     messages_elementwise = True
 
     cost = AppCostModel(

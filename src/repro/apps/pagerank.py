@@ -48,7 +48,7 @@ class PageRank(SyncVertexProgram):
     accumulator = "sum"
     undirected = False
     # messages() is values[s] / out_deg[s] per edge — pure elementwise, so
-    # the vectorized backend may hoist it across machines.
+    # the engine may hoist it across machines.
     messages_elementwise = True
 
     cost = AppCostModel(

@@ -29,6 +29,8 @@ from repro.engine.distributed_graph import DistributedGraph
 from repro.engine.trace import ExecutionTrace, MachinePhase, SuperstepTrace
 from repro.engine.vertex_program import GraphApplication
 from repro.graph.digraph import DiGraph
+from repro.kernels.accounting import cached_triangle_total
+from repro.kernels.cache import graph_memo
 
 __all__ = ["TriangleCount", "undirected_simple_edges"]
 
@@ -39,32 +41,27 @@ def undirected_simple_edges(graph: DiGraph):
     Mirrors PowerGraph's Triangle Count, which treats the input as
     undirected and ignores self loops and parallel edges.
 
-    Under the vectorized backend the result is memoised per graph
-    instance (it is a pure function of the graph, and Coloring, Triangle
-    Count and the experiment drivers all recompute it) — the memo stores
-    exactly what one scalar evaluation produces.
+    Memoised per graph instance (it is a pure function of the graph, and
+    Coloring, Triangle Count and the experiment drivers all recompute
+    it); the returned arrays are read-only.
     """
-    from repro.kernels.backend import vectorized_enabled
-
-    if vectorized_enabled():
-        from repro.kernels.accounting import cached_simple_skeleton
-
-        return cached_simple_skeleton(graph)
-    return _undirected_simple_edges(graph)
-
-
-def _undirected_simple_edges(graph: DiGraph):
-    """Uncached reference implementation (see the public wrapper)."""
+    memo = graph_memo(graph)
+    cached = memo.get(("skeleton",))
+    if cached is not None:
+        return cached
     src, dst = graph.edges()
     u = np.minimum(src, dst)
     v = np.maximum(src, dst)
     keep = u != v
     u, v = u[keep], v[keep]
-    if u.size == 0:
-        return u, v
-    keys = u * np.int64(graph.num_vertices) + v
-    _, idx = np.unique(keys, return_index=True)
-    return u[idx], v[idx]
+    if u.size:
+        keys = u * np.int64(graph.num_vertices) + v
+        _, idx = np.unique(keys, return_index=True)
+        u, v = u[idx], v[idx]
+    u.setflags(write=False)
+    v.setflags(write=False)
+    memo[("skeleton",)] = (u, v)
+    return u, v
 
 
 class TriangleCount(GraphApplication):
@@ -132,16 +129,8 @@ class TriangleCount(GraphApplication):
         graph = dgraph.graph
         m = dgraph.num_machines
         trace = ExecutionTrace(app=self.name, num_machines=m)
-
-        from repro.kernels.backend import vectorized_enabled
-
-        if vectorized_enabled():
-            # The total is partition-independent; memoise it per graph.
-            from repro.kernels.accounting import cached_triangle_total
-
-            total = cached_triangle_total(self, graph)
-        else:
-            total = self.count_triangles(graph)
+        # The total is partition-independent; memoise it per graph.
+        total = cached_triangle_total(self, graph)
 
         # Work accounting per the PowerGraph algorithm: every local edge
         # intersects its endpoints' neighbour sets at merge cost

@@ -54,7 +54,8 @@ code:
   store; store failures are typed and exit 2.
 
 Clusters are described as comma-separated machine type names from the
-catalog (e.g. ``m4.2xlarge,m4.2xlarge,c4.2xlarge,c4.2xlarge``).
+catalog (e.g. ``m4.2xlarge,m4.2xlarge,c4.2xlarge,c4.2xlarge``); an
+unknown machine type exits 2 from every command.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ import sys
 from typing import Optional, Sequence
 
 from repro._version import __version__
-from repro.kernels.backend import VALID_BACKENDS
 
 __all__ = ["main", "build_parser"]
 
@@ -806,12 +806,7 @@ def _serve_federated(args) -> int:
     """``serve --shards``: replay through the federated service."""
     from contextlib import nullcontext
 
-    from repro.errors import (
-        ClusterError,
-        FaultError,
-        ServiceError,
-        WorkloadFormatError,
-    )
+    from repro.errors import FaultError, ServiceError, WorkloadFormatError
     from repro.faults.checkpoint import CheckpointPolicy
     from repro.faults.shards import ShardFaultSchedule
     from repro.federation import FederationPolicy, FederationService
@@ -829,11 +824,7 @@ def _serve_federated(args) -> int:
             file=sys.stderr,
         )
         return 2
-    try:
-        clusters = [_build_cluster(spec, args.scale) for spec in specs]
-    except ClusterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    clusters = [_build_cluster(spec, args.scale) for spec in specs]
     try:
         workload = _load_serve_workload(args)
     except WorkloadFormatError as exc:
@@ -993,7 +984,7 @@ def _serve_federated(args) -> int:
 def cmd_serve(args) -> int:
     from contextlib import nullcontext
 
-    from repro.errors import ClusterError, ServiceError, WorkloadFormatError
+    from repro.errors import ServiceError, WorkloadFormatError
     from repro.faults.checkpoint import CheckpointPolicy
     from repro.service import (
         BreakerPolicy,
@@ -1010,11 +1001,7 @@ def cmd_serve(args) -> int:
             file=sys.stderr,
         )
         return 2
-    try:
-        cluster = _build_cluster(args.cluster, args.scale)
-    except ClusterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cluster = _build_cluster(args.cluster, args.scale)
     try:
         workload = _load_serve_workload(args)
     except WorkloadFormatError as exc:
@@ -1477,9 +1464,6 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--scale", type=_model_scale, default=0.01)
     prof.add_argument("--seed", type=int, default=100)
     prof.add_argument("--output", help="write the CCR pool JSON here")
-    prof.add_argument("--backend", choices=VALID_BACKENDS,
-                      help="kernel backend (default: vectorized, or "
-                      "$REPRO_KERNEL_BACKEND); results are bit-identical")
     prof.set_defaults(func=cmd_profile)
 
     proc = sub.add_parser("process", help="run an application (Fig. 7b)")
@@ -1523,9 +1507,6 @@ def build_parser() -> argparse.ArgumentParser:
     proc.add_argument("--obs-dir",
                       help="record spans + metrics + trace + config into "
                       "this run directory (see the `metrics` command)")
-    proc.add_argument("--backend", choices=VALID_BACKENDS,
-                      help="kernel backend (default: vectorized, or "
-                      "$REPRO_KERNEL_BACKEND); results are bit-identical")
     proc.add_argument("--store",
                       help="summary store sqlite path (see `repro gen`); "
                       "warm rows are reused, new results are persisted")
@@ -1715,9 +1696,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--obs-dir",
                      help="record spans + metrics + service trace + config "
                      "into this run directory")
-    srv.add_argument("--backend", choices=VALID_BACKENDS,
-                     help="kernel backend (default: vectorized, or "
-                     "$REPRO_KERNEL_BACKEND); results are bit-identical")
     srv.add_argument("--store",
                      help="summary store sqlite path (see `repro gen`); "
                      "warm rows are reused and the replay's metric "
@@ -1733,9 +1711,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--obs-dir",
                      help="record the experiment's spans + metrics + "
                      "provenance into this run directory")
-    exp.add_argument("--backend", choices=VALID_BACKENDS,
-                     help="kernel backend (default: vectorized, or "
-                     "$REPRO_KERNEL_BACKEND); results are bit-identical")
     exp.add_argument("--store",
                      help="summary store sqlite path (see `repro gen`); "
                      "warm rows are reused, new results are persisted")
@@ -1775,9 +1750,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "invocation the warm rows should accelerate")
     genstore.add_argument("--scale", type=_model_scale, default=0.01)
     genstore.add_argument("--checkpoint-interval", type=int, default=10)
-    genstore.add_argument("--backend", choices=VALID_BACKENDS,
-                          help="kernel backend (default: vectorized, or "
-                          "$REPRO_KERNEL_BACKEND)")
     genstore.set_defaults(func=cmd_gen)
 
     lnt = sub.add_parser(
@@ -1821,16 +1793,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    backend = getattr(args, "backend", None)
-    if backend is not None:
-        from repro.kernels.backend import set_backend
-
-        set_backend(backend)
-    from repro.errors import StoreError, StreamError
+    from repro.errors import ClusterError, StoreError, StreamError
 
     try:
         return args.func(args)
-    except (StoreError, StreamError) as exc:
+    except (ClusterError, StoreError, StreamError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,7 +30,6 @@ from repro.engine.report import simulate_execution
 from repro.engine.runtime import GraphProcessingSystem
 from repro.errors import ProfilingError
 from repro.graph.digraph import DiGraph
-from repro.kernels.backend import vectorized_enabled
 from repro.kernels.cache import (
     graph_fingerprint,
     machine_key,
@@ -176,7 +175,7 @@ class ProxyProfiler:
         observer is installed — observed runs must execute for real.
         """
         key = None
-        if vectorized_enabled() and not obs.is_enabled():
+        if not obs.is_enabled():
             key = ("profile_trace", app_name, graph_fingerprint(graph))
             hit = profile_trace_cache.get(key)
             if hit is not None:
@@ -195,7 +194,7 @@ class ProxyProfiler:
         reps: Mapping[str, MachineSpec],
     ) -> Dict[str, float]:
         """Single-machine runtimes of one profiling set per machine type."""
-        use_cache = vectorized_enabled() and not obs.is_enabled()
+        use_cache = not obs.is_enabled()
         fp = graph_fingerprint(graph) if use_cache else None
         pkey = perf_key(cluster.perf) if use_cache else None
         times: Dict[str, float] = {}

@@ -23,8 +23,8 @@ import numpy as np
 
 from repro.errors import EngineError
 from repro.graph.digraph import DiGraph
-from repro.kernels.backend import vectorized_enabled
-from repro.kernels.csr import stable_machine_order
+from repro.kernels.accounting import sync_bytes_vectorized
+from repro.kernels.csr import MachineEdgeView, stable_machine_order
 from repro.partition.base import PartitionResult
 from repro.utils.rng import mix64
 
@@ -61,48 +61,36 @@ class DistributedGraph:
         src, dst = self.graph.edges()
 
         # Per-machine edge views (canonical order preserved within machine).
-        if vectorized_enabled():
-            # Counting sort over the few machine buckets; provably the
-            # same permutation as the stable argsort (see kernels.csr).
-            order, counts = stable_machine_order(assignment, self.num_machines)
-        else:
-            order = np.argsort(assignment, kind="stable")
-            counts = np.bincount(assignment, minlength=self.num_machines)
+        # Counting sort over the few machine buckets; provably the same
+        # permutation as the stable argsort (see kernels.csr).
+        order, counts = stable_machine_order(assignment, self.num_machines)
         bounds = np.concatenate([[0], np.cumsum(counts)])
         self.edge_ids: List[np.ndarray] = [
             order[bounds[m] : bounds[m + 1]] for m in range(self.num_machines)
         ]
-        if vectorized_enabled():
-            # Gather the endpoints once over the whole machine-sorted order
-            # and slice per machine: the slices are zero-copy views holding
-            # exactly the bytes the per-machine fancy-index would produce,
-            # and the flat arrays double as the kernel backend's
-            # MachineEdgeView (pre-populating its per-instance memo).
-            from repro.kernels.csr import MachineEdgeView
-
-            flat_src = src[order]
-            flat_dst = dst[order]
-            self.local_src = [
-                flat_src[bounds[m] : bounds[m + 1]]
-                for m in range(self.num_machines)
-            ]
-            self.local_dst = [
-                flat_dst[bounds[m] : bounds[m + 1]]
-                for m in range(self.num_machines)
-            ]
-            machine_ids = np.repeat(
-                np.arange(self.num_machines, dtype=np.int32),
-                np.asarray(counts, dtype=np.int64),
-            )
-            self.__dict__["_kernels_machine_edges"] = MachineEdgeView(
-                src=flat_src,
-                dst=flat_dst,
-                bounds=np.asarray(bounds, dtype=np.int64),
-                machine_ids=machine_ids,
-            )
-        else:
-            self.local_src = [src[ids] for ids in self.edge_ids]
-            self.local_dst = [dst[ids] for ids in self.edge_ids]
+        # Gather the endpoints once over the whole machine-sorted order and
+        # slice per machine: the slices are zero-copy views holding exactly
+        # the bytes the per-machine fancy-index would produce, and the flat
+        # arrays double as the kernels' MachineEdgeView (pre-populating its
+        # per-instance memo).
+        flat_src = src[order]
+        flat_dst = dst[order]
+        self.local_src = [
+            flat_src[bounds[m] : bounds[m + 1]] for m in range(self.num_machines)
+        ]
+        self.local_dst = [
+            flat_dst[bounds[m] : bounds[m + 1]] for m in range(self.num_machines)
+        ]
+        machine_ids = np.repeat(
+            np.arange(self.num_machines, dtype=np.int32),
+            np.asarray(counts, dtype=np.int64),
+        )
+        self.__dict__["_kernels_machine_edges"] = MachineEdgeView(
+            src=flat_src,
+            dst=flat_dst,
+            bounds=np.asarray(bounds, dtype=np.int64),
+            machine_ids=machine_ids,
+        )
 
         # Presence matrix: vertex v has a replica on machine m.
         presence = np.zeros((self.graph.num_vertices, self.num_machines), dtype=bool)
@@ -215,25 +203,7 @@ class DistributedGraph:
                 f"active mask must have shape ({self.graph.num_vertices},), "
                 f"got {active.shape}"
             )
-        if vectorized_enabled():
-            from repro.kernels.accounting import sync_bytes_vectorized
-
-            return sync_bytes_vectorized(self, active, value_bytes)
-        replicated = active & (self.replica_counts > 1)
-        if not np.any(replicated):
-            return np.zeros(self.num_machines, dtype=np.float64)
-        pres = self.presence[replicated]  # (k, M)
-        masters = self.master[replicated]
-        copies = self.replica_counts[replicated]
-
-        # Mirror legs per machine: replicas that are not the master.
-        mirror_legs = pres.sum(axis=0).astype(np.float64)
-        np.add.at(mirror_legs, masters, -1.0)  # master replica is local
-        # Master legs per machine: one per remote mirror of each master.
-        master_legs = np.zeros(self.num_machines, dtype=np.float64)
-        np.add.at(master_legs, masters, (copies - 1).astype(np.float64))
-
-        return (mirror_legs + master_legs) * float(value_bytes)
+        return sync_bytes_vectorized(self, active, value_bytes)
 
     def _check_machine(self, machine: int) -> None:
         if not 0 <= machine < self.num_machines:

@@ -20,7 +20,6 @@ from repro.engine.trace import ExecutionTrace
 from repro.engine.vertex_program import GraphApplication
 from repro.errors import EngineError
 from repro.graph.digraph import DiGraph
-from repro.kernels.backend import vectorized_enabled
 from repro.kernels.cache import dgraph_cache, graph_fingerprint
 from repro.obs import context as obs
 from repro.partition.base import Partitioner, PartitionResult
@@ -32,11 +31,11 @@ def _materialize_dgraph(partition: PartitionResult) -> DistributedGraph:
     """Build (or fetch) the distributed layout for a partition.
 
     The layout is a pure function of (graph, assignment, machine count,
-    master seed) and the engines never mutate it, so under the vectorized
-    backend identical partitions share one cached instance.  Observed runs
-    bypass the cache and materialise for real.
+    master seed) and the engines never mutate it, so identical partitions
+    share one cached instance.  Observed runs bypass the cache and
+    materialise for real.
     """
-    if not vectorized_enabled() or obs.is_enabled():
+    if obs.is_enabled():
         return DistributedGraph(partition)
     key = (
         "dgraph",

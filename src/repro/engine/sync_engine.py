@@ -30,7 +30,7 @@ from repro.engine.distributed_graph import DistributedGraph
 from repro.engine.trace import ExecutionTrace, MachinePhase, SuperstepTrace
 from repro.engine.vertex_program import SyncVertexProgram
 from repro.errors import ConvergenceError, EngineError
-from repro.kernels.backend import vectorized_enabled
+from repro.kernels import engine as kernels_engine
 from repro.obs import context as obs
 
 __all__ = ["SyncEngine"]
@@ -72,17 +72,6 @@ class SyncEngine:
         active = np.asarray(program.initial_active(graph), dtype=bool)
 
         trace = ExecutionTrace(app=program.name, num_machines=m)
-        # Backend dispatch: the vectorized kernels produce bit-identical
-        # accumulators, counts and traffic (see repro.kernels.engine), so
-        # everything downstream of this choice — including the recorded
-        # trace — is byte-for-byte the same.
-        use_vectorized = vectorized_enabled()
-        if use_vectorized:
-            from repro.kernels import engine as kernels_engine
-
-            masters_per_machine = []
-        else:
-            masters_per_machine = [dgraph.masters_on(i) for i in range(m)]
         # Reuse sync accounting while the applied frontier is unchanged
         # (PageRank's all-or-nothing frontier repeats every superstep).
         prev_applied = None
@@ -110,23 +99,11 @@ class SyncEngine:
             )
             acc = np.full(n, _ACC_INIT[program.accumulator], dtype=np.float64)
             has_message = np.zeros(n, dtype=bool)
-            edge_ops = np.zeros(m, dtype=np.float64)
 
             gather_span = obs.span("gather")
-            if use_vectorized:
-                edge_ops = kernels_engine.gather_vectorized(
-                    program, dgraph, values, active, acc, has_message
-                )
-            else:
-                for i in range(m):
-                    ls, ld = dgraph.local_src[i], dgraph.local_dst[i]
-                    edge_ops[i] += self._gather(
-                        program, graph, values, ls, ld, active, acc, has_message
-                    )
-                    if program.undirected:
-                        edge_ops[i] += self._gather(
-                            program, graph, values, ld, ls, active, acc, has_message
-                        )
+            edge_ops = kernels_engine.gather_vectorized(
+                program, dgraph, values, active, acc, has_message
+            )
             if obs.is_enabled():
                 gather_span.set(
                     edge_ops=edge_ops.tolist(),
@@ -147,24 +124,13 @@ class SyncEngine:
             # hands this superstep (the applied frontier).
             sync_span = obs.span("sync")
             applied = has_message | active
-            if use_vectorized:
-                if prev_applied is not None and np.array_equal(
-                    applied, prev_applied
-                ):
-                    vertex_ops, comm = prev_vertex_ops, prev_comm
-                else:
-                    vertex_ops = kernels_engine.vertex_ops_vectorized(
-                        dgraph, applied
-                    )
-                    comm = dgraph.sync_bytes(applied, program.cost.value_bytes)
-                    prev_applied = applied
-                    prev_vertex_ops, prev_comm = vertex_ops, comm
+            if prev_applied is not None and np.array_equal(applied, prev_applied):
+                vertex_ops, comm = prev_vertex_ops, prev_comm
             else:
-                vertex_ops = np.array(
-                    [np.count_nonzero(applied[mst]) for mst in masters_per_machine],
-                    dtype=np.float64,
-                )
+                vertex_ops = kernels_engine.vertex_ops_vectorized(dgraph, applied)
                 comm = dgraph.sync_bytes(applied, program.cost.value_bytes)
+                prev_applied = applied
+                prev_vertex_ops, prev_comm = vertex_ops, comm
             if obs.is_enabled():
                 sync_span.set(
                     comm_bytes=comm.tolist(),
@@ -231,7 +197,11 @@ class SyncEngine:
         acc: np.ndarray,
         has_message: np.ndarray,
     ) -> int:
-        """Aggregate messages for one edge direction; returns ops counted."""
+        """Aggregate messages for one edge direction; returns ops counted.
+
+        The per-machine fallback :func:`repro.kernels.engine.gather_vectorized`
+        uses for programs whose messages cannot be hoisted.
+        """
         if sources.size == 0:
             return 0
         live = active[sources]

@@ -72,14 +72,14 @@ class SyncVertexProgram(GraphApplication):
     undirected: bool = False
     #: Declares that :meth:`messages` is a pure elementwise function of
     #: each source endpoint (``messages(g, v, s)[k]`` depends only on
-    #: ``s[k]``).  The vectorized backend then computes messages once over
+    #: ``s[k]``).  The engine then computes messages once over
     #: all machines' live edges and slices per machine — bit-identical for
     #: elementwise float ops.  Leave False for anything that reduces over
     #: the batch; the engine falls back to the per-machine reference loop.
     #: An elementwise program may additionally define
     #: ``messages_vertexwise(graph, values) -> per-vertex array`` with
     #: ``messages(g, v, s) == messages_vertexwise(g, v)[s]`` (same float64
-    #: bits per slot); the vectorized backend then computes messages once
+    #: bits per slot); the engine then computes messages once
     #: per vertex and gathers per edge.
     messages_elementwise: bool = False
     #: Safety bound on supersteps.

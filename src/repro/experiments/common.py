@@ -103,12 +103,9 @@ def experiment_provenance(
     wall-clock timestamp — runs are deterministic and the record should
     be too.
     """
-    from repro.kernels.backend import active_backend
-
     prov: Dict[str, Any] = {
         "experiment": experiment,
         "repro_version": __version__,
-        "kernel_backend": active_backend(),
     }
     if scale is not None:
         prov["scale"] = scale

@@ -18,15 +18,13 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.apps.registry import DEFAULT_APPS, make_app
+from repro.apps.registry import DEFAULT_APPS
 from repro.cluster.catalog import get_machine
 from repro.cluster.cluster import Cluster
 from repro.core.profiler import ProxyProfiler
 from repro.core.proxy import ProxySet
 from repro.engine.report import simulate_execution
-from repro.engine.runtime import GraphProcessingSystem
 from repro.graph.datasets import load_dataset
-from repro.kernels.backend import vectorized_enabled
 from repro.kernels.cache import (
     graph_fingerprint,
     machine_key,
@@ -59,14 +57,15 @@ def machine_speedups(
     trace is priced per machine type — the simulation analogue of running
     the same profiling set on one representative of each group.
 
-    Under the vectorized backend (with no observer installed) both the
-    trace and the per-machine priced runtimes are memoised with the same
-    content keys :class:`~repro.core.profiler.ProxyProfiler` uses, so the
-    fig2/fig8a/fig8b drivers — which profile identical (app, machine)
-    pairs on identical graph content — deduplicate across each other.
+    With no observer installed the per-machine priced runtimes are
+    memoised, and the trace always comes from
+    :meth:`~repro.core.profiler.ProxyProfiler._single_machine_trace`;
+    both use the profiler's content keys, so the fig2/fig8a/fig8b drivers
+    — which profile identical (app, machine) pairs on identical graph
+    content — deduplicate across each other.
     """
     specs = [get_machine(n) for n in machine_names]
-    use_cache = vectorized_enabled() and not obs.is_enabled()
+    use_cache = not obs.is_enabled()
     fp = graph_fingerprint(graph) if use_cache else None
     pkey = perf_key(perf) if use_cache else None
     trace = None
@@ -80,16 +79,9 @@ def machine_speedups(
                 times[j] = float(cached)
                 continue
         if trace is None:
-            if use_cache:
-                base = Cluster([specs[0]], perf=perf)
-                trace = ProxyProfiler._single_machine_trace(
-                    app_name, graph, base
-                )
-            else:
-                base = Cluster([specs[0]], perf=perf)
-                trace = GraphProcessingSystem(base).run_single_machine(
-                    make_app(app_name), graph
-                )
+            trace = ProxyProfiler._single_machine_trace(
+                app_name, graph, Cluster([specs[0]], perf=perf)
+            )
         t = simulate_execution(trace, Cluster([spec], perf=perf)).runtime_seconds
         if tkey is not None:
             machine_time_cache.put(tkey, t)

@@ -1,26 +1,16 @@
 """Numpy-vectorized kernels and memoisation for the repro pipeline.
 
-This package is the PR-4 "fast path": CSR/CSC adjacency built once per
-graph, vectorized gather/apply/accounting kernels, and content-keyed LRU
-caches for proxy profiling.  The scalar implementations in ``engine/``,
-``apps/`` and ``partition/`` remain the reference backend; every kernel
-here is required to be **bit-identical** to its scalar counterpart (see
-DESIGN.md §11 and ``tests/equivalence/``).
-
-Backend selection: ``repro.kernels.backend`` (``REPRO_KERNEL_BACKEND``
-env var, ``--backend`` CLI flag, or :func:`set_backend`).
+CSR/CSC adjacency built once per graph, vectorized gather/apply/accounting
+kernels, and content-keyed LRU caches for proxy profiling.  These are the
+only implementation the engine, the applications and the partitioners
+run.  The per-machine and per-vertex loops they replaced live on as
+test-only references under ``tests/oracle/``, and every kernel here is
+required to be **bit-identical** to its reference (see DESIGN.md §11 and
+``tests/equivalence/``).
 """
 
 from __future__ import annotations
 
-from repro.kernels.backend import (
-    VALID_BACKENDS,
-    active_backend,
-    default_backend,
-    set_backend,
-    use_backend,
-    vectorized_enabled,
-)
 from repro.kernels.cache import (
     LRUCache,
     cache_stats,
@@ -30,12 +20,6 @@ from repro.kernels.cache import (
 from repro.kernels.csr import CSRAdjacency, concat_ranges, stable_machine_order
 
 __all__ = [
-    "VALID_BACKENDS",
-    "active_backend",
-    "default_backend",
-    "set_backend",
-    "use_backend",
-    "vectorized_enabled",
     "LRUCache",
     "cache_stats",
     "clear_all_caches",

@@ -4,12 +4,14 @@ The asynchronous Coloring replay and the Triangle Count accounting both
 reduce to *histograms over integer quantities* — edge counts, vertex
 counts, replica legs — which are exactly representable in float64 far
 below 2**53.  Every reduction here therefore produces the same float64
-values as the scalar per-round/per-machine loops it replaces, which is
-what keeps the emitted :class:`~repro.engine.trace.ExecutionTrace` bytes
-identical (DESIGN.md §11).
+values as the per-round/per-machine loops it replaces (kept as
+references under ``tests/oracle/``), which is what keeps the emitted
+:class:`~repro.engine.trace.ExecutionTrace` bytes identical (DESIGN.md
+§11).
 
-Partition-independent results (the undirected simple skeleton, the
-colouring waves, the triangle total) are memoised per graph instance via
+Partition-independent results (the colouring waves, the triangle total;
+``undirected_simple_edges`` memoises the simple skeleton the same way)
+are memoised per graph instance via
 :func:`repro.kernels.cache.graph_memo` — the dominant win for the
 ``experiments/fig*`` drivers, which execute the same handful of graphs
 under dozens of (partitioner, estimator) configurations.
@@ -33,7 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.digraph import DiGraph
 
 __all__ = [
-    "cached_simple_skeleton",
     "cached_coloring",
     "cached_triangle_total",
     "coloring_trace",
@@ -44,24 +45,6 @@ __all__ = [
 # ---------------------------------------------------------------------- #
 # Per-graph memos (partition-independent results)
 # ---------------------------------------------------------------------- #
-
-
-def cached_simple_skeleton(
-    graph: "DiGraph",
-) -> Tuple[NDArray[np.int64], NDArray[np.int64]]:
-    """Memoised ``undirected_simple_edges`` (deduped ``u < v`` skeleton)."""
-    memo = graph_memo(graph)
-    key = ("skeleton",)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached  # type: ignore[no-any-return]
-    from repro.apps.triangle_count import _undirected_simple_edges
-
-    u, v = _undirected_simple_edges(graph)
-    u.setflags(write=False)
-    v.setflags(write=False)
-    memo[key] = (u, v)
-    return u, v
 
 
 def cached_coloring(
@@ -102,7 +85,7 @@ def cached_triangle_total(app: "TriangleCount", graph: "DiGraph") -> int:
 # Mirror-sync traffic
 # ---------------------------------------------------------------------- #
 
-#: Below this active-share the scalar compressed-row path is cheaper than
+#: Below this active-share the compressed-row path is cheaper than
 #: the dense matvec; both are exact, so the choice is performance-only.
 _DENSE_SYNC_FRACTION = 8
 
@@ -121,9 +104,9 @@ def sync_bytes_vectorized(
     active: NDArray[np.bool_],
     value_bytes: int,
 ) -> NDArray[np.float64]:
-    """Per-machine mirror-sync traffic; bit-identical to the scalar path.
+    """Per-machine mirror-sync traffic; bit-identical to the reference.
 
-    Scalar: ``pres.sum(axis=0) - bincount(masters)`` mirror legs plus
+    Reference: ``pres.sum(axis=0) - bincount(masters)`` mirror legs plus
     ``bincount(masters, weights=copies-1)`` master legs.  All terms are
     integer-valued, so replacing the boolean row-sum with a float64
     matvec against the presence matrix (dense case) changes nothing in
@@ -167,7 +150,7 @@ def _color_round(
     """Round index at which each vertex was coloured; ``R`` if never.
 
     "Never" covers vertices coloured upfront (skeleton-isolated), which
-    the scalar replay keeps in the uncoloured mask through every wave.
+    the per-round replay keeps in the uncoloured mask through every wave.
     """
     rounds = len(rounds_log)
     cr = np.full(num_vertices, rounds, dtype=np.int64)
@@ -181,7 +164,7 @@ def coloring_trace(
 ) -> "ExecutionTrace":
     """Build the Coloring execution trace from histogram tables.
 
-    Scalar semantics replayed exactly, per wave ``r``:
+    Per-round replay semantics reproduced exactly, per wave ``r``:
 
     * a local edge does work iff either endpoint is still uncoloured at
       round start, i.e. iff ``max(cr[u], cr[v]) >= r`` — a suffix sum of
@@ -192,7 +175,7 @@ def coloring_trace(
       (``cr >= r``) — suffix sums of presence/master/copies histograms.
 
     All histograms count integers, so every emitted float64 equals the
-    scalar loop's value.
+    per-round loop's value.
     """
     from repro.engine.trace import ExecutionTrace, MachinePhase, SuperstepTrace
 
@@ -266,7 +249,7 @@ def _coloring_comm_table(
 ) -> NDArray[np.float64]:
     """Per-(machine, round) sync bytes over the shrinking uncoloured set.
 
-    For round ``r`` the scalar path counts, over replicated vertices with
+    For round ``r`` the per-round replay counts, over replicated vertices with
     ``cr >= r``: presence legs minus local-master legs plus remote-mirror
     legs.  Binning each term by ``cr`` and suffix-summing reproduces every
     round's totals in one pass.

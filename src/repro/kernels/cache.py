@@ -1,7 +1,7 @@
-"""Content-keyed caches for the vectorized backend.
+"""Content-keyed caches for the kernel pipeline.
 
-Three process-level LRU caches amortise the repeated work the experiment
-drivers generate:
+Five process-level LRU caches amortise the repeated work the experiment
+drivers and the job service generate:
 
 * :data:`profile_trace_cache` — single-machine profiling traces keyed by
   ``(app, graph fingerprint)``.  Traces are machine-agnostic (pricing
@@ -18,6 +18,8 @@ drivers generate:
   keyed by ``(graph fingerprint, assignment digest, machines, seed)``.
   The layout (edge views, presence, masters) is a pure function of that
   key and the engines never mutate it, so runs may share one instance.
+* :data:`estimate_cache` — the service's projected runtimes keyed by
+  ``(app, graph fingerprint, cluster key)``.
 
 Keys are *content* keys — :func:`graph_fingerprint` hashes the edge
 arrays — so independently loaded copies of the same dataset deduplicate
@@ -26,9 +28,9 @@ fixes).
 
 Two rules keep the caches semantically invisible:
 
-* they are consulted only under the vectorized backend **and** with no
-  observer installed — an observed run must execute for real so its span
-  stream is complete (see DESIGN.md §11);
+* they are consulted only with no observer installed — an observed run
+  must execute for real so its span stream is complete (see DESIGN.md
+  §11);
 * cached values are deterministic functions of their keys, so a hit
   returns exactly the bytes a miss would recompute (proven by the
   differential equivalence tests).

@@ -1,8 +1,8 @@
 """Compact adjacency structures and order-preserving sort kernels.
 
 Everything here is *exact*: each function documents why its output is
-bit-identical to the scalar construction it replaces, which is what lets
-the vectorized backend honour the equivalence contract (DESIGN.md §11).
+bit-identical to the reference construction it replaces (kept under
+``tests/oracle/``), which is the equivalence contract of DESIGN.md §11.
 """
 
 from __future__ import annotations

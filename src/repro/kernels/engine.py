@@ -4,9 +4,9 @@ Replaces :class:`~repro.engine.sync_engine.SyncEngine`'s per-machine
 gather loop with hoisted computation over the flat machine-sorted edge
 view, under the bit-identity contract:
 
-* ``"sum"`` accumulators are **order-sensitive** in float64 — the scalar
-  engine adds per-machine ``bincount`` partials in machine order, and a
-  different grouping rounds differently.  The hoisted kernel therefore
+* ``"sum"`` accumulators are **order-sensitive** in float64 — the
+  per-machine loop adds per-machine ``bincount`` partials in machine
+  order, and a different grouping rounds differently.  The hoisted kernel therefore
   computes the (elementwise) messages once globally but still reduces
   per-machine, adding the per-machine partial ``bincount`` arrays in the
   identical machine order.
@@ -16,7 +16,9 @@ view, under the bit-identity contract:
 Hoisting the message computation is only valid when ``messages()`` is a
 pure elementwise function of each source endpoint — programs declare that
 with :attr:`~repro.engine.vertex_program.SyncVertexProgram.messages_elementwise`;
-everything else falls back to the scalar per-machine sequence.
+everything else falls back to the per-machine sequence.  The per-machine
+superstep loop itself is kept as a test reference in
+``tests/oracle/engine.py``.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ def gather_vectorized(
 ) -> NDArray[np.float64]:
     """One superstep's gather phase; returns per-machine edge-op counts.
 
-    Mutates ``acc`` and ``has_message`` exactly as the scalar per-machine
-    loop would.
+    Mutates ``acc`` and ``has_message`` exactly as the per-machine loop
+    would.
     """
     graph = dgraph.graph
     m = dgraph.num_machines
@@ -58,7 +60,7 @@ def gather_vectorized(
     )
     if not hoistable:
         # Reference sequence: per machine, forward then (if undirected)
-        # reverse — identical to SyncEngine.run's scalar loop.
+        # reverse — the per-machine loop itself.
         from repro.engine.sync_engine import SyncEngine
 
         for i in range(m):
@@ -101,7 +103,7 @@ def _edge_messages(
     For a declared-elementwise program, ``messages(values, sources)`` is
     ``f(values[s]) for s in sources``; computing ``f`` once per vertex and
     gathering is the same float64 per slot (each edge's value is produced
-    by the identical scalar operation), one O(|V|) pass plus one gather
+    by the identical float64 operation), one O(|V|) pass plus one gather
     instead of two gathers plus O(|E|) arithmetic.
     """
     vertexwise = getattr(program, "messages_vertexwise", None)
@@ -132,7 +134,7 @@ def _gather_sum_hoisted(
     has_message: NDArray[np.bool_],
     edge_ops: NDArray[np.float64],
 ) -> None:
-    """Sum-accumulator gather with the scalar machine-order reduction.
+    """Sum-accumulator gather with the per-machine-order reduction.
 
     Messages are computed once over all live edges (exact: elementwise
     float ops do not depend on array grouping); the scatter-add stays
@@ -170,7 +172,7 @@ def _gather_sum_hoisted(
         if lo == hi:
             continue
         # Same per-machine bincount partial, added in the same machine
-        # order, as the scalar loop — hence the same float64 rounding.
+        # order, as the per-machine loop — hence the same float64 rounding.
         acc += np.bincount(
             targets[lo:hi], weights=msgs[lo:hi], minlength=acc.size
         )
@@ -193,7 +195,7 @@ def _gather_min_hoisted(
     """Min-accumulator gather for one edge direction, all machines at once.
 
     ``min`` is exact and order-free in float64, so one global scatter-min
-    equals the scalar per-machine sequence bit for bit.
+    equals the per-machine sequence bit for bit.
     """
     if sources_all.size == 0:
         return
@@ -220,7 +222,7 @@ def vertex_ops_vectorized(
 ) -> NDArray[np.float64]:
     """Per-machine count of applied vertices mastered on each machine.
 
-    Equals the scalar ``count_nonzero(applied[masters_on(i)])`` loop:
+    Equals the per-machine ``count_nonzero(applied[masters_on(i)])`` loop:
     a vertex contributes to machine ``i`` iff it is applied and its
     master is ``i`` (disconnected vertices have master ``-1`` and are
     mastered nowhere).  Integer counts convert exactly to float64.

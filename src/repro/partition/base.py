@@ -22,7 +22,6 @@ from numpy.typing import ArrayLike, NDArray
 
 from repro.errors import PartitionError
 from repro.graph.digraph import DiGraph
-from repro.kernels.backend import vectorized_enabled
 from repro.kernels.cache import assignment_cache, graph_fingerprint
 from repro.obs import context as obs
 from repro.utils.validation import check_array_1d
@@ -141,11 +140,11 @@ class Partitioner(abc.ABC):
         if num_machines < 1:
             raise PartitionError("num_machines must be >= 1")
         w = normalize_weights(weights, num_machines)
-        # Content-keyed assignment memo (vectorized backend only).  Skipped
-        # whenever an observer is installed so observed runs execute for
-        # real and their span streams stay complete.
+        # Content-keyed assignment memo.  Skipped whenever an observer is
+        # installed so observed runs execute for real and their span
+        # streams stay complete.
         cache_key: Optional[Tuple[Any, ...]] = None
-        if vectorized_enabled() and not obs.is_enabled():
+        if not obs.is_enabled():
             cache_key = (
                 "assignment",
                 self.name,

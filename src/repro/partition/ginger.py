@@ -27,7 +27,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.graph.digraph import DiGraph
-from repro.kernels.backend import vectorized_enabled
 from repro.kernels.csr import concat_ranges
 from repro.obs import context as obs
 from repro.partition.base import Partitioner
@@ -118,16 +117,9 @@ class GingerPartitioner(Partitioner):
             # Per-(vertex, machine) in-neighbour co-location counts.
             degs = in_indptr[chunk + 1] - in_indptr[chunk]
             rows = np.repeat(np.arange(chunk.size), degs)
-            if vectorized_enabled():
-                # Same concatenation, one fancy-index instead of a python
-                # loop over chunk vertices.
-                flat_nbrs = in_nbrs[
-                    concat_ranges(in_indptr[chunk], in_indptr[chunk + 1])
-                ]
-            else:
-                flat_nbrs = np.concatenate(
-                    [in_nbrs[in_indptr[v] : in_indptr[v + 1]] for v in chunk]
-                ) if chunk.size else np.empty(0, dtype=np.int64)
+            flat_nbrs = in_nbrs[
+                concat_ranges(in_indptr[chunk], in_indptr[chunk + 1])
+            ]
             nbr_mach = vertex_machine[flat_nbrs]
             co = np.zeros((chunk.size, m), dtype=np.float64)
             ok = nbr_mach >= 0
@@ -153,11 +145,11 @@ class GingerPartitioner(Partitioner):
             # Move each chunk vertex (and its grouped in-edges) if improved.
             prev = vertex_machine[chunk]
             moved = choice != prev
-            if np.any(moved) and vectorized_enabled():
+            if np.any(moved):
                 # Batched move application.  Chunk vertices are distinct and
                 # their in-edge ranges disjoint, and all count updates are
                 # integer-valued float64 (exact), so this reproduces the
-                # scalar per-vertex sequence bit for bit.
+                # per-vertex move loop (tests/oracle/ginger.py) bit for bit.
                 mv = chunk[moved]
                 new_mach = choice[moved]
                 old_mach = vertex_machine[mv].astype(np.int64)
@@ -170,17 +162,6 @@ class GingerPartitioner(Partitioner):
                 edge_count += np.bincount(new_mach, weights=lens, minlength=m)
                 vertex_count -= np.bincount(old_mach, minlength=m)
                 vertex_count += np.bincount(new_mach, minlength=m)
-            elif np.any(moved):
-                for v, new in zip(chunk[moved], choice[moved]):
-                    lo, hi = in_indptr[v], in_indptr[v + 1]
-                    eids = in_edge_ids[lo:hi]
-                    old = vertex_machine[v]
-                    assignment[eids] = new
-                    vertex_machine[v] = new
-                    edge_count[old] -= eids.size
-                    edge_count[new] += eids.size
-                    vertex_count[old] -= 1
-                    vertex_count[new] += 1
             if obs.is_enabled():
                 chunk_span.set(moved=int(np.count_nonzero(moved)))
                 obs.counter_add(

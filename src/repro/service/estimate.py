@@ -14,53 +14,35 @@ fronting different clusters sharing one process can never trade
 estimates — a hit is always the number a miss would recompute.
 
 The cache is consulted under the same gate as every other kernel cache
-(vectorized backend on, no observer installed); an observed run executes
-the profiling for real so its span stream is complete.  Crucially the
-*value* is cache-state-independent, so service traces stay byte-identical
-whether the cache was cold or warm.
+(no observer installed); an observed run executes the profiling for real
+so its span stream is complete.  On a miss the single-machine trace comes
+from :meth:`~repro.core.profiler.ProxyProfiler._single_machine_trace`, so
+a trace the profiler already ran is reused, not re-executed.  Crucially
+the *value* is cache-state-independent, so service traces stay
+byte-identical whether the cache was cold or warm.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro import obs
 from repro.cluster.cluster import Cluster
 from repro.core.cost import projected_runtime_seconds
-from repro.engine.runtime import GraphProcessingSystem
-from repro.engine.trace import ExecutionTrace
+from repro.core.profiler import ProxyProfiler
 from repro.graph.digraph import DiGraph
-from repro.kernels.backend import vectorized_enabled
-from repro.kernels.cache import (
-    cluster_key,
-    estimate_cache,
-    graph_fingerprint,
-    profile_trace_cache,
-)
+from repro.kernels.cache import cluster_key, estimate_cache, graph_fingerprint
 
 __all__ = ["projected_seconds"]
 
 
 def projected_seconds(cluster: Cluster, app: str, graph: DiGraph) -> float:
     """CCR-priced projected runtime, memoised across the job stream."""
-    use_cache = vectorized_enabled() and not obs.is_enabled()
+    if obs.is_enabled():
+        return projected_runtime_seconds(cluster, app, graph)
     key = (app, graph_fingerprint(graph), cluster_key(cluster))
-    if use_cache:
-        hit = estimate_cache.get(key)
-        if hit is not None:
-            return float(hit)
-    trace: Optional[ExecutionTrace] = None
-    if use_cache:
-        trace_key = (app, graph_fingerprint(graph))
-        trace = profile_trace_cache.get(trace_key)
-        if trace is None:
-            from repro.apps.registry import make_app
-
-            trace = GraphProcessingSystem(cluster).run_single_machine(
-                make_app(app), graph
-            )
-            profile_trace_cache.put(trace_key, trace)
+    hit = estimate_cache.get(key)
+    if hit is not None:
+        return float(hit)
+    trace = ProxyProfiler._single_machine_trace(app, graph, cluster)
     seconds = projected_runtime_seconds(cluster, app, graph, trace=trace)
-    if use_cache:
-        estimate_cache.put(key, seconds)
+    estimate_cache.put(key, seconds)
     return seconds

@@ -342,8 +342,8 @@ class JobService:
         """CCR-projected solo runtime, memoised per (app, graph) pair.
 
         The service memo makes admission O(1) per queued job even when
-        the process-level kernel caches are gated off (python backend or
-        an installed observer); the value is a deterministic function of
+        the process-level kernel caches are gated off (an installed
+        observer); the value is a deterministic function of
         the key either way.
         """
         key = (job.app, job.graph.key())

@@ -3,7 +3,7 @@
 Content-addressed sqlite persistence for the kernel caches: proxy
 profile traces, priced machine times, runtime estimates, partition
 assignments and per-run metric summaries, keyed by sha256 graph
-fingerprints plus cluster/backend/strategy key components.
+fingerprints plus cluster/strategy key components.
 
 * :mod:`repro.store.backend` — the :class:`CacheBackend` protocol and
   the in-process / layered implementations the kernel caches use;

@@ -16,8 +16,8 @@ state die with the process.  This module teases the interface out into a
 Two invariants carry over unchanged from PR 4 (DESIGN.md §11/§14):
 
 * backends are consulted only at call sites already gated on
-  ``vectorized_enabled() and not obs.is_enabled()`` — attaching a store
-  never adds a read on an observed or scalar-backend run;
+  ``not obs.is_enabled()`` — attaching a store never adds a read on an
+  observed run;
 * every cached value is a deterministic function of its key, so a hit —
   L1 or store — returns exactly the bytes a miss would recompute.
 """

@@ -12,7 +12,7 @@ Layout (``SCHEMA_VERSION`` = 1):
 * ``summaries(namespace, key_sha, key_text, payload, payload_sha)`` —
   one row per cached value.  ``key_sha`` is the sha256 of the canonical
   key text (the ``repr`` of the kernel cache key, which already embeds
-  the graph's sha256 content fingerprint plus the cluster / backend /
+  the graph's sha256 content fingerprint plus the cluster /
   strategy / seed components); ``payload_sha`` is the sha256 of the
   payload bytes, verified on every read;
 * ``quarantine(namespace, key_sha, reason)`` — rows that failed

@@ -5,7 +5,7 @@ current edge multiset) so every emitted operation is valid at apply time,
 and every draw goes through :func:`repro.utils.rng.make_rng` in a fixed
 order — the same ``(graph, pattern, sizes, seed)`` always yields the
 identical stream, which is what lets the churn experiments replay one
-scenario across strategies, backends and clusters.
+scenario across strategies and clusters.
 
 Patterns
 --------

@@ -5,7 +5,7 @@ deployments see *churn*: edges appear and disappear, vertices join and
 leave.  A :class:`MutationStream` describes such a history as data — an
 ordered sequence of :class:`MutationBatch` es, each a list of typed
 operations applied atomically between engine epochs — so the same churn
-scenario can be replayed against any strategy, backend, or cluster and
+scenario can be replayed against any strategy or cluster and
 always produce the identical sequence of graphs.
 
 The vertex model is **tombstoning**: :class:`DiGraph` requires dense ids,
@@ -246,7 +246,7 @@ class MutationStream:
     """A complete churn scenario: ordered batches over a base graph.
 
     Pure data — the engine and partitioners query it, never mutate it, so
-    one stream prices identically under every strategy and backend.
+    one stream prices identically under every strategy.
     """
 
     batches: Tuple[MutationBatch, ...] = ()

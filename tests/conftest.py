@@ -20,14 +20,11 @@ from repro.powerlaw.generator import generate_power_law_graph
 
 @pytest.fixture(autouse=True)
 def _kernel_isolation():
-    """Per-test kernel-state hygiene: empty caches, no store, default
-    backend."""
-    from repro.kernels.backend import default_backend, set_backend
+    """Per-test kernel-state hygiene: empty caches, no store."""
     from repro.kernels.cache import clear_all_caches, detach_store
 
     detach_store()
     clear_all_caches()
-    set_backend(default_backend())
     yield
     detach_store()
     clear_all_caches()

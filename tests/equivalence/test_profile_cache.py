@@ -1,20 +1,25 @@
-"""Profile-cache semantics and the fig2/fig8 duplicate-profiling fix.
+"""Profile-cache semantics and the duplicate-profiling fixes.
 
-Before PR 4 the fig2, fig8a and fig8b drivers each re-executed the same
-(app, graph) profiling sets from scratch — identical graph *content*
-loaded independently per driver.  The content-keyed profile caches
-deduplicate them; these tests pin the exact execution counts.
+Without the content-keyed profile caches the fig2, fig8a and fig8b
+drivers would each re-execute the same (app, graph) profiling sets —
+identical graph *content* loaded independently per driver — and the job
+service would re-run a trace the profiler already had.  These tests pin
+the exact execution counts.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.cluster.catalog import get_machine
+from repro.cluster.cluster import Cluster
+from repro.core.profiler import ProxyProfiler
 from repro.engine.runtime import GraphProcessingSystem
 from repro.experiments.fig2 import run_fig2
 from repro.experiments.fig8 import run_fig8a, run_fig8b
-from repro.kernels.backend import use_backend
 from repro.kernels.cache import cache_stats, clear_all_caches
+from repro.powerlaw.generator import generate_power_law_graph
+from repro.service.estimate import projected_seconds
 
 #: One profiling execution per unique graph: 4 real datasets + 3 proxies.
 UNIQUE_GRAPHS = 7
@@ -37,29 +42,29 @@ def count_profile_runs(monkeypatch):
 def test_fig_drivers_deduplicate_profiling(count_profile_runs):
     """fig8a profiles each unique graph once; fig8b and fig2 add nothing."""
     clear_all_caches()
-    with use_backend("vectorized"):
-        run_fig8a(scale=SCALE, apps=("pagerank",), seed=100)
-        assert count_profile_runs["n"] == UNIQUE_GRAPHS
+    run_fig8a(scale=SCALE, apps=("pagerank",), seed=100)
+    assert count_profile_runs["n"] == UNIQUE_GRAPHS
 
-        # Same graph content, freshly loaded, different machine ladder:
-        # every trace comes from the content-keyed cache.
-        run_fig8b(scale=SCALE, apps=("pagerank",), seed=100)
-        assert count_profile_runs["n"] == UNIQUE_GRAPHS
+    # Same graph content, freshly loaded, different machine ladder:
+    # every trace comes from the content-keyed cache.
+    run_fig8b(scale=SCALE, apps=("pagerank",), seed=100)
+    assert count_profile_runs["n"] == UNIQUE_GRAPHS
 
-        # fig2 re-runs the whole fig8a ladder: fully deduplicated too.
-        run_fig2(scale=SCALE, apps=("pagerank",), seed=100)
-        assert count_profile_runs["n"] == UNIQUE_GRAPHS
+    # fig2 re-runs the whole fig8a ladder: fully deduplicated too.
+    run_fig2(scale=SCALE, apps=("pagerank",), seed=100)
+    assert count_profile_runs["n"] == UNIQUE_GRAPHS
 
     stats = cache_stats()
     assert stats["profile_trace"]["hits"] > 0
     assert stats["machine_time"]["hits"] > 0
 
 
-def test_scalar_backend_reprofiles_every_time(count_profile_runs):
-    """The reference backend keeps its original (duplicated) behaviour."""
+def test_service_projection_reuses_the_profiled_trace(count_profile_runs):
+    """The service's projection and the profiler share one trace entry."""
     clear_all_caches()
-    with use_backend("scalar"):
-        run_fig8a(scale=SCALE, apps=("pagerank",), seed=100)
-        assert count_profile_runs["n"] == UNIQUE_GRAPHS
-        run_fig8b(scale=SCALE, apps=("pagerank",), seed=100)
-        assert count_profile_runs["n"] == 2 * UNIQUE_GRAPHS
+    graph = generate_power_law_graph(num_vertices=300, alpha=2.0, seed=3)
+    cluster = Cluster([get_machine("m4.2xlarge"), get_machine("c4.2xlarge")])
+    ProxyProfiler().profile_graph("pagerank", graph, cluster)
+    assert count_profile_runs["n"] == 1
+    projected_seconds(cluster, "pagerank", graph)
+    assert count_profile_runs["n"] == 1

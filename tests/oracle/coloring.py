@@ -1,10 +1,15 @@
-"""Per-round Jones–Plassmann loop: the reference for ``GraphColoring.color``.
+"""Per-round Jones–Plassmann loops: the references for ``GraphColoring``.
 
-Every round rescans all skeleton edges whose endpoints are both
-uncoloured, so its cost is rounds × |E|.  Production computes the same
-waves with a countdown in O(|E|) (DESIGN.md §11); this module keeps the
-literal loop so the differential test in ``tests/test_apps_coloring.py``
-can compare the two element by element.
+* :func:`reference_color` rescans all skeleton edges whose endpoints are
+  both uncoloured every round, so its cost is rounds × |E|.  Production
+  computes the same waves with a countdown in O(|E|) (DESIGN.md §11);
+  the differential test in ``tests/test_apps_coloring.py`` compares the
+  two element by element.
+* :func:`reference_coloring_trace` replays those waves round by round,
+  machine by machine, to build the execution trace.  Production builds
+  it from suffix-summed histograms
+  (``repro.kernels.accounting.coloring_trace``); the differential tests
+  in ``tests/equivalence/`` compare the trace bytes.
 """
 
 from __future__ import annotations
@@ -12,11 +17,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps.triangle_count import undirected_simple_edges
+from repro.engine.trace import ExecutionTrace, MachinePhase, SuperstepTrace
 from repro.errors import EngineError
 from repro.graph.digraph import DiGraph
 from repro.utils.rng import hash_to_unit, mix64
+from tests.oracle.engine import reference_layout, reference_sync_bytes
 
-__all__ = ["reference_color"]
+__all__ = ["reference_color", "reference_coloring_trace"]
 
 
 def reference_color(graph: DiGraph, seed: int = 0, max_rounds: int = 500):
@@ -76,3 +83,50 @@ def reference_color(graph: DiGraph, seed: int = 0, max_rounds: int = 500):
             f"colouring did not finish within {max_rounds} rounds"
         )
     return colors, rounds_log
+
+
+def reference_coloring_trace(app, dgraph):
+    """``app.execute(dgraph)`` for a ``GraphColoring``, one wave at a time."""
+    graph = dgraph.graph
+    m = dgraph.num_machines
+    colors, rounds_log = reference_color(graph, app.seed, app.max_rounds)
+    _, local_src, local_dst = reference_layout(dgraph.partition)
+    masters = [np.nonzero(dgraph.master == i)[0] for i in range(m)]
+
+    trace = ExecutionTrace(app=app.name, num_machines=m)
+    uncolored = np.ones(graph.num_vertices, dtype=bool)
+    for winners in rounds_log:
+        # Each still-uncoloured vertex scans its neighbourhood during the
+        # round (to learn priorities and used colours), so a machine's
+        # edge work is its local edges touching the uncoloured set at
+        # round start.
+        comm = reference_sync_bytes(dgraph, uncolored, app.cost.value_bytes)
+        winner_mask = np.zeros(graph.num_vertices, dtype=bool)
+        winner_mask[winners] = True
+        phases = []
+        for i in range(m):
+            ls, ld = local_src[i], local_dst[i]
+            if ls.size:
+                edge_ops = float(np.count_nonzero(uncolored[ls] | uncolored[ld]))
+            else:
+                edge_ops = 0.0
+            vertex_ops = float(np.count_nonzero(winner_mask[masters[i]]))
+            work = app.cost.work(
+                edge_ops=edge_ops,
+                vertex_ops=vertex_ops,
+                working_set_mb=float(dgraph.working_set_mb[i]),
+            )
+            phases.append(MachinePhase(work=work, comm_bytes=float(comm[i])))
+        trace.append(
+            SuperstepTrace(
+                phases=phases, sync_rounds=app.cost.sync_rounds, label="wave"
+            )
+        )
+        uncolored[winners] = False
+
+    trace.result = {
+        "colors": colors,
+        "num_colors": int(colors.max(initial=0)) + 1,
+        "rounds": len(rounds_log),
+    }
+    return trace

@@ -3,9 +3,11 @@
 The headline PR-7 contract: a run served from a warm summary store is
 **byte-identical** to a cold run — same assignment bytes, same
 ExecutionTrace canonical JSON, same projected-runtime floats, same
-experiment series — across every app × partitioner combination and both
-kernel backends.  The store may change how fast an answer arrives, never
-which answer arrives.
+experiment series — across every app × partitioner combination.  The
+``scalar`` cells take their cold run from the reference loops under
+``tests/oracle/`` instead, so the warm store is also checked against an
+implementation that never touches a cache.  The store may change how
+fast an answer arrives, never which answer arrives.
 """
 
 from __future__ import annotations
@@ -13,9 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.apps.registry import DEFAULT_APPS, make_app
-from repro.engine.distributed_graph import DistributedGraph
-from repro.kernels.backend import use_backend
+from repro.core.cost import projected_runtime_seconds
 from repro.kernels.cache import (
     assignment_cache,
     attach_store,
@@ -24,12 +24,12 @@ from repro.kernels.cache import (
     estimate_cache,
     profile_trace_cache,
 )
-from repro.partition import make_partitioner
+from repro.apps.registry import DEFAULT_APPS
 from repro.powerlaw.generator import generate_power_law_graph
 from repro.store import SummaryStore
+from tests.oracle.pipeline import IMPLEMENTATIONS, run_pipeline
 
 PARTITIONERS = ("random_hash", "grid", "oblivious", "hybrid", "ginger")
-BACKENDS = ("vectorized", "scalar")
 WEIGHTS = (1.0, 2.0, 1.5, 0.5)
 NUM_MACHINES = 4
 
@@ -50,15 +50,21 @@ def _cluster():
     )
 
 
-def _run_pipeline(app_name, partitioner_name, graph, backend):
-    """Partition + execute + project, with whatever caches are attached."""
+def _run_pipeline(
+    app_name, partitioner_name, graph, implementation="vectorized"
+):
+    """Partition + execute + project, with whatever caches are attached
+    (``"scalar"``: on the reference loops, with no cache at all)."""
     from repro.service.estimate import projected_seconds
 
-    with use_backend(backend):
-        part = make_partitioner(partitioner_name, seed=3)
-        res = part.partition(graph, NUM_MACHINES, np.array(WEIGHTS))
-        trace = make_app(app_name).execute(DistributedGraph(res))
+    res, trace = run_pipeline(
+        implementation, app_name, partitioner_name, graph, NUM_MACHINES,
+        np.array(WEIGHTS),
+    )
+    if implementation == "vectorized":
         projected = projected_seconds(_cluster(), app_name, graph)
+    else:
+        projected = projected_runtime_seconds(_cluster(), app_name, graph)
     return (
         res.assignment.tobytes(),
         trace.canonical_json(),
@@ -66,38 +72,34 @@ def _run_pipeline(app_name, partitioner_name, graph, backend):
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("cold_implementation", IMPLEMENTATIONS)
 @pytest.mark.parametrize("partitioner_name", PARTITIONERS)
 @pytest.mark.parametrize("app_name", DEFAULT_APPS)
 def test_cold_vs_warm_byte_identical(
-    app_name, partitioner_name, backend, pl_graph, store
+    app_name, partitioner_name, cold_implementation, pl_graph, store
 ):
     """Every matrix cell: cold == populate == warm, byte for byte."""
-    cold = _run_pipeline(app_name, partitioner_name, pl_graph, backend)
+    cold = _run_pipeline(
+        app_name, partitioner_name, pl_graph, cold_implementation
+    )
 
     # Populating pass: same run with an empty store attached.
     clear_all_caches()
     attach_store(store)
-    populate = _run_pipeline(app_name, partitioner_name, pl_graph, backend)
+    populate = _run_pipeline(app_name, partitioner_name, pl_graph)
 
     # Warm pass: L1s emptied, every read that hits comes from sqlite.
     clear_all_caches()
-    warm = _run_pipeline(app_name, partitioner_name, pl_graph, backend)
+    warm = _run_pipeline(app_name, partitioner_name, pl_graph)
     detach_store()
 
     assert cold == populate == warm
-    if backend == "vectorized":
-        # The warm pass actually exercised the store.
-        total_store_hits = sum(
-            c.stats()["store_hits"]
-            for c in (assignment_cache, estimate_cache, profile_trace_cache)
-        )
-        assert total_store_hits >= 1
-    else:
-        # Scalar runs are gated off the caches entirely: the attached
-        # store must never be consulted, and results still match.
-        assert assignment_cache.stats()["store_hits"] == 0
-        assert estimate_cache.stats()["store_hits"] == 0
+    # The warm pass actually exercised the store.
+    total_store_hits = sum(
+        c.stats()["store_hits"]
+        for c in (assignment_cache, estimate_cache, profile_trace_cache)
+    )
+    assert total_store_hits >= 1
 
 
 @pytest.mark.parametrize("app_name", DEFAULT_APPS)
@@ -108,14 +110,14 @@ def test_mid_run_populated_store_is_transparent(app_name, pl_graph, store):
     ginger-partitioned run attaches it: profile traces and estimates hit
     warm, assignments miss — and every byte still matches the cold run.
     """
-    cold = _run_pipeline(app_name, "ginger", pl_graph, "vectorized")
+    cold = _run_pipeline(app_name, "ginger", pl_graph)
 
     clear_all_caches()
     attach_store(store)
-    _run_pipeline(app_name, "hybrid", pl_graph, "vectorized")
+    _run_pipeline(app_name, "hybrid", pl_graph)
 
     clear_all_caches()
-    mixed = _run_pipeline(app_name, "ginger", pl_graph, "vectorized")
+    mixed = _run_pipeline(app_name, "ginger", pl_graph)
     detach_store()
 
     assert cold == mixed
@@ -127,11 +129,11 @@ def test_mid_run_populated_store_is_transparent(app_name, pl_graph, store):
 def test_attach_mid_process_after_warm_l1(pl_graph, store):
     """Attaching a store to already-warm L1s neither loses nor changes
     anything: subsequent runs write through and still match."""
-    cold = _run_pipeline("pagerank", "hybrid", pl_graph, "vectorized")
+    cold = _run_pipeline("pagerank", "hybrid", pl_graph)
     attach_store(store)  # L1s stay warm; store starts empty
-    live = _run_pipeline("pagerank", "hybrid", pl_graph, "vectorized")
+    live = _run_pipeline("pagerank", "hybrid", pl_graph)
     clear_all_caches()
-    warm = _run_pipeline("pagerank", "hybrid", pl_graph, "vectorized")
+    warm = _run_pipeline("pagerank", "hybrid", pl_graph)
     detach_store()
     assert cold == live == warm
 
@@ -161,13 +163,13 @@ def test_warm_rows_survive_store_reopen(tmp_path, pl_graph):
     path = str(tmp_path / "restart.db")
     with SummaryStore.create(path) as st:
         attach_store(st)
-        first = _run_pipeline("pagerank", "hybrid", pl_graph, "vectorized")
+        first = _run_pipeline("pagerank", "hybrid", pl_graph)
         detach_store()
 
     clear_all_caches()
     with SummaryStore.open(path) as st:
         attach_store(st)
-        second = _run_pipeline("pagerank", "hybrid", pl_graph, "vectorized")
+        second = _run_pipeline("pagerank", "hybrid", pl_graph)
         hits = sum(
             c.stats()["store_hits"]
             for c in (assignment_cache, estimate_cache, profile_trace_cache)

@@ -2,7 +2,7 @@
 
 The store's content addressing inherits the kernel cache keys: graph
 identity is the sha256 content fingerprint, cluster identity is the full
-``cluster_key`` tuple, and strategy/seed/backend components sit in the
+``cluster_key`` tuple, and strategy/seed components sit in the
 key text verbatim.  Two properties carry the no-cross-leakage contract
 (extending tests/test_kernels_cache_observer.py):
 

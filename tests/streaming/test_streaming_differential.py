@@ -4,22 +4,22 @@ The incremental partitioner's contract is that its per-batch assignment
 is a pure function of (base strategy config, halo, weight history, batch
 history).  The harness pins that three ways:
 
-* **Replay determinism** — for every strategy and both kernel backends,
-  a fresh :class:`IncrementalPartitioner` replayed from scratch up to
-  batch *k* reproduces the continuous run's assignment at batch *k*
-  byte-for-byte;
+* **Replay determinism** — for every strategy, production and the
+  reference Ginger of ``tests/oracle/`` alike, a fresh
+  :class:`IncrementalPartitioner` replayed from scratch up to batch *k*
+  reproduces the continuous run's assignment at batch *k* byte-for-byte,
+  and both implementations agree on every batch;
 * **Quality** — the repaired partition's weighted imbalance stays within
   a pinned factor of a full per-batch re-partition's;
 * **Trace identity** — full streaming runs (4 apps x 5 strategies) are
-  byte-identical across two executions, and across the scalar and
-  vectorized kernel backends.
+  byte-identical across two executions, the first from cold caches and
+  the second from warm ones.
 """
 
 import numpy as np
 import pytest
 
 from repro.apps.registry import DEFAULT_APPS, make_app
-from repro.kernels.backend import use_backend
 from repro.partition import make_partitioner
 from repro.partition.metrics import weighted_imbalance
 from repro.partition.oblivious import ObliviousPartitioner
@@ -31,6 +31,7 @@ from repro.streaming import (
     generate_stream,
 )
 from repro.experiments.common import CASE1_PARTITIONERS, case1_cluster
+from tests.oracle.pipeline import IMPLEMENTATIONS, reference_partitioner
 
 #: Incremental repair may be this much worse than a full re-partition
 #: (measured headroom is ~1.06x on this harness; the pin catches drift
@@ -38,7 +39,6 @@ from repro.experiments.common import CASE1_PARTITIONERS, case1_cluster
 IMBALANCE_PIN = 1.5
 
 NUM_MACHINES = 4
-BACKENDS = ("scalar", "vectorized")
 
 
 @pytest.fixture(scope="module")
@@ -53,11 +53,15 @@ def churn_stream(base_graph):
     )
 
 
-def strategy_instances(seed=5):
+def strategy_instances(implementation="vectorized", seed=5):
     """The five named strategies plus a deliberately order-sensitive
     small-chunk Oblivious (the default chunk covers small graphs whole,
-    which would hide history effects from the differential check)."""
-    instances = [make_partitioner(name, seed=seed) for name in CASE1_PARTITIONERS]
+    which would hide history effects from the differential check).
+    ``"scalar"`` swaps Ginger for its reference loops."""
+    make = make_partitioner
+    if implementation == "scalar":
+        make = reference_partitioner
+    instances = [make(name, seed=seed) for name in CASE1_PARTITIONERS]
     instances.append(ObliviousPartitioner(seed=seed, chunk_size=64))
     return instances
 
@@ -77,36 +81,31 @@ def continuous_assignments(partitioner, graph, stream, halo=1):
 
 
 class TestReplayDeterminism:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("implementation", IMPLEMENTATIONS)
     def test_replay_from_scratch_is_byte_identical(
-        self, base_graph, churn_stream, backend
+        self, base_graph, churn_stream, implementation
     ):
-        for strategy in strategy_instances():
-            with use_backend(backend):
-                continuous = continuous_assignments(
-                    strategy, base_graph, churn_stream
+        for strategy in strategy_instances(implementation):
+            continuous = continuous_assignments(
+                strategy, base_graph, churn_stream
+            )
+            for upto in range(1, churn_stream.num_batches + 1):
+                prefix = type(churn_stream)(
+                    batches=churn_stream.batches[:upto]
                 )
-                for upto in range(1, churn_stream.num_batches + 1):
-                    prefix = type(churn_stream)(
-                        batches=churn_stream.batches[:upto]
-                    )
-                    replayed = continuous_assignments(
-                        strategy, base_graph, prefix
-                    )
-                    assert replayed[-1] == continuous[upto - 1], (
-                        f"{strategy.name}: batch {upto - 1} diverged on "
-                        f"replay ({backend})"
-                    )
+                replayed = continuous_assignments(strategy, base_graph, prefix)
+                assert replayed[-1] == continuous[upto - 1], (
+                    f"{strategy.name}: batch {upto - 1} diverged on "
+                    f"replay ({implementation})"
+                )
 
-    def test_backends_agree_on_assignments(self, base_graph, churn_stream):
-        for strategy in strategy_instances():
-            per_backend = []
-            for backend in BACKENDS:
-                with use_backend(backend):
-                    per_backend.append(
-                        continuous_assignments(strategy, base_graph, churn_stream)
-                    )
-            assert per_backend[0] == per_backend[1], strategy.name
+    def test_oracle_ginger_agrees(self, base_graph, churn_stream):
+        """Every repaired batch places edges as the reference Ginger does."""
+        assert continuous_assignments(
+            make_partitioner("ginger", seed=5), base_graph, churn_stream
+        ) == continuous_assignments(
+            reference_partitioner("ginger", seed=5), base_graph, churn_stream
+        )
 
 
 class TestImbalancePin:
@@ -134,6 +133,7 @@ class TestStreamingTraceIdentity:
     def test_two_runs_byte_identical(
         self, base_graph, churn_stream, app_name, algorithm
     ):
+        # The first run starts from cold caches; the second finds them warm.
         cluster = case1_cluster()
 
         def one_run():
@@ -146,23 +146,6 @@ class TestStreamingTraceIdentity:
             ).trace_json()
 
         assert one_run() == one_run()
-
-    @pytest.mark.parametrize("algorithm", CASE1_PARTITIONERS)
-    def test_backends_byte_identical(self, base_graph, churn_stream, algorithm):
-        cluster = case1_cluster()
-        traces = []
-        for backend in BACKENDS:
-            with use_backend(backend):
-                system = StreamingSystem(cluster, halo=1)
-                traces.append(
-                    system.run(
-                        make_app("pagerank"),
-                        base_graph,
-                        churn_stream,
-                        make_partitioner(algorithm, seed=5),
-                    ).trace_json()
-                )
-        assert traces[0] == traces[1]
 
 
 class TestIncrementalAccounting:

@@ -18,7 +18,7 @@ import pytest
 from repro.faults import ShardCrash, ShardFaultSchedule
 from repro.faults.checkpoint import CheckpointPolicy
 from repro.federation import FederationService
-from repro.kernels.backend import use_backend
+from repro.kernels.cache import clear_all_caches
 from repro.streaming import CheckpointCustody
 from repro.testing import (
     GOLDEN_FED_SHARDS,
@@ -28,7 +28,6 @@ from repro.testing import (
     golden_federation_clusters,
 )
 
-BACKENDS = ("scalar", "vectorized")
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "golden"
 FIXTURE = GOLDEN_DIR / "federated_stream_pagerank.trace.json"
 
@@ -160,16 +159,14 @@ class TestMidStreamFailover:
         assert _stream_trace(first_service) == _stream_trace(second_service)
 
 
-class TestBackends:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_failover_is_byte_identical_on_both_backends(
-        self, crash_schedule, backend
-    ):
+class TestCacheState:
+    def test_failover_cold_and_warm(self, crash_schedule):
         _, faults = crash_schedule
-        with use_backend(backend):
+        clear_all_caches()
+        for _ in range(2):  # cold caches, then the caches the first run left
             service, result = _run(shard_faults=faults)
-        assert result.shard_crashes == 1
-        assert _stream_trace(service) + "\n" == FIXTURE.read_text()
+            assert result.shard_crashes == 1
+            assert _stream_trace(service) + "\n" == FIXTURE.read_text()
 
 
 class TestWithoutCustody:

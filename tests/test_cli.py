@@ -92,12 +92,19 @@ class TestProcess:
             main(["process", "--cluster", "c4.xlarge",
                   "--app", "pagerank", "--scale", "0.001"])
 
-    def test_bad_cluster_name(self):
-        from repro.errors import ClusterError
-
-        with pytest.raises(ClusterError):
-            main(["process", "--cluster", "z9.mega", "--app", "pagerank",
-                  "--dataset", "wiki", "--scale", "0.001"])
+    def test_bad_cluster_name(self, capsys):
+        """An unknown machine type is a usage error (exit 2, no traceback)
+        on every command that takes ``--cluster``, as it is on ``serve``."""
+        for argv in (
+            ["process", "--cluster", "m4.2xlarge,z9.mega", "--app",
+             "pagerank", "--dataset", "wiki", "--scale", "0.001"],
+            ["profile", "--cluster", "m4.2xlarge,z9.mega", "--apps",
+             "pagerank", "--scale", "0.001"],
+        ):
+            assert main(argv) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert "unknown machine type 'z9.mega'" in err, argv[0]
+            assert "Traceback" not in err, argv[0]
 
 
 class TestValidation:
