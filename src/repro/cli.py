@@ -1467,14 +1467,27 @@ def build_parser() -> argparse.ArgumentParser:
     prof.set_defaults(func=cmd_profile)
 
     proc = sub.add_parser("process", help="run an application (Fig. 7b)")
-    proc.add_argument("--cluster", required=True)
-    proc.add_argument("--app", required=True)
+    proc.add_argument("--cluster", required=True,
+                      help="comma-separated machine types, one per "
+                      "machine (e.g. m4.2xlarge,c4.2xlarge)")
+    proc.add_argument("--app", required=True,
+                      help="application: pagerank, coloring, "
+                      "connected_components or triangle_count")
     proc.add_argument("--dataset", help="Table II dataset name")
     proc.add_argument("--graph-file", help="edge list or .npz path")
     proc.add_argument("--policy", default="ccr",
-                      choices=("default", "threads", "ccr", "oracle"))
-    proc.add_argument("--partitioner", default="hybrid")
-    proc.add_argument("--scale", type=_model_scale, default=0.01)
+                      choices=("default", "threads", "ccr", "oracle"),
+                      help="how machine weights are estimated: default "
+                      "(uniform), threads (hardware threads), ccr "
+                      "(proxy-profiled CCRs, the paper's method) or "
+                      "oracle (CCRs measured on the input graph); default ccr")
+    proc.add_argument("--partitioner", default="hybrid",
+                      help="edge partitioner: hybrid, ginger, grid, "
+                      "oblivious or random_hash (default hybrid)")
+    proc.add_argument("--scale", type=_model_scale, default=0.01,
+                      help="fraction of the paper-scale graph to "
+                      "simulate, in (0, 1]; sizes --dataset, the proxy "
+                      "graphs and the cache model (default 0.01)")
     proc.add_argument("--strict", action="store_true",
                       help="raise ConvergenceError if the superstep budget "
                       "is exhausted without convergence")

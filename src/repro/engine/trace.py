@@ -37,7 +37,12 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
+        # tolist() already yields plain Python scalars (a bare scalar for
+        # a 0-d array); only object and structured arrays can hold
+        # containers that still need converting.
+        if value.dtype.kind in "OV":
+            return _jsonable(value.tolist())
+        return value.tolist()
     if isinstance(value, np.generic):
         return value.item()
     return value

@@ -8,6 +8,9 @@ that encoding round-trips losslessly:
   the last bit;
 * :class:`~repro.engine.trace.ExecutionTrace` serializes through its
   canonical JSON (format-versioned; stale formats fail loudly on decode);
+* a :class:`~repro.streaming.recovery.StreamCheckpoint` serializes through
+  its canonical JSON too, which is the JSON codec's spelling of its
+  ``to_jsonable()`` form, and decodes to that plain form;
 * partition assignments serialize as a dtype/length header plus the raw
   little-endian array bytes, and decode to a *read-only* array — exactly
   the frozen object the in-process assignment cache shares.
@@ -30,6 +33,7 @@ __all__ = [
     "TRACE_CODEC",
     "ASSIGNMENT_CODEC",
     "JSON_CODEC",
+    "CHECKPOINT_CODEC",
     "CODECS",
 ]
 
@@ -59,8 +63,8 @@ def _decode_float(payload: bytes) -> float:
     return float(payload.decode("ascii"))
 
 
-def _encode_trace(trace: Any) -> bytes:
-    encoded: bytes = trace.canonical_json().encode("utf-8")
+def _encode_canonical(value: Any) -> bytes:
+    encoded: bytes = value.canonical_json().encode("utf-8")
     return encoded
 
 
@@ -104,11 +108,14 @@ def _decode_json(payload: bytes) -> Any:
 
 
 FLOAT_CODEC = PayloadCodec("float", _encode_float, _decode_float)
-TRACE_CODEC = PayloadCodec("trace", _encode_trace, _decode_trace)
+TRACE_CODEC = PayloadCodec("trace", _encode_canonical, _decode_trace)
 ASSIGNMENT_CODEC = PayloadCodec(
     "assignment", _encode_assignment, _decode_assignment
 )
 JSON_CODEC = PayloadCodec("json", _encode_json, _decode_json)
+#: Same bytes as ``JSON_CODEC.encode(checkpoint.to_jsonable())``, but the
+#: checkpoint's memoised text is reused instead of encoded again.
+CHECKPOINT_CODEC = PayloadCodec("json", _encode_canonical, _decode_json)
 
 #: Namespace -> codec, for every persisted namespace.  ``dgraph`` is
 #: deliberately absent: materialized layouts are cheap to rebuild and
@@ -119,5 +126,5 @@ CODECS = {
     "estimate": FLOAT_CODEC,
     "assignment": ASSIGNMENT_CODEC,
     "run_summary": JSON_CODEC,
-    "stream_checkpoint": JSON_CODEC,
+    "stream_checkpoint": CHECKPOINT_CODEC,
 }

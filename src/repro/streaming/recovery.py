@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -94,6 +94,11 @@ STREAM_CHECKPOINT_FORMAT_VERSION = 1
 
 #: Summary-store namespace holding persisted checkpoints.
 CHECKPOINT_NAMESPACE = "stream_checkpoint"
+
+
+def _canonical(value: Any) -> str:
+    """Canonical JSON of one value: sorted keys, fixed separators."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------- #
@@ -222,6 +227,15 @@ class StreamCheckpoint:
     weights: Tuple[float, ...]
     monitor: Optional[Mapping[str, Any]] = None
     format_version: int = STREAM_CHECKPOINT_FORMAT_VERSION
+    #: Memoised encodings (the checkpoint is immutable): the canonical JSON
+    #: of a prefix of ``epoch_records`` (all of them once
+    #: :meth:`record_json` has run), and of the whole snapshot.
+    _record_json: Tuple[str, ...] = field(
+        default=(), init=False, repr=False, compare=False
+    )
+    _text: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.format_version != STREAM_CHECKPOINT_FORMAT_VERSION:
@@ -276,11 +290,42 @@ class StreamCheckpoint:
             ),
         }
 
+    def record_json(self) -> Tuple[str, ...]:
+        """Canonical JSON of each epoch record, parallel to ``epoch_records``.
+
+        Computed on first use for the records not yet encoded.  A live run
+        hands each snapshot the encodings of its predecessor, so every
+        epoch is encoded once per run; a checkpoint loaded by
+        :meth:`from_jsonable` starts with none.
+        """
+        fragments = self._record_json
+        if len(fragments) < len(self.epoch_records):
+            fragments += tuple(
+                _canonical(r) for r in self.epoch_records[len(fragments):]
+            )
+            object.__setattr__(self, "_record_json", fragments)
+        return fragments
+
     def canonical_json(self) -> str:
-        """Deterministic single-line JSON (sorted keys, fixed separators)."""
-        return json.dumps(
-            self.to_jsonable(), sort_keys=True, separators=(",", ":")
-        )
+        """Deterministic single-line JSON (sorted keys, fixed separators).
+
+        The bytes of ``json.dumps(to_jsonable(), sort_keys=True,
+        separators=(",", ":"))``, built once per checkpoint by splicing
+        :meth:`record_json` into the sorted top-level object;
+        :meth:`fingerprint`, :meth:`state_bytes` and the store row all
+        share the text.
+        """
+        text = self._text
+        if text is None:
+            doc = self.to_jsonable()
+            records = "[" + ",".join(self.record_json()) + "]"
+            text = "{" + ",".join(
+                _canonical(key) + ":"
+                + (records if key == "epoch_records" else _canonical(doc[key]))
+                for key in sorted(doc)
+            ) + "}"
+            object.__setattr__(self, "_text", text)
+        return text
 
     def fingerprint(self) -> str:
         """sha256 of the canonical JSON — the checkpoint's identity."""
@@ -395,7 +440,7 @@ class CheckpointCustody:
             self._store.put(
                 CHECKPOINT_NAMESPACE,
                 checkpoint.checkpoint_key(job_id),
-                CODECS[CHECKPOINT_NAMESPACE].encode(checkpoint.to_jsonable()),
+                CODECS[CHECKPOINT_NAMESPACE].encode(checkpoint),
             )
 
     def latest(self, job_id: str) -> Optional[StreamCheckpoint]:
@@ -638,13 +683,14 @@ class ResilientStreamingSystem(StreamingSystem):
         stream_fp: str,
         cursor: int,
         clock_s: float,
-        epochs: List[EpochLike],
+        records: List[Mapping[str, Any]],
+        encoded: Tuple[str, ...],
         result: PartitionResult,
     ) -> StreamCheckpoint:
         monitor_state = (
             self.monitor.state_dict() if self.monitor is not None else None
         )
-        return StreamCheckpoint(
+        snapshot = StreamCheckpoint(
             app=app.name,
             algorithm=partitioner.name,
             partition_algorithm=result.algorithm,
@@ -654,11 +700,14 @@ class ResilientStreamingSystem(StreamingSystem):
             stream_fingerprint=stream_fp,
             batch_cursor=cursor,
             clock_s=clock_s,
-            epoch_records=tuple(e.to_record() for e in epochs),
-            assignment=tuple(int(a) for a in result.assignment),
+            epoch_records=tuple(records),
+            assignment=tuple(result.assignment.tolist()),
             weights=tuple(float(w) for w in result.weights),
             monitor=monitor_state,
         )
+        # Reuse the previous snapshot's encodings of the earlier epochs.
+        object.__setattr__(snapshot, "_record_json", encoded)
+        return snapshot
 
     # ------------------------------------------------------------------ #
 
@@ -703,6 +752,10 @@ class ResilientStreamingSystem(StreamingSystem):
         checkpoint_s = 0.0
         attempts: Dict[int, int] = {}
         epochs: List[EpochLike] = []
+        #: Records of ``epochs[:len(records)]`` and their canonical JSON,
+        #: each built once and shared by every later snapshot.
+        records: List[Mapping[str, Any]] = []
+        encoded: Tuple[str, ...] = ()
         epoch_runtimes: List[float] = []
         clock = 0.0
         #: Epoch index of the last durable snapshot (-1 = none: replay
@@ -750,15 +803,17 @@ class ResilientStreamingSystem(StreamingSystem):
                         )
 
         def maybe_checkpoint(epoch: int) -> None:
-            nonlocal checkpoints_taken, checkpoint_s, last_durable
+            nonlocal checkpoints_taken, checkpoint_s, last_durable, encoded
             if not policy.enabled or not policy.is_checkpoint_step(epoch):
                 return
+            records.extend(e.to_record() for e in epochs[len(records):])
             snapshot = self._capture(
                 app, partitioner, graph_fp, stream_fp,
-                cursor=epoch, clock_s=clock, epochs=epochs,
-                result=incremental.result,
+                cursor=epoch, clock_s=clock, records=records,
+                encoded=encoded, result=incremental.result,
             )
             cost = policy.checkpoint_seconds(float(snapshot.state_bytes()))
+            encoded = snapshot.record_json()
             checkpoints_taken += 1
             checkpoint_s += cost
             last_durable = epoch
@@ -819,6 +874,8 @@ class ResilientStreamingSystem(StreamingSystem):
                         )
                     self.monitor.load_state(dict(checkpoint.monitor))
                 epochs.extend(checkpoint.restored_epochs())
+                records.extend(checkpoint.epoch_records)
+                encoded = checkpoint.record_json()
                 epoch_runtimes.extend(
                     e.report.runtime_seconds for e in epochs
                 )

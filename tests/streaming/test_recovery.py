@@ -27,6 +27,7 @@ from repro.faults.schedule import (
 from repro.partition import make_partitioner
 from repro.streaming import (
     CheckpointCustody,
+    EpochOutcome,
     ResilientStreamingSystem,
     StreamCheckpoint,
     StreamingSystem,
@@ -331,3 +332,46 @@ class TestResilientRun:
         with_monitor = dataclasses.replace(checkpoint, monitor={})
         with pytest.raises(StreamCheckpointError, match="monitor"):
             _run(graph, stream, resume_from=with_monitor)
+
+
+class TestSnapshotCost:
+    """Snapshots reuse each epoch's record instead of rebuilding them all."""
+
+    @staticmethod
+    def _count_records(monkeypatch):
+        built = []
+        original = EpochOutcome.to_record
+
+        def counting(self):
+            built.append(self.epoch)
+            return original(self)
+
+        monkeypatch.setattr(EpochOutcome, "to_record", counting)
+        return built
+
+    def test_every_epoch_record_is_built_once(
+        self, graph, stream, monkeypatch
+    ):
+        built = self._count_records(monkeypatch)
+        outcome = _run(graph, stream, checkpoint=CheckpointPolicy(interval=1))
+        assert outcome.recovery.checkpoints_taken == stream.num_batches + 1
+        assert built == list(range(stream.num_batches + 1))
+
+    def test_resume_builds_only_the_live_epochs(
+        self, graph, stream, checkpoint, monkeypatch
+    ):
+        built = self._count_records(monkeypatch)
+        restored = StreamCheckpoint.from_jsonable(
+            json.loads(checkpoint.canonical_json())
+        )
+        outcome = _run(graph, stream, resume_from=restored)
+        assert built == list(range(3, stream.num_batches + 1))
+        assert outcome.result.trace_json() == _plain_trace(graph, stream)
+
+    def test_snapshots_share_the_run_s_record_encodings(self, graph, stream):
+        custody = CheckpointCustody()
+        _run(graph, stream, custody=custody, job_id="share")
+        snapshots = [c for _, c in custody._entries["share"]]
+        for earlier, later in zip(snapshots, snapshots[1:]):
+            prefix = later.record_json()[: len(earlier.epoch_records)]
+            assert all(a is b for a, b in zip(prefix, earlier.record_json()))

@@ -5,12 +5,16 @@ The load-bearing recovery contract: a :class:`StreamCheckpoint` cut at
 continue the run byte-identically to the undisturbed trace — for every
 Case 1 partitioning strategy.  Also sweeps
 the serialization invariants themselves (canonical-JSON idempotence,
-fingerprint stability, validation of tampered payloads).
+fingerprint stability, validation of tampered payloads), and pins the
+spliced canonical text, the store row and the billed snapshot size to
+plain ``json.dumps`` of ``to_jsonable()`` for random checkpoints.
 """
 
 import dataclasses
 import json
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +24,9 @@ from repro.experiments.common import CASE1_PARTITIONERS, case1_cluster
 from repro.faults.checkpoint import CheckpointPolicy
 from repro.partition import make_partitioner
 from repro.powerlaw.generator import generate_power_law_graph
+from repro.store.codecs import JSON_CODEC
 from repro.streaming import (
+    CHECKPOINT_NAMESPACE,
     CheckpointCustody,
     ResilientStreamingSystem,
     StreamCheckpoint,
@@ -134,3 +140,135 @@ class TestSerializationInvariants:
             dataclasses.replace(
                 snapshot, batch_cursor=snapshot.batch_cursor + 3
             )
+
+
+# ---------------------------------------------------------------------- #
+# One encoding, three consumers
+# ---------------------------------------------------------------------- #
+
+text_st = st.text(max_size=6)  # includes non-ASCII code points
+float_st = st.one_of(st.just(-0.0), st.floats(allow_nan=False))
+int_st = st.integers(min_value=-(2**80), max_value=2**80)
+json_st = st.recursive(
+    st.one_of(st.none(), st.booleans(), float_st, int_st, text_st),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(text_st, inner, max_size=3),
+    ),
+    max_leaves=12,
+)
+record_st = st.dictionaries(text_st, json_st, max_size=4)
+
+
+@st.composite
+def checkpoint_fields(draw):
+    """Keyword arguments of a random, valid :class:`StreamCheckpoint`."""
+    machines = draw(st.integers(min_value=1, max_value=4))
+    cursor = draw(st.integers(min_value=0, max_value=4))
+    return {
+        "app": draw(text_st),
+        "algorithm": draw(text_st),
+        "partition_algorithm": draw(text_st),
+        "halo": draw(st.integers(min_value=0, max_value=3)),
+        "num_machines": machines,
+        "graph_fingerprint": draw(text_st),
+        "stream_fingerprint": draw(text_st),
+        "batch_cursor": cursor,
+        "clock_s": draw(float_st),
+        "epoch_records": tuple(
+            draw(st.lists(record_st, min_size=cursor + 1, max_size=cursor + 1))
+        ),
+        "assignment": tuple(
+            draw(st.lists(st.integers(-(2**62), 2**62), max_size=8))
+        ),
+        "weights": tuple(
+            draw(st.lists(float_st, min_size=machines, max_size=machines))
+        ),
+        "monitor": draw(
+            st.one_of(
+                st.none(),
+                st.dictionaries(
+                    text_st, st.dictionaries(text_st, json_st, max_size=3),
+                    max_size=3,
+                ),
+            )
+        ),
+    }
+
+
+def _live_capture(fields):
+    """Capture ``fields`` the way a run does: the snapshot one epoch
+    earlier encodes the shared records, and this one reuses them."""
+    system = ResilientStreamingSystem(case1_cluster(0.01), halo=fields["halo"])
+    system.monitor = SimpleNamespace(state_dict=lambda: fields["monitor"])
+    result = SimpleNamespace(
+        algorithm=fields["partition_algorithm"],
+        num_machines=fields["num_machines"],
+        assignment=np.asarray(fields["assignment"], dtype=np.int64),
+        weights=np.asarray(fields["weights"], dtype=np.float64),
+    )
+
+    def capture(cursor, encoded):
+        return system._capture(
+            SimpleNamespace(name=fields["app"]),
+            SimpleNamespace(name=fields["algorithm"]),
+            fields["graph_fingerprint"],
+            fields["stream_fingerprint"],
+            cursor=cursor,
+            clock_s=fields["clock_s"],
+            records=list(fields["epoch_records"][: cursor + 1]),
+            encoded=encoded,
+            result=result,
+        )
+
+    cursor = fields["batch_cursor"]
+    encoded = capture(cursor - 1, ()).record_json() if cursor else ()
+    return capture(cursor, encoded)
+
+
+@pytest.fixture(scope="module")
+def store(tmp_path_factory):
+    from repro.store import SummaryStore
+
+    opened = SummaryStore.create(
+        str(tmp_path_factory.mktemp("encoding") / "store.db")
+    )
+    yield opened
+    opened.close()
+
+
+def _assert_one_encoding(checkpoint, store):
+    """Text, store row and billed size are all the plain JSON encoding."""
+    CheckpointCustody(store).record("bytes", checkpoint, durable_at_s=0.0)
+    payload = store.get(CHECKPOINT_NAMESPACE, checkpoint.checkpoint_key("bytes"))
+    plain = checkpoint.to_jsonable()
+    assert checkpoint.canonical_json() == json.dumps(
+        plain, sort_keys=True, separators=(",", ":")
+    )
+    assert payload == JSON_CODEC.encode(plain)
+    assert checkpoint.state_bytes() == len(payload)
+
+
+class TestOneEncoding:
+    @given(checkpoint_fields())
+    @settings(max_examples=60, deadline=None)
+    def test_random_checkpoints_encode_like_json_dumps(self, store, fields):
+        built = StreamCheckpoint(**fields)
+        _assert_one_encoding(built, store)
+        _assert_one_encoding(_live_capture(fields), store)
+        loaded = StreamCheckpoint.from_jsonable(
+            json.loads(built.canonical_json())
+        )
+        _assert_one_encoding(loaded, store)
+
+    @given(strategies_st, cursors_st)
+    @settings(max_examples=10, deadline=None)
+    def test_run_checkpoints_encode_like_json_dumps(
+        self, store, strategy, cursor
+    ):
+        snapshot = _checkpoint_at(strategy, cursor)
+        _assert_one_encoding(snapshot, store)
+        loaded = StreamCheckpoint.from_jsonable(
+            json.loads(snapshot.canonical_json())
+        )
+        _assert_one_encoding(loaded, store)

@@ -1,15 +1,25 @@
 """Unit tests for repro.engine.trace and repro.engine.report."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.machine import MachineSpec
 from repro.cluster.network import NetworkModel
 from repro.cluster.perfmodel import PerformanceModel, WorkProfile
 from repro.engine.report import simulate_execution
-from repro.engine.trace import ExecutionTrace, MachinePhase, SuperstepTrace
+from repro.engine.trace import (
+    ExecutionTrace,
+    MachinePhase,
+    SuperstepTrace,
+    _jsonable,
+)
 from repro.errors import EngineError
+from tests.oracle.trace import reference_jsonable
 
 
 def phase(flops=1e6, comm=0.0):
@@ -23,6 +33,67 @@ def two_machine_cluster(slow_ghz=1.0, fast_ghz=2.0):
     fast = MachineSpec("fast", hw_threads=6, freq_ghz=fast_ghz,
                        idle_watts=10, dyn_watts_per_thread=5)
     return Cluster([slow, fast], perf=PerformanceModel(efficiency_decay=0.0))
+
+
+#: Numeric arrays of every kind a result carries, up to 2-D.
+numeric_arrays_st = hnp.arrays(
+    dtype=st.sampled_from(
+        [np.float64, np.float32, np.int64, np.int32, np.bool_]
+    ),
+    shape=hnp.array_shapes(min_dims=1, max_dims=2, max_side=6),
+)
+
+#: Leaves an object array may hold: numpy scalars and small containers.
+object_leaves_st = st.one_of(
+    st.floats(allow_nan=False).map(np.float64),
+    st.integers(-(2**31), 2**31 - 1).map(np.int32),
+    st.booleans().map(np.bool_),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(st.integers(-5, 5).map(np.int64), max_size=3),
+    st.dictionaries(
+        st.integers(0, 9), st.floats(allow_nan=False), max_size=3
+    ),
+)
+
+
+def _object_array(values):
+    arr = np.empty(len(values), dtype=object)
+    for i, v in enumerate(values):
+        arr[i] = v
+    return arr
+
+
+class TestJsonable:
+    def test_zero_d_arrays_become_scalars(self):
+        assert _jsonable(np.array(2.5)) == 2.5
+        assert type(_jsonable(np.array(2.5))) is float
+        assert _jsonable(np.array(7, dtype=np.int64)) == 7
+        assert _jsonable(np.array(True)) is True
+        assert _jsonable({"total": np.array(3)}) == {"total": 3}
+
+    def test_trace_with_zero_d_result_serializes(self):
+        t = ExecutionTrace(
+            app="x", num_machines=1, result={"total": np.array(2.5)}
+        )
+        t.append(SuperstepTrace(phases=[phase()]))
+        assert json.loads(t.canonical_json())["result"] == {"total": 2.5}
+
+    @given(numeric_arrays_st)
+    @settings(max_examples=60, deadline=None)
+    def test_numeric_arrays_match_reference(self, arr):
+        ours, ref = _jsonable({"a": arr}), reference_jsonable({"a": arr})
+        # repr pins leaf types (1 vs 1.0 vs True) and spells NaN alike.
+        assert repr(ours) == repr(ref)
+        assert json.dumps(ours) == json.dumps(ref)
+
+    @given(st.lists(object_leaves_st, min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_object_arrays_match_reference(self, values):
+        arr = _object_array(values)
+        assert repr(_jsonable(arr)) == repr(reference_jsonable(arr))
+        grid = _object_array(values).reshape(1, -1)
+        assert repr(_jsonable(grid)) == repr(reference_jsonable(grid))
 
 
 class TestTrace:
