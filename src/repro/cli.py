@@ -1452,8 +1452,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--dataset", help="Table II dataset name")
     gen.add_argument("--vertices", type=_positive_int, default=10_000)
     gen.add_argument("--alpha", type=_alpha, default=2.1)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--scale", type=_model_scale, default=0.01)
+    gen.add_argument("--seed", type=int, default=0,
+                     help="generator seed for the power-law graph "
+                     "(ignored with --dataset; default 0)")
+    gen.add_argument("--scale", type=_model_scale, default=0.01,
+                     help="fraction of the paper-scale --dataset to "
+                     "build, in (0, 1] (default 0.01)")
     gen.add_argument("--output", required=True, help=".npz or edge-list path")
     gen.set_defaults(func=cmd_generate)
 
@@ -1461,8 +1465,13 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--cluster", required=True,
                       help="comma-separated machine types")
     prof.add_argument("--apps", help="comma-separated app names (default all)")
-    prof.add_argument("--scale", type=_model_scale, default=0.01)
-    prof.add_argument("--seed", type=int, default=100)
+    prof.add_argument("--scale", type=_model_scale, default=0.01,
+                      help="fraction of paper scale, in (0, 1]; sizes "
+                      "the proxy graphs and the cache model "
+                      "(default 0.01)")
+    prof.add_argument("--seed", type=int, default=100,
+                      help="generator seed for the proxy graphs "
+                      "(default 100)")
     prof.add_argument("--output", help="write the CCR pool JSON here")
     prof.set_defaults(func=cmd_profile)
 
@@ -1531,7 +1540,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stm.add_argument("--dataset", help="Table II dataset name")
     stm.add_argument("--graph-file", help="edge list or .npz path")
-    stm.add_argument("--scale", type=_model_scale, default=0.01)
+    stm.add_argument("--scale", type=_model_scale, default=0.01,
+                     help="fraction of the paper-scale --dataset to "
+                     "mutate, in (0, 1] (default 0.01)")
     stm.add_argument("--pattern", default="churn",
                      choices=("churn", "growth", "burst"),
                      help="mutation mix: steady churn, net growth, or "
@@ -1541,7 +1552,8 @@ def build_parser() -> argparse.ArgumentParser:
     stm.add_argument("--ops", type=_positive_int, default=16,
                      help="operations per batch (burst pattern spikes "
                      "this every --burst-every batches)")
-    stm.add_argument("--seed", type=int, default=0)
+    stm.add_argument("--seed", type=int, default=0,
+                     help="seed pinning every mutation draw (default 0)")
     stm.add_argument("--burst-every", type=_positive_int, default=4,
                      help="burst pattern: spike every Nth batch")
     stm.add_argument("--burst-scale", type=_positive_int, default=3,
@@ -1559,7 +1571,8 @@ def build_parser() -> argparse.ArgumentParser:
     flt.add_argument("--machines", type=_positive_int, default=None,
                      help="run-level mode: machines in the target cluster")
     flt.add_argument("--supersteps", type=_positive_int, default=50)
-    flt.add_argument("--seed", type=int, default=0)
+    flt.add_argument("--seed", type=int, default=0,
+                     help="seed pinning every fault draw (default 0)")
     flt.add_argument("--crash-rate", type=_rate, default=0.0,
                      help="per-machine per-superstep crash probability "
                      "(with --shards: per-shard crash probability)")
@@ -1595,7 +1608,9 @@ def build_parser() -> argparse.ArgumentParser:
         "workload", help="sample a seeded open-loop job stream (JSON)"
     )
     wkl.add_argument("--jobs", type=_positive_int, default=50)
-    wkl.add_argument("--seed", type=int, default=0)
+    wkl.add_argument("--seed", type=int, default=0,
+                     help="seed pinning every job draw; also becomes the "
+                     "workload's service seed (default 0)")
     wkl.add_argument("--mean-interarrival", type=_positive_float,
                      default=0.001,
                      help="mean exponential gap between submissions "
@@ -1665,7 +1680,9 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--global-backlog", type=_positive_int, default=None,
                      help="reject arrivals once this many jobs are queued "
                      "federation-wide (default: unbounded)")
-    srv.add_argument("--scale", type=_model_scale, default=0.01)
+    srv.add_argument("--scale", type=_model_scale, default=0.01,
+                     help="fraction of paper scale, in (0, 1]; sizes the "
+                     "cache model and the CCR proxies (default 0.01)")
     srv.add_argument("--seed", type=int, default=None,
                      help="override the workload's service seed")
     srv.add_argument("--deadline", type=_positive_float, default=None,
@@ -1717,7 +1734,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("experiment", help="regenerate a paper table/figure")
     exp.add_argument("name", choices=sorted(_EXPERIMENTS))
-    exp.add_argument("--scale", type=_model_scale, default=0.01)
+    exp.add_argument("--scale", type=_model_scale, default=0.01,
+                     help="fraction of paper scale, in (0, 1], for "
+                     "experiments that take one (default 0.01)")
     exp.add_argument("--mutations",
                      help="mutation stream JSON for the churn experiment "
                      "(default: a generated churn stream)")
@@ -1761,7 +1780,10 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=("default", "threads", "ccr", "oracle"),
                           help="estimator policy; must match the serve "
                           "invocation the warm rows should accelerate")
-    genstore.add_argument("--scale", type=_model_scale, default=0.01)
+    genstore.add_argument("--scale", type=_model_scale, default=0.01,
+                          help="fraction of paper scale, in (0, 1]; must "
+                          "match the serve invocation the warm rows "
+                          "should accelerate (default 0.01)")
     genstore.add_argument("--checkpoint-interval", type=int, default=10)
     genstore.set_defaults(func=cmd_gen)
 

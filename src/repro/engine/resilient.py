@@ -55,6 +55,7 @@ from repro.engine.report import (
     simulate_execution,
     trace_warnings,
 )
+from repro.engine.runtime import execute_partition
 from repro.engine.trace import ExecutionTrace
 from repro.engine.vertex_program import GraphApplication
 from repro.errors import EngineError, FaultError, RecoveryError
@@ -592,8 +593,7 @@ class ResilientRuntime:
         partition = self.partitioner.partition(
             graph, self.cluster.num_machines, weights=w
         )
-        dgraph = DistributedGraph(partition)
-        trace = application.execute(dgraph)
+        dgraph, trace = execute_partition(application, partition)
 
         faulted = self.schedule is not None and not self.schedule.is_empty
         supervisor = None
@@ -618,9 +618,7 @@ class ResilientRuntime:
                     new_partition = self.partitioner.partition(
                         graph, self.cluster.num_machines, weights=new_w
                     )
-                    new_trace = application.execute(
-                        DistributedGraph(new_partition)
-                    )
+                    _, new_trace = execute_partition(application, new_partition)
                     cost = self._migration_seconds(partition, new_partition)
                     spliced["partition"] = new_partition
                     spliced["trace"] = new_trace

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Any, Optional, Tuple
+
 import numpy as np
 
 from repro.cluster.cluster import Cluster
@@ -20,35 +22,81 @@ from repro.engine.trace import ExecutionTrace
 from repro.engine.vertex_program import GraphApplication
 from repro.errors import EngineError
 from repro.graph.digraph import DiGraph
-from repro.kernels.cache import dgraph_cache, graph_fingerprint
+from repro.kernels.cache import dgraph_cache, graph_fingerprint, trace_cache
 from repro.obs import context as obs
 from repro.partition.base import Partitioner, PartitionResult
 
-__all__ = ["RunOutcome", "GraphProcessingSystem"]
+__all__ = ["RunOutcome", "GraphProcessingSystem", "execute_partition"]
 
 
-def _materialize_dgraph(partition: PartitionResult) -> DistributedGraph:
-    """Build (or fetch) the distributed layout for a partition.
+#: Instance-state types an application may hold and still be keyed.
+_SCALARS = (bool, int, float, str, type(None))
 
-    The layout is a pure function of (graph, assignment, machine count,
-    master seed) and the engines never mutate it, so identical partitions
-    share one cached instance.  Observed runs bypass the cache and
-    materialise for real.
+
+def _scalar_key(value: Any) -> Tuple[str, str]:
+    # Type name plus repr: keeps True apart from 1 and -0.0 from 0.0,
+    # which compare (and hash) equal as raw tuple entries.
+    return (type(value).__name__, repr(value))
+
+
+def _app_key(app: GraphApplication) -> Optional[Tuple[Any, ...]]:
+    """Content key of an application's configuration, or ``None``.
+
+    Covers the class, the name, every instance attribute and the two
+    class-level knobs the engine reads (``max_supersteps``, ``strict``).
+    An app holding anything but plain scalars (arrays, RNGs, callables)
+    cannot be keyed and runs uncached.
+    """
+    state = vars(app)
+    if not all(type(value) in _SCALARS for value in state.values()):
+        return None
+    cls = type(app)
+    return (
+        cls.__module__,
+        cls.__qualname__,
+        app.name,
+        tuple((name, _scalar_key(state[name])) for name in sorted(state)),
+        _scalar_key(getattr(app, "max_supersteps", None)),
+        _scalar_key(getattr(app, "strict", None)),
+    )
+
+
+def execute_partition(
+    app: GraphApplication, partition: PartitionResult
+) -> Tuple[DistributedGraph, ExecutionTrace]:
+    """Lay out a partition and execute an application on it, once.
+
+    The layout is a pure function of (graph, assignment, machine count)
+    — it is always built with the default master seed — and the trace a
+    pure function of that layout and the app's configuration, so both
+    are memoised by content: identical partitions share one cached
+    layout, and each distinct (app, partition) pair runs the engine
+    once per process.  Traces are machine-agnostic and pricing never
+    mutates them, so a hit returns exactly the bytes a miss would.
+    Observed runs bypass both caches and execute for real.
     """
     if obs.is_enabled():
-        return DistributedGraph(partition)
-    key = (
-        "dgraph",
+        dgraph = DistributedGraph(partition)
+        return dgraph, app.execute(dgraph)
+    layout_key = (
         graph_fingerprint(partition.graph),
         hashlib.sha256(partition.assignment.tobytes()).hexdigest(),
         partition.num_machines,
     )
-    cached = dgraph_cache.get(key)
-    if cached is not None:
-        return cached  # type: ignore[no-any-return]
-    dgraph = DistributedGraph(partition)
-    dgraph_cache.put(key, dgraph)
-    return dgraph
+    dgraph_key = ("dgraph",) + layout_key
+    dgraph = dgraph_cache.get(dgraph_key)
+    if dgraph is None:
+        dgraph = DistributedGraph(partition)
+        dgraph_cache.put(dgraph_key, dgraph)
+    app_key = _app_key(app)
+    if app_key is None:
+        return dgraph, app.execute(dgraph)
+    trace_key = ("trace", app_key) + layout_key
+    trace = trace_cache.get(trace_key)
+    if trace is None:
+        trace = app.execute(dgraph)
+        trace_cache.put(trace_key, trace)
+    return dgraph, trace
 
 
 @dataclass(frozen=True)
@@ -98,8 +146,7 @@ class GraphProcessingSystem:
         partition = partitioner.partition(
             graph, self.cluster.num_machines, weights=weights
         )
-        dgraph = _materialize_dgraph(partition)
-        trace = app.execute(dgraph)
+        dgraph, trace = execute_partition(app, partition)
         report = simulate_execution(trace, self.cluster)
         return RunOutcome(
             partition=partition, dgraph=dgraph, trace=trace, report=report
@@ -131,4 +178,4 @@ class GraphProcessingSystem:
             algorithm="single",
             weights=np.array([1.0]),
         )
-        return app.execute(_materialize_dgraph(single))
+        return execute_partition(app, single)[1]

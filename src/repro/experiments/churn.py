@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.apps.registry import make_app
 from repro.engine.report import simulate_execution
-from repro.engine.runtime import _materialize_dgraph
+from repro.engine.runtime import execute_partition
 from repro.experiments.common import (
     CASE1_PARTITIONERS,
     DEFAULT_SCALE,
@@ -123,8 +123,7 @@ def _full_replay(cluster, app, graph, stream, algorithm: str, seed: int):
 
 
 def _epoch_runtime(cluster, app, partition) -> float:
-    dgraph = _materialize_dgraph(partition)
-    trace = app.execute(dgraph)
+    _, trace = execute_partition(app, partition)
     return simulate_execution(trace, cluster).runtime_seconds
 
 

@@ -1,6 +1,6 @@
 """Content-keyed caches for the kernel pipeline.
 
-Five process-level LRU caches amortise the repeated work the experiment
+Six process-level LRU caches amortise the repeated work the experiment
 drivers and the job service generate:
 
 * :data:`profile_trace_cache` — single-machine profiling traces keyed by
@@ -15,9 +15,17 @@ drivers and the job service generate:
 * :data:`assignment_cache` — partition assignments keyed by
   ``(algorithm, config, graph fingerprint, machines, weights)``.
 * :data:`dgraph_cache` — materialised :class:`DistributedGraph` layouts
-  keyed by ``(graph fingerprint, assignment digest, machines, seed)``.
-  The layout (edge views, presence, masters) is a pure function of that
-  key and the engines never mutate it, so runs may share one instance.
+  keyed by ``(graph fingerprint, assignment digest, machines)``.  Layouts
+  are always built with the default master seed, so the layout (edge
+  views, presence, masters) is a pure function of that key and the
+  engines never mutate it: runs may share one instance.
+* :data:`trace_cache` — execution traces keyed by ``(app configuration,
+  graph fingerprint, assignment digest, machines)``, filled by
+  :func:`repro.engine.runtime.execute_partition`.  The app configuration
+  is its class, name, scalar instance state, ``max_supersteps`` and
+  ``strict``; an app holding non-scalar state runs uncached.  Pricing
+  never mutates a trace, so every run of the same (app, partition) pair
+  may share one.
 * :data:`estimate_cache` — the service's projected runtimes keyed by
   ``(app, graph fingerprint, cluster key)``.
 
@@ -40,9 +48,10 @@ Since the summary store landed, each cache is a
 and :func:`attach_store` optionally backs the persistable namespaces
 with a :class:`~repro.store.store.SummaryStore` so warm state survives
 restarts and L1 evictions.  Detached (the default), behaviour is
-identical to the original LRUs.  ``dgraph_cache`` is deliberately
-never persisted — materialized layouts are cheap to rebuild and
-expensive to serialize.
+identical to the original LRUs.  ``dgraph_cache`` and ``trace_cache``
+are deliberately never persisted — materialized layouts are cheap to
+rebuild and expensive to serialize, and traces stay in-process like the
+layouts they are keyed by.
 """
 
 from __future__ import annotations
@@ -76,6 +85,7 @@ __all__ = [
     "machine_time_cache",
     "perf_key",
     "profile_trace_cache",
+    "trace_cache",
 ]
 
 
@@ -94,9 +104,14 @@ assignment_cache = LayeredCache(
     maxsize=32, namespace="assignment", codec=CODECS["assignment"]
 )
 
-#: (fingerprint, assignment digest, machines, seed) -> DistributedGraph.
-#: In-process only: never backed by the store.
+#: (fingerprint, assignment digest, machines) -> DistributedGraph built
+#: with the default master seed.  In-process only: never backed by the
+#: store.
 dgraph_cache = LayeredCache(maxsize=32)
+
+#: (app configuration, fingerprint, assignment digest, machines) ->
+#: ExecutionTrace.  In-process only: never backed by the store.
+trace_cache = LayeredCache(maxsize=64)
 
 #: (app, graph fingerprint, cluster key) -> projected runtime seconds.
 #: Shared across every job the service runs in one process; the key
@@ -113,6 +128,7 @@ _ALL_CACHES: Tuple[Tuple[str, LayeredCache], ...] = (
     ("assignment", assignment_cache),
     ("dgraph", dgraph_cache),
     ("estimate", estimate_cache),
+    ("trace", trace_cache),
 )
 
 
@@ -133,7 +149,8 @@ def attach_store(store: Any) -> None:
 
     The store is shared process-wide — every service, every federation
     shard, every experiment driver in the process reads and writes the
-    same materialized rows.  Codec-less caches (``dgraph``) ignore it.
+    same materialized rows.  Codec-less caches (``dgraph``, ``trace``)
+    ignore it.
     """
     for _, cache in _ALL_CACHES:
         cache.attach(store)

@@ -39,7 +39,7 @@ from numpy.typing import ArrayLike
 from repro.cluster.cluster import Cluster
 from repro.core.online import OnlineCCRMonitor
 from repro.engine.report import ExecutionReport, simulate_execution
-from repro.engine.runtime import _materialize_dgraph
+from repro.engine.runtime import execute_partition
 from repro.engine.trace import ExecutionTrace
 from repro.engine.vertex_program import GraphApplication
 from repro.errors import StreamError
@@ -330,8 +330,7 @@ class StreamingSystem:
             app=app.name,
             edges=partition.graph.num_edges,
         ) as span:
-            dgraph = _materialize_dgraph(partition)
-            trace = app.execute(dgraph)
+            _, trace = execute_partition(app, partition)
             report = simulate_execution(trace, self.cluster)
             if obs.is_enabled():
                 obs.gauge_set(

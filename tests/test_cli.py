@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
@@ -20,6 +21,22 @@ class TestParser:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["experiment", "fig99"])
+
+    def test_every_seed_and_scale_has_help(self):
+        parser = build_parser()
+        (sub,) = [
+            a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        checked = []
+        for name, command in sub.choices.items():
+            for action in command._actions:
+                for flag in set(action.option_strings) & {"--seed", "--scale"}:
+                    checked.append(f"{name} {flag}")
+                    assert action.help, f"{name} {flag} has no help text"
+        # Every command that takes either knob was walked.
+        assert {"generate --seed", "profile --scale", "serve --scale",
+                "gen --scale", "experiment --scale"} <= set(checked)
 
 
 class TestGenerate:

@@ -1,13 +1,15 @@
 """Regressions at the cache/observer boundary used by the job service.
 
-Two contracts the service leans on:
+Three contracts the service leans on:
 
 * installing an observer gates the kernel caches off (so observed runs
   profile for real), but hits must *resume* once the observer is
   uninstalled mid-process — the gate is per-call, not a one-way switch;
 * the estimate cache key embeds the full cluster identity, so services
   fronting different clusters in one process can never trade
-  projections.
+  projections;
+* the ``trace`` cache behind ``execute_partition`` obeys the same gate,
+  and a replay served from it is byte-identical to an observed one.
 """
 
 from repro import obs
@@ -15,7 +17,13 @@ from repro.cluster.catalog import get_machine
 from repro.cluster.cluster import Cluster
 from repro.cluster.perfmodel import PerformanceModel
 from repro.graph.digraph import DiGraph
-from repro.kernels.cache import estimate_cache, profile_trace_cache
+from repro.engine.resilient import ResilientRuntime
+from repro.kernels.cache import (
+    cache_stats,
+    clear_all_caches,
+    estimate_cache,
+    profile_trace_cache,
+)
 from repro.powerlaw.generator import generate_power_law_graph
 from repro.service import GraphSpec, JobRequest, JobService, Workload
 from repro.service.estimate import projected_seconds
@@ -78,6 +86,57 @@ class TestObserverGate:
         projected_seconds(make_cluster(small=True), "pagerank", graph)
         assert profile_trace_cache.stats()["misses"] == trace_misses
         assert profile_trace_cache.stats()["hits"] >= 1
+
+
+class TestTraceCacheGate:
+    def test_observed_runtime_bypasses_trace_cache(self):
+        cluster = make_cluster(0.01)
+        graph = make_graph()
+        runtime = ResilientRuntime(cluster, partitioner="hybrid")
+        cold = runtime.run("pagerank", graph)
+        stats = cache_stats()["trace"]
+        assert (stats["hits"], stats["misses"]) == (0, 1)
+
+        observer = obs.Observer()
+        with obs.enabled(observer):
+            observed = runtime.run("pagerank", graph)
+        assert cache_stats()["trace"] == stats
+        # The engine ran for real, so its spans are in the stream.
+        assert observer.tracer.named("engine/run")
+        assert observed.trace.canonical_json() == cold.trace.canonical_json()
+
+        warm = runtime.run("pagerank", graph)
+        assert warm.trace is cold.trace
+        assert cache_stats()["trace"]["hits"] == stats["hits"] + 1
+        assert cache_stats()["trace"]["misses"] == stats["misses"]
+
+    def test_identical_jobs_replay_like_an_observed_run(self):
+        n = 5
+        workload = Workload(
+            jobs=tuple(
+                JobRequest(
+                    job_id=f"j{i}",
+                    app="pagerank",
+                    submit_s=10.0 * i,
+                    graph=GraphSpec(vertices=300, alpha=2.1, seed=0),
+                )
+                for i in range(n)
+            ),
+            seed=0,
+        )
+        cluster = make_cluster(0.01)
+        cached = JobService(cluster).run_workload(workload).trace_json()
+        # One miss for the service's single-machine projection, one for
+        # the first run; every later identical job is a hit.
+        stats = cache_stats()["trace"]
+        assert (stats["hits"], stats["misses"]) == (n - 1, 2)
+
+        clear_all_caches()
+        with obs.enabled(obs.Observer()):
+            observed = JobService(cluster).run_workload(workload).trace_json()
+        assert observed == cached
+        stats = cache_stats()["trace"]
+        assert (stats["hits"], stats["misses"]) == (0, 0)
 
 
 class TestObserverGateWithStore:
