@@ -54,8 +54,23 @@ code:
   store; store failures are typed and exit 2.
 
 Clusters are described as comma-separated machine type names from the
-catalog (e.g. ``m4.2xlarge,m4.2xlarge,c4.2xlarge,c4.2xlarge``); an
-unknown machine type exits 2 from every command.
+catalog (e.g. ``m4.2xlarge,m4.2xlarge,c4.2xlarge,c4.2xlarge``).
+
+Every command shares one error contract, applied once in :func:`main`:
+
+====  ================================================================
+exit  meaning
+====  ================================================================
+0     success
+1     the run failed: a fault-retry budget was exhausted
+      (``RecoveryError``) or ``--strict`` saw no convergence
+      (``ConvergenceError``); ``run FAILED: <message>`` on stdout.
+      ``lint`` also exits 1 when it reports findings.
+2     usage or input error: a bad argument or conflicting options, or
+      any ``ReproError`` or ``OSError`` (missing or malformed input
+      file, unknown machine type, unusable store);
+      ``error: <message>`` on stderr, never a traceback.
+====  ================================================================
 """
 
 from __future__ import annotations
@@ -63,11 +78,18 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from repro._version import __version__
+from repro.errors import ReproError
 
 __all__ = ["main", "build_parser"]
+
+
+class _UsageError(ReproError):
+    """Options that parse one by one but conflict, or a missing input."""
 
 
 # --------------------------------------------------------------------- #
@@ -84,6 +106,11 @@ def _positive_int(text: str) -> int:
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
     return value
+
+
+def _positive_int_list(text: str) -> tuple:
+    """argparse type: comma-separated strictly positive integers."""
+    return tuple(_positive_int(s) for s in text.split(",") if s.strip())
 
 
 def _nonnegative_float(text: str) -> float:
@@ -140,6 +167,33 @@ def _alpha(text: str) -> float:
     return value
 
 
+def _registered(name: str, available, what: str) -> str:
+    if name not in available:
+        raise argparse.ArgumentTypeError(
+            f"unknown {what} {name!r}; available: {sorted(available)}"
+        )
+    return name
+
+
+def _app_name(text: str) -> str:
+    """argparse type: a registered application name."""
+    from repro.apps.registry import app_names
+
+    return _registered(text, app_names(), "application")
+
+
+def _app_list(text: str) -> tuple:
+    """argparse type: comma-separated registered application names."""
+    return tuple(_app_name(a.strip()) for a in text.split(",") if a.strip())
+
+
+def _partitioner_name(text: str) -> str:
+    """argparse type: a registered edge-partitioner name."""
+    from repro.partition import PARTITIONERS
+
+    return _registered(text, PARTITIONERS, "partitioner")
+
+
 def _build_cluster(spec: str, scale: float):
     from repro.cluster.catalog import get_machine
     from repro.cluster.cluster import Cluster
@@ -147,9 +201,28 @@ def _build_cluster(spec: str, scale: float):
 
     names = [s.strip() for s in spec.split(",") if s.strip()]
     if not names:
-        raise SystemExit("error: empty cluster description")
+        raise _UsageError("empty cluster description")
     machines = [get_machine(n) for n in names]
     return Cluster(machines, perf=PerformanceModel(model_scale=scale))
+
+
+def _shard_clusters(args):
+    """One cluster per ``;``-separated ``--cluster`` spec.
+
+    With ``--shards`` a single spec is repeated for every shard, and any
+    other spec count must equal the shard count.
+    """
+    specs = [s.strip() for s in args.cluster.split(";") if s.strip()]
+    if args.shards is not None:
+        if len(specs) == 1:
+            specs = specs * args.shards
+        if len(specs) != args.shards:
+            raise _UsageError(
+                f"--cluster describes {len(specs)} shard cluster(s) "
+                f"but --shards is {args.shards} (separate per-shard specs "
+                f"with ';', or give one spec for all shards)"
+            )
+    return [_build_cluster(spec, args.scale) for spec in specs]
 
 
 def _make_estimator(policy: str, scale: float):
@@ -168,39 +241,99 @@ def _make_estimator(policy: str, scale: float):
         return ThreadCountEstimator()
     if policy == "oracle":
         return OracleEstimator()
-    if policy == "ccr":
-        proxies = ProxySet(num_vertices=max(1000, round(3_200_000 * scale)))
-        return ProxyCCREstimator(profiler=ProxyProfiler(proxies=proxies))
-    raise SystemExit(f"error: unknown policy {policy!r}")
+    proxies = ProxySet(num_vertices=max(1000, round(3_200_000 * scale)))
+    return ProxyCCREstimator(profiler=ProxyProfiler(proxies=proxies))
 
 
+def _service_estimator(args):
+    """The job service's estimator: ``None`` keeps its default weights."""
+    if args.policy == "default":
+        return None
+    return _make_estimator(args.policy, args.scale)
+
+
+def _service_policies(args):
+    """``(ServicePolicy, BreakerPolicy)`` from the serve arguments."""
+    from repro.service import BreakerPolicy, ServicePolicy
+
+    policy = ServicePolicy(
+        max_queue_depth=args.max_queue_depth,
+        max_projected_wait_s=args.max_projected_wait,
+        shed_queue_depth=args.shed_depth,
+        shed_priority_max=args.shed_priority_max,
+        shed_iteration_cap=args.shed_cap,
+        max_attempts=args.max_attempts,
+    )
+    breaker = BreakerPolicy(
+        failure_threshold=args.breaker_threshold,
+        cooldown_s=args.breaker_cooldown,
+    )
+    return policy, breaker
+
+
+@contextmanager
 def _store_attached(args):
-    """Context manager: open ``--store`` and back the kernel caches.
+    """Open ``--store`` and back the kernel caches for the block.
 
     Yields the open :class:`~repro.store.store.SummaryStore` (or ``None``
     when no ``--store`` was given); detaches and closes on exit.  Typed
     store failures propagate — :func:`main` converts them to exit 2.
     """
-    from contextlib import contextmanager
+    path = getattr(args, "store", None)
+    if not path:
+        yield None
+        return
+    from repro.kernels.cache import attach_store, detach_store
+    from repro.store import SummaryStore
 
-    @contextmanager
-    def _ctx():
-        path = getattr(args, "store", None)
-        if not path:
-            yield None
-            return
-        from repro.kernels.cache import attach_store, detach_store
-        from repro.store import SummaryStore
+    store = SummaryStore.open(path)
+    attach_store(store)
+    try:
+        yield store
+    finally:
+        detach_store()
+        store.close()
 
-        store = SummaryStore.open(path)
-        attach_store(store)
-        try:
-            yield store
-        finally:
-            detach_store()
-            store.close()
 
-    return _ctx()
+def _obs_config(args) -> dict:
+    """JSON-serialisable provenance snapshot of the CLI invocation."""
+    from repro.analysis import RULESET_VERSION
+
+    config = {k: v for k, v in vars(args).items() if k != "func"}
+    config["repro_version"] = __version__
+    # Which lint rule set vetted the tree that produced this run: ties a
+    # figure back to the static guarantees in force when it was made.
+    config["lint_ruleset_version"] = RULESET_VERSION
+    return config
+
+
+@contextmanager
+def _observed(args, label: str = "observability artifacts:"):
+    """Observe the block when ``--obs-dir`` is given.
+
+    Yields a namespace on which the command sets ``trace`` (and, for an
+    experiment, ``config``) once it has them.  On exit — also when the
+    block raises, so a failed run keeps its spans and metrics — the run
+    directory is written and ``label`` plus its path is printed.
+    """
+    run = SimpleNamespace(trace=None, config=None)
+    if not args.obs_dir:
+        yield run
+        return
+    from repro.obs import Observer, enabled, write_run_artifacts
+
+    observer = Observer()
+    try:
+        with enabled(observer):
+            yield run
+    finally:
+        write_run_artifacts(
+            observer,
+            args.obs_dir,
+            config=run.config or _obs_config(args),
+            trace=run.trace,
+        )
+        print(f"{label} {args.obs_dir}")
 
 
 def _persist_run_summary(store, clusters, workload, policy, shards, result):
@@ -225,7 +358,7 @@ def _load_graph(args):
         if args.graph_file.endswith(".npz"):
             return read_npz(args.graph_file)
         return read_edge_list(args.graph_file)
-    raise SystemExit("error: provide --dataset or --graph-file")
+    raise _UsageError("provide --dataset or --graph-file")
 
 
 # --------------------------------------------------------------------- #
@@ -266,10 +399,9 @@ def cmd_profile(args) -> int:
     proxies = ProxySet(
         num_vertices=max(1000, round(3_200_000 * args.scale)), seed=args.seed
     )
-    apps = args.apps.split(",") if args.apps else None
     profiler = (
-        ProxyProfiler(proxies=proxies, apps=apps)
-        if apps
+        ProxyProfiler(proxies=proxies, apps=args.apps)
+        if args.apps
         else ProxyProfiler(proxies=proxies)
     )
     report = profiler.profile(cluster)
@@ -291,124 +423,86 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _obs_config(args) -> dict:
-    """JSON-serialisable provenance snapshot of the CLI invocation."""
-    from repro.analysis import RULESET_VERSION
-
-    config = {k: v for k, v in vars(args).items() if k != "func"}
-    config["repro_version"] = __version__
-    # Which lint rule set vetted the tree that produced this run: ties a
-    # figure back to the static guarantees in force when it was made.
-    config["lint_ruleset_version"] = RULESET_VERSION
-    return config
-
-
 def cmd_process(args) -> int:
-    from contextlib import nullcontext
-
     from repro.core.flow import ProxyGuidedSystem
     from repro.engine.resilient import ResilientRuntime
-    from repro.errors import RecoveryError
     from repro.faults.checkpoint import CheckpointPolicy, RetryPolicy
     from repro.faults.schedule import FaultSchedule
 
     cluster = _build_cluster(args.cluster, args.scale)
     graph = _load_graph(args)
     estimator = _make_estimator(args.policy, args.scale)
-
-    observer = None
-    observed = nullcontext()
-    if args.obs_dir:
-        from repro.obs import Observer, enabled
-
-        observer = Observer()
-        observed = enabled(observer)
-
+    schedule = (
+        FaultSchedule.load(args.fault_schedule) if args.fault_schedule else None
+    )
     if args.mutations:
-        return _process_streaming(args, cluster, graph, estimator, observer, observed)
+        return _process_streaming(args, cluster, graph, estimator, schedule)
 
-    with _store_attached(args), observed:
-        if args.fault_schedule:
-            schedule = FaultSchedule.load(args.fault_schedule)
-            runtime = ResilientRuntime(
-                cluster,
-                estimator=estimator,
-                partitioner=args.partitioner,
-                schedule=schedule,
-                checkpoint=CheckpointPolicy(interval=args.checkpoint_interval),
-                retry=RetryPolicy(max_retries=args.max_retries),
-                rebalance=not args.no_rebalance,
-            )
-            try:
+    with _observed(args, "observability :") as run:
+        with _store_attached(args):
+            if schedule is not None:
+                runtime = ResilientRuntime(
+                    cluster,
+                    estimator=estimator,
+                    partitioner=args.partitioner,
+                    schedule=schedule,
+                    checkpoint=CheckpointPolicy(
+                        interval=args.checkpoint_interval
+                    ),
+                    retry=RetryPolicy(max_retries=args.max_retries),
+                    rebalance=not args.no_rebalance,
+                )
                 outcome = runtime.run(args.app, graph)
-            except RecoveryError as exc:
-                print(f"run FAILED: {exc}")
-                if observer is not None:
-                    from repro.obs import write_run_artifacts
+            else:
+                system = ProxyGuidedSystem(cluster, estimator=estimator)
+                outcome = system.process(
+                    args.app, graph, partitioner=args.partitioner
+                )
+        run.trace = outcome.trace
+        report = outcome.report
 
-                    write_run_artifacts(
-                        observer, args.obs_dir, config=_obs_config(args)
-                    )
-                    print(f"observability artifacts: {args.obs_dir}")
-                return 1
-        else:
-            system = ProxyGuidedSystem(cluster, estimator=estimator)
-            outcome = system.process(
-                args.app, graph, partitioner=args.partitioner
+        if args.strict and report.result.get("converged") is False:
+            from repro.errors import ConvergenceError
+
+            raise ConvergenceError(
+                f"{report.app} did not converge within "
+                f"{report.num_supersteps} supersteps"
             )
-    report = outcome.report
 
-    if args.strict and report.result.get("converged") is False:
-        from repro.errors import ConvergenceError
-
-        raise ConvergenceError(
-            f"{report.app} did not converge within "
-            f"{report.num_supersteps} supersteps"
-        )
-
-    print(f"application : {report.app}")
-    print(f"cluster     : {cluster!r}")
-    print(f"policy      : {args.policy} (weights "
-          f"{[round(float(w), 4) for w in outcome.partition.weights]})")
-    print(f"partitioner : {outcome.partition.algorithm} "
-          f"(replication factor {outcome.dgraph.replication_factor:.2f})")
-    print(f"supersteps  : {report.num_supersteps}")
-    print(f"runtime     : {report.runtime_seconds * 1e3:.3f} ms")
-    print(f"energy      : {report.energy_joules:.2f} J")
-    for m in report.machines:
-        print(
-            f"  {m.machine}: busy {m.busy_seconds * 1e3:.3f} ms, "
-            f"utilisation {m.utilization * 100:.0f}%"
-        )
-    recovery = getattr(report, "recovery", None)
-    if recovery is not None:
-        print(
-            f"resilience  : {recovery.num_crashes} crash(es), "
-            f"{recovery.replayed_supersteps} superstep(s) replayed, "
-            f"{recovery.num_checkpoints} checkpoint(s), "
-            f"recovery overhead {recovery.recovery_seconds * 1e3:.3f} ms"
-        )
-        if recovery.rebalanced:
+        print(f"application : {report.app}")
+        print(f"cluster     : {cluster!r}")
+        print(f"policy      : {args.policy} (weights "
+              f"{[round(float(w), 4) for w in outcome.partition.weights]})")
+        print(f"partitioner : {outcome.partition.algorithm} "
+              f"(replication factor {outcome.dgraph.replication_factor:.2f})")
+        print(f"supersteps  : {report.num_supersteps}")
+        print(f"runtime     : {report.runtime_seconds * 1e3:.3f} ms")
+        print(f"energy      : {report.energy_joules:.2f} J")
+        for m in report.machines:
             print(
-                f"rebalance   : at superstep {recovery.rebalance_superstep} "
-                f"(migration {recovery.migration_seconds * 1e3:.3f} ms)"
+                f"  {m.machine}: busy {m.busy_seconds * 1e3:.3f} ms, "
+                f"utilisation {m.utilization * 100:.0f}%"
             )
-    for warning in report.warnings:
-        print(f"warning     : {warning}")
-    if observer is not None:
-        from repro.obs import write_run_artifacts
-
-        write_run_artifacts(
-            observer,
-            args.obs_dir,
-            config=_obs_config(args),
-            trace=outcome.trace,
-        )
-        print(f"observability : {args.obs_dir}")
+        recovery = getattr(report, "recovery", None)
+        if recovery is not None:
+            print(
+                f"resilience  : {recovery.num_crashes} crash(es), "
+                f"{recovery.replayed_supersteps} superstep(s) replayed, "
+                f"{recovery.num_checkpoints} checkpoint(s), "
+                f"recovery overhead {recovery.recovery_seconds * 1e3:.3f} ms"
+            )
+            if recovery.rebalanced:
+                print(
+                    f"rebalance   : at superstep "
+                    f"{recovery.rebalance_superstep} "
+                    f"(migration {recovery.migration_seconds * 1e3:.3f} ms)"
+                )
+        for warning in report.warnings:
+            print(f"warning     : {warning}")
     return 0
 
 
-def _process_streaming(args, cluster, graph, estimator, observer, observed) -> int:
+def _process_streaming(args, cluster, graph, estimator, schedule) -> int:
     """``process --mutations``: run the app as a streaming deployment.
 
     With ``--fault-schedule`` or ``--checkpoint-every`` the stream is
@@ -418,9 +512,7 @@ def _process_streaming(args, cluster, graph, estimator, observer, observed) -> i
     (the recovery bill is reported separately).
     """
     from repro.apps.registry import make_app
-    from repro.errors import RecoveryError, StreamError
     from repro.faults.checkpoint import CheckpointPolicy, RetryPolicy
-    from repro.faults.schedule import FaultSchedule
     from repro.partition import make_partitioner
     from repro.partition.metrics import weighted_imbalance
     from repro.streaming import (
@@ -430,30 +522,13 @@ def _process_streaming(args, cluster, graph, estimator, observer, observed) -> i
     )
     from repro.utils.tables import format_table
 
-    try:
-        stream = MutationStream.load(args.mutations)
-    except StreamError as exc:
-        print(f"error: mutation stream {args.mutations}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: cannot read mutation stream: {exc}", file=sys.stderr)
-        return 2
-
-    resilient = bool(args.fault_schedule) or args.checkpoint_every is not None
-    schedule = None
-    if args.fault_schedule:
-        try:
-            schedule = FaultSchedule.load(args.fault_schedule)
-        except OSError as exc:
-            print(
-                f"error: cannot read fault schedule: {exc}", file=sys.stderr
-            )
-            return 2
+    stream = MutationStream.load(args.mutations)
+    resilient = schedule is not None or args.checkpoint_every is not None
     recovery = None
     application = make_app(args.app)
-    with _store_attached(args), observed:
-        weights = estimator.weights(cluster, application.name, graph)
-        try:
+    with _observed(args, "observability :") as run:
+        with _store_attached(args):
+            weights = estimator.weights(cluster, application.name, graph)
             if resilient:
                 interval = (
                     args.checkpoint_every
@@ -485,114 +560,85 @@ def _process_streaming(args, cluster, graph, estimator, observer, observed) -> i
                     make_partitioner(args.partitioner),
                     weights=weights,
                 )
-        except RecoveryError as exc:
-            print(f"run FAILED: {exc}")
-            return 1
-        except StreamError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        run.trace = result
 
-    rows = []
-    for e in result.epochs:
-        if e.update is None:
-            affected = reassigned = moved = "-"
-        else:
-            affected = e.update.affected_vertices
-            reassigned = e.update.reassigned_edges
-            moved = e.update.moved_edges
-        rows.append(
-            (
-                e.epoch,
-                e.partition.graph.num_edges,
-                f"{weighted_imbalance(e.partition):.4f}",
-                f"{e.report.runtime_seconds * 1e3:.3f}",
-                affected,
-                reassigned,
-                moved,
+        rows = []
+        for e in result.epochs:
+            if e.update is None:
+                affected = reassigned = moved = "-"
+            else:
+                affected = e.update.affected_vertices
+                reassigned = e.update.reassigned_edges
+                moved = e.update.moved_edges
+            rows.append(
+                (
+                    e.epoch,
+                    e.partition.graph.num_edges,
+                    f"{weighted_imbalance(e.partition):.4f}",
+                    f"{e.report.runtime_seconds * 1e3:.3f}",
+                    affected,
+                    reassigned,
+                    moved,
+                )
+            )
+        print(
+            format_table(
+                headers=(
+                    "epoch", "edges", "imbalance", "runtime (ms)",
+                    "affected V", "reassigned E", "moved E",
+                ),
+                rows=rows,
+                title=(
+                    f"streaming run: {result.app} / {result.algorithm} "
+                    f"(halo {result.halo}, {stream.num_batches} batch(es))"
+                ),
             )
         )
-    print(
-        format_table(
-            headers=(
-                "epoch", "edges", "imbalance", "runtime (ms)",
-                "affected V", "reassigned E", "moved E",
-            ),
-            rows=rows,
-            title=(
-                f"streaming run: {result.app} / {result.algorithm} "
-                f"(halo {result.halo}, {stream.num_batches} batch(es))"
-            ),
-        )
-    )
-    print(f"total runtime    : {result.total_runtime_seconds * 1e3:.3f} ms")
-    print(f"reassigned edges : {result.total_reassigned_edges}")
-    print(f"moved edges      : {result.total_moved_edges}")
-    if recovery is not None:
-        print(
-            f"resilience       : {recovery.crashes} crash(es), "
-            f"{recovery.replayed_epochs} epoch(s) replayed, "
-            f"{recovery.checkpoints_taken} checkpoint(s), "
-            f"recovery overhead {recovery.overhead_seconds * 1e3:.3f} ms"
-        )
-    if args.stream_out:
-        with open(args.stream_out, "w", encoding="utf-8") as fh:
-            fh.write(result.trace_json() + "\n")
-        print(f"streaming trace written to {args.stream_out}")
-    if observer is not None:
-        from repro.obs import write_run_artifacts
-
-        write_run_artifacts(
-            observer, args.obs_dir, config=_obs_config(args), trace=result
-        )
-        print(f"observability : {args.obs_dir}")
+        print(f"total runtime    : {result.total_runtime_seconds * 1e3:.3f} ms")
+        print(f"reassigned edges : {result.total_reassigned_edges}")
+        print(f"moved edges      : {result.total_moved_edges}")
+        if recovery is not None:
+            print(
+                f"resilience       : {recovery.crashes} crash(es), "
+                f"{recovery.replayed_epochs} epoch(s) replayed, "
+                f"{recovery.checkpoints_taken} checkpoint(s), "
+                f"recovery overhead {recovery.overhead_seconds * 1e3:.3f} ms"
+            )
+        if args.stream_out:
+            with open(args.stream_out, "w", encoding="utf-8") as fh:
+                fh.write(result.trace_json() + "\n")
+            print(f"streaming trace written to {args.stream_out}")
     return 0
 
 
 def cmd_stream(args) -> int:
     """Generate or describe a mutation-stream file (``repro stream``)."""
-    from repro.errors import StreamError
     from repro.streaming import MutationStream, generate_stream
     from repro.utils.tables import format_table
 
     if args.input:
         if args.output or args.dataset or args.graph_file:
-            print(
-                "error: --input (describe mode) cannot be combined with "
-                "generation options",
-                file=sys.stderr,
+            raise _UsageError(
+                "--input (describe mode) cannot be combined with "
+                "generation options"
             )
-            return 2
-        try:
-            stream = MutationStream.load(args.input)
-        except StreamError as exc:
-            print(f"error: mutation stream {args.input}: {exc}", file=sys.stderr)
-            return 2
-        except OSError as exc:
-            print(f"error: cannot read mutation stream: {exc}", file=sys.stderr)
-            return 2
+        stream = MutationStream.load(args.input)
         source = args.input
     else:
         if not args.output:
-            print(
-                "error: provide --output (generate mode) or --input "
-                "(describe mode)",
-                file=sys.stderr,
+            raise _UsageError(
+                "provide --output (generate mode) or --input "
+                "(describe mode)"
             )
-            return 2
-        graph = _load_graph(args)
-        try:
-            stream = generate_stream(
-                graph,
-                pattern=args.pattern,
-                num_batches=args.batches,
-                ops_per_batch=args.ops,
-                seed=args.seed,
-                burst_every=args.burst_every,
-                burst_scale=args.burst_scale,
-            )
-        except StreamError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        stream = generate_stream(
+            _load_graph(args),
+            pattern=args.pattern,
+            num_batches=args.batches,
+            ops_per_batch=args.ops,
+            seed=args.seed,
+            burst_every=args.burst_every,
+            burst_scale=args.burst_scale,
+        )
         stream.save(args.output)
         source = args.output
 
@@ -619,26 +665,21 @@ def cmd_stream(args) -> int:
 
 def _cmd_shard_faults(args) -> int:
     """``faults --shards``: sample a shard-level outage scenario."""
-    from repro.errors import FaultError
     from repro.faults.shards import ShardFaultSchedule
     from repro.utils.tables import format_table
 
-    try:
-        schedule = ShardFaultSchedule.generate(
-            num_shards=args.shards,
-            horizon_s=args.horizon_s,
-            seed=args.seed,
-            crash_rate=args.crash_rate,
-            downtime_s=args.downtime,
-            partition_rate=args.partition_rate,
-            partition_duration_s=args.partition_duration,
-            slowdown_rate=args.slowdown_rate,
-            slowdown_factor=args.slowdown_factor,
-            slowdown_duration_s=args.slowdown_duration_s,
-        )
-    except FaultError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    schedule = ShardFaultSchedule.generate(
+        num_shards=args.shards,
+        horizon_s=args.horizon_s,
+        seed=args.seed,
+        crash_rate=args.crash_rate,
+        downtime_s=args.downtime,
+        partition_rate=args.partition_rate,
+        partition_duration_s=args.partition_duration,
+        slowdown_rate=args.slowdown_rate,
+        slowdown_factor=args.slowdown_factor,
+        slowdown_duration_s=args.slowdown_duration_s,
+    )
     print(
         format_table(
             headers=("kind", "t (s)", "detail"),
@@ -663,12 +704,10 @@ def cmd_faults(args) -> int:
     if args.shards is not None:
         return _cmd_shard_faults(args)
     if args.machines is None:
-        print(
-            "error: provide --machines (run-level faults) or --shards "
-            "(federation shard faults)",
-            file=sys.stderr,
+        raise _UsageError(
+            "provide --machines (run-level faults) or --shards "
+            "(federation shard faults)"
         )
-        return 2
     schedule = FaultSchedule.generate(
         num_machines=args.machines,
         num_supersteps=args.supersteps,
@@ -697,40 +736,30 @@ def cmd_faults(args) -> int:
 
 
 def cmd_workload(args) -> int:
-    from repro.errors import ServiceError
     from repro.service import generate_workload
 
-    try:
-        workload = generate_workload(
-            num_jobs=args.jobs,
-            seed=args.seed,
-            mean_interarrival_s=args.mean_interarrival,
-            apps=tuple(
-                a.strip() for a in args.apps.split(",") if a.strip()
-            ),
-            graph_sizes=tuple(
-                int(s) for s in args.graph_sizes.split(",") if s.strip()
-            ),
-            priorities=args.priorities,
-            deadline_fraction=args.deadline_fraction,
-            deadline_min_s=args.deadline_min,
-            deadline_max_s=args.deadline_max,
-            fault_fraction=args.fault_fraction,
-            crash_rate=args.crash_rate,
-            slowdown_rate=args.slowdown_rate,
-            hot_machine=args.hot_machine,
-            hot_fraction=args.hot_fraction,
-            hot_repeats=args.hot_repeats,
-        )
-    except (ServiceError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    workload = generate_workload(
+        num_jobs=args.jobs,
+        seed=args.seed,
+        mean_interarrival_s=args.mean_interarrival,
+        apps=args.apps,
+        graph_sizes=args.graph_sizes,
+        priorities=args.priorities,
+        deadline_fraction=args.deadline_fraction,
+        deadline_min_s=args.deadline_min,
+        deadline_max_s=args.deadline_max,
+        fault_fraction=args.fault_fraction,
+        crash_rate=args.crash_rate,
+        slowdown_rate=args.slowdown_rate,
+        hot_machine=args.hot_machine,
+        hot_fraction=args.hot_fraction,
+        hot_repeats=args.hot_repeats,
+    )
     if args.shards is not None:
         # Embed a seeded shard-outage scenario (workload format v2): one
         # file then pins the whole federated chaos replay.
         from dataclasses import replace as _dc_replace
 
-        from repro.errors import FaultError
         from repro.faults.shards import ShardFaultSchedule
 
         span_s = workload.jobs[-1].submit_s if workload.jobs else 0.0
@@ -739,23 +768,19 @@ def cmd_workload(args) -> int:
             if args.shard_horizon is not None
             else max(span_s, args.mean_interarrival) * 1.5
         )
-        try:
-            shard_faults = ShardFaultSchedule.generate(
-                num_shards=args.shards,
-                horizon_s=horizon,
-                seed=(
-                    args.shard_fault_seed
-                    if args.shard_fault_seed is not None
-                    else args.seed
-                ),
-                crash_rate=args.shard_crash_rate,
-                downtime_s=args.shard_downtime,
-                partition_rate=args.shard_partition_rate,
-                slowdown_rate=args.shard_slowdown_rate,
-            )
-        except FaultError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        shard_faults = ShardFaultSchedule.generate(
+            num_shards=args.shards,
+            horizon_s=horizon,
+            seed=(
+                args.shard_fault_seed
+                if args.shard_fault_seed is not None
+                else args.seed
+            ),
+            crash_rate=args.shard_crash_rate,
+            downtime_s=args.shard_downtime,
+            partition_rate=args.shard_partition_rate,
+            slowdown_rate=args.shard_slowdown_rate,
+        )
         workload = _dc_replace(workload, shard_faults=shard_faults)
     workload.save(args.output)
     with_deadline = sum(1 for j in workload.jobs if j.deadline_s is not None)
@@ -780,7 +805,7 @@ def cmd_workload(args) -> int:
 
 
 def _load_serve_workload(args):
-    """Load + apply the serve command's workload overrides, or exit 2."""
+    """Load the serve command's workload and apply its overrides."""
     from dataclasses import replace as _dc_replace
 
     from repro.service import Workload
@@ -802,89 +827,120 @@ def _load_serve_workload(args):
     return workload
 
 
-def _serve_federated(args) -> int:
-    """``serve --shards``: replay through the federated service."""
-    from contextlib import nullcontext
+def _print_service_report(args, workload, result) -> None:
+    from repro.utils.tables import format_table
 
-    from repro.errors import FaultError, ServiceError, WorkloadFormatError
+    print(
+        format_table(
+            headers=("metric", "value"),
+            rows=sorted(result.summary().items()),
+            title=(
+                f"service replay: {workload.num_jobs} job(s) on "
+                f"{args.cluster} (seed {workload.seed})"
+            ),
+        )
+    )
+    if result.breaker_events:
+        print(
+            format_table(
+                headers=("t (s)", "machine", "transition", "reason"),
+                rows=[
+                    (
+                        f"{e.time_s:.4f}",
+                        e.machine,
+                        f"{e.from_state} -> {e.to_state}",
+                        e.reason,
+                    )
+                    for e in result.breaker_events
+                ],
+                title="breaker transitions",
+            )
+        )
+
+
+def _print_federation_report(args, workload, result) -> None:
+    from repro.utils.tables import format_table
+
+    print(
+        format_table(
+            headers=("metric", "value"),
+            rows=sorted(result.summary().items()),
+            title=(
+                f"federated replay: {workload.num_jobs} job(s) on "
+                f"{args.shards} shard(s) (seed {workload.seed})"
+            ),
+        )
+    )
+    print(
+        format_table(
+            headers=(
+                "shard", "machines", "completed", "max depth",
+                "steals in/out", "failovers in/out", "crashes",
+                "breaker trips",
+            ),
+            rows=[
+                (
+                    s.shard_id,
+                    ",".join(s.cluster_machines),
+                    s.jobs_completed,
+                    s.max_queue_depth,
+                    f"{s.steals_in}/{s.steals_out}",
+                    f"{s.failovers_in}/{s.failovers_out}",
+                    s.crashes,
+                    s.breaker_trips,
+                )
+                for s in result.shards
+            ],
+            title="per-shard report",
+        )
+    )
+    if result.events:
+        print(
+            format_table(
+                headers=("t (s)", "kind", "shard", "job", "detail"),
+                rows=[
+                    (f"{e.time_s:.4f}", e.kind, e.shard, e.job_id, e.detail)
+                    for e in result.events
+                ],
+                title="federation events",
+            )
+        )
+
+
+def cmd_serve(args) -> int:
+    """Replay a workload through the job service; with ``--shards``,
+    through the federated service instead."""
     from repro.faults.checkpoint import CheckpointPolicy
     from repro.faults.shards import ShardFaultSchedule
     from repro.federation import FederationPolicy, FederationService
-    from repro.service import BreakerPolicy, ServicePolicy
-    from repro.utils.tables import format_table
+    from repro.service import JobService
 
-    specs = [s.strip() for s in args.cluster.split(";") if s.strip()]
-    if len(specs) == 1:
-        specs = specs * args.shards
-    if len(specs) != args.shards:
-        print(
-            f"error: --cluster describes {len(specs)} shard cluster(s) "
-            f"but --shards is {args.shards} (separate per-shard specs "
-            f"with ';', or give one spec for all shards)",
-            file=sys.stderr,
-        )
-        return 2
-    clusters = [_build_cluster(spec, args.scale) for spec in specs]
-    try:
-        workload = _load_serve_workload(args)
-    except WorkloadFormatError as exc:
-        print(f"error: workload {args.workload}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: cannot read workload: {exc}", file=sys.stderr)
-        return 2
-
-    shard_faults = None
-    if args.shard_faults:
-        try:
-            shard_faults = ShardFaultSchedule.load(args.shard_faults)
-        except FaultError as exc:
-            print(
-                f"error: shard faults {args.shard_faults}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-        except OSError as exc:
-            print(f"error: cannot read shard faults: {exc}", file=sys.stderr)
-            return 2
-
-    try:
-        policy = ServicePolicy(
-            max_queue_depth=args.max_queue_depth,
-            max_projected_wait_s=args.max_projected_wait,
-            shed_queue_depth=args.shed_depth,
-            shed_priority_max=args.shed_priority_max,
-            shed_iteration_cap=args.shed_cap,
-            max_attempts=args.max_attempts,
-        )
-        breaker = BreakerPolicy(
-            failure_threshold=args.breaker_threshold,
-            cooldown_s=args.breaker_cooldown,
-        )
-        fed_policy = FederationPolicy(
+    federated = args.shards is not None
+    if args.shard_faults and not federated:
+        raise _UsageError("--shard-faults requires --shards (federated mode)")
+    clusters = (
+        _shard_clusters(args)
+        if federated
+        else [_build_cluster(args.cluster, args.scale)]
+    )
+    workload = _load_serve_workload(args)
+    shard_faults = (
+        ShardFaultSchedule.load(args.shard_faults) if args.shard_faults else None
+    )
+    policy, breaker = _service_policies(args)
+    federation = (
+        FederationPolicy(
             ring_replicas=args.ring_replicas,
             steal_backlog=args.steal_backlog,
             max_global_backlog=args.global_backlog,
         )
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    estimator = (
-        _make_estimator(args.policy, args.scale)
-        if args.policy != "default"
+        if federated
         else None
     )
-    observer = None
-    observed = nullcontext()
-    if args.obs_dir:
-        from repro.obs import Observer, enabled
+    estimator = _service_estimator(args)
 
-        observer = Observer()
-        observed = enabled(observer)
-
-    with _store_attached(args) as store:
-        with observed:
+    with _observed(args) as run:
+        with _store_attached(args) as store:
             custody = None
             stream_checkpoint = None
             if args.checkpoint_every is not None:
@@ -894,223 +950,40 @@ def _serve_federated(args) -> int:
                 stream_checkpoint = CheckpointPolicy(
                     interval=args.checkpoint_every
                 )
-            service = FederationService(
-                clusters,
-                policy=policy,
-                breaker_policy=breaker,
-                federation=fed_policy,
-                estimator=estimator,
-                checkpoint=CheckpointPolicy(interval=args.checkpoint_interval),
-                custody=custody,
-                stream_checkpoint=stream_checkpoint,
-            )
-            try:
-                result = service.run_workload(
-                    workload, shard_faults=shard_faults
-                )
-            except (FaultError, ServiceError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        if store is not None:
-            _persist_run_summary(
-                store, clusters, workload, args.policy, args.shards, result
-            )
-
-    summary = result.summary()
-    if args.json:
-        import json as _json
-
-        print(_json.dumps(summary, indent=2, sort_keys=True))
-    else:
-        rows = [(k, v) for k, v in sorted(summary.items())]
-        print(
-            format_table(
-                headers=("metric", "value"),
-                rows=rows,
-                title=(
-                    f"federated replay: {workload.num_jobs} job(s) on "
-                    f"{args.shards} shard(s) (seed {workload.seed})"
-                ),
-            )
-        )
-        print(
-            format_table(
-                headers=(
-                    "shard", "machines", "completed", "max depth",
-                    "steals in/out", "failovers in/out", "crashes",
-                    "breaker trips",
-                ),
-                rows=[
-                    (
-                        s.shard_id,
-                        ",".join(s.cluster_machines),
-                        s.jobs_completed,
-                        s.max_queue_depth,
-                        f"{s.steals_in}/{s.steals_out}",
-                        f"{s.failovers_in}/{s.failovers_out}",
-                        s.crashes,
-                        s.breaker_trips,
-                    )
-                    for s in result.shards
-                ],
-                title="per-shard report",
-            )
-        )
-        if result.events:
-            print(
-                format_table(
-                    headers=("t (s)", "kind", "shard", "job", "detail"),
-                    rows=[
-                        (f"{e.time_s:.4f}", e.kind, e.shard, e.job_id, e.detail)
-                        for e in result.events
-                    ],
-                    title="federation events",
-                )
-            )
-    if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as fh:
-            fh.write(result.trace_json() + "\n")
-        print(f"federation trace written to {args.trace_out}")
-    if observer is not None:
-        from repro.obs import write_run_artifacts
-
-        write_run_artifacts(
-            observer, args.obs_dir, config=_obs_config(args), trace=result
-        )
-        print(f"observability artifacts: {args.obs_dir}")
-    return 0
-
-
-def cmd_serve(args) -> int:
-    from contextlib import nullcontext
-
-    from repro.errors import ServiceError, WorkloadFormatError
-    from repro.faults.checkpoint import CheckpointPolicy
-    from repro.service import (
-        BreakerPolicy,
-        JobService,
-        ServicePolicy,
-    )
-    from repro.utils.tables import format_table
-
-    if args.shards is not None:
-        return _serve_federated(args)
-    if args.shard_faults:
-        print(
-            "error: --shard-faults requires --shards (federated mode)",
-            file=sys.stderr,
-        )
-        return 2
-    cluster = _build_cluster(args.cluster, args.scale)
-    try:
-        workload = _load_serve_workload(args)
-    except WorkloadFormatError as exc:
-        print(f"error: workload {args.workload}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: cannot read workload: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        policy = ServicePolicy(
-            max_queue_depth=args.max_queue_depth,
-            max_projected_wait_s=args.max_projected_wait,
-            shed_queue_depth=args.shed_depth,
-            shed_priority_max=args.shed_priority_max,
-            shed_iteration_cap=args.shed_cap,
-            max_attempts=args.max_attempts,
-        )
-        breaker = BreakerPolicy(
-            failure_threshold=args.breaker_threshold,
-            cooldown_s=args.breaker_cooldown,
-        )
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    estimator = (
-        _make_estimator(args.policy, args.scale)
-        if args.policy != "default"
-        else None
-    )
-    observer = None
-    observed = nullcontext()
-    if args.obs_dir:
-        from repro.obs import Observer, enabled
-
-        observer = Observer()
-        observed = enabled(observer)
-
-    with _store_attached(args) as store:
-        with observed:
-            custody = None
-            stream_checkpoint = None
-            if args.checkpoint_every is not None:
-                from repro.streaming import CheckpointCustody
-
-                custody = CheckpointCustody(store=store)
-                stream_checkpoint = CheckpointPolicy(
-                    interval=args.checkpoint_every
-                )
-            service = JobService(
-                cluster,
+            common = dict(
                 policy=policy,
                 breaker_policy=breaker,
                 estimator=estimator,
                 checkpoint=CheckpointPolicy(interval=args.checkpoint_interval),
-                checkpoints=custody,
                 stream_checkpoint=stream_checkpoint,
             )
-            result = service.run_workload(workload)
-        if store is not None:
-            _persist_run_summary(
-                store, [cluster], workload, args.policy, None, result
-            )
-
-    summary = result.summary()
-    if args.json:
-        import json as _json
-
-        print(_json.dumps(summary, indent=2, sort_keys=True))
-    else:
-        rows = [(k, v) for k, v in sorted(summary.items())]
-        print(
-            format_table(
-                headers=("metric", "value"),
-                rows=rows,
-                title=(
-                    f"service replay: {workload.num_jobs} job(s) on "
-                    f"{args.cluster} (seed {workload.seed})"
-                ),
-            )
-        )
-        if result.breaker_events:
-            print(
-                format_table(
-                    headers=("t (s)", "machine", "transition", "reason"),
-                    rows=[
-                        (
-                            f"{e.time_s:.4f}",
-                            e.machine,
-                            f"{e.from_state} -> {e.to_state}",
-                            e.reason,
-                        )
-                        for e in result.breaker_events
-                    ],
-                    title="breaker transitions",
+            if federated:
+                result = FederationService(
+                    clusters, federation=federation, custody=custody, **common
+                ).run_workload(workload, shard_faults=shard_faults)
+            else:
+                result = JobService(
+                    clusters[0], checkpoints=custody, **common
+                ).run_workload(workload)
+            if store is not None:
+                _persist_run_summary(
+                    store, clusters, workload, args.policy, args.shards, result
                 )
-            )
-    if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as fh:
-            fh.write(result.trace_json() + "\n")
-        print(f"service trace written to {args.trace_out}")
-    if observer is not None:
-        from repro.obs import write_run_artifacts
+        run.trace = result
 
-        write_run_artifacts(
-            observer, args.obs_dir, config=_obs_config(args), trace=result
-        )
-        print(f"observability artifacts: {args.obs_dir}")
+        if args.json:
+            import json as _json
+
+            print(_json.dumps(result.summary(), indent=2, sort_keys=True))
+        elif federated:
+            _print_federation_report(args, workload, result)
+        else:
+            _print_service_report(args, workload, result)
+        if args.trace_out:
+            with open(args.trace_out, "w", encoding="utf-8") as fh:
+                fh.write(result.trace_json() + "\n")
+            kind = "federation" if federated else "service"
+            print(f"{kind} trace written to {args.trace_out}")
     return 0
 
 
@@ -1137,7 +1010,6 @@ _MUTATION_EXPERIMENTS = ("churn", "churn_faults", "churn_halo")
 
 def cmd_experiment(args) -> int:
     import importlib
-    from contextlib import nullcontext
 
     from repro.utils.tables import format_table
 
@@ -1147,52 +1019,28 @@ def cmd_experiment(args) -> int:
     kwargs = {}
     if takes_scale:
         kwargs["scale"] = args.scale
-    if getattr(args, "mutations", None):
+    if args.mutations:
         if args.name not in _MUTATION_EXPERIMENTS:
-            print(
-                f"error: --mutations only applies to "
-                f"{', '.join(_MUTATION_EXPERIMENTS)} (got {args.name!r})",
-                file=sys.stderr,
+            raise _UsageError(
+                f"--mutations only applies to "
+                f"{', '.join(_MUTATION_EXPERIMENTS)} (got {args.name!r})"
             )
-            return 2
-        from repro.errors import StreamError
         from repro.streaming import MutationStream
 
-        try:
-            kwargs["mutations"] = MutationStream.load(args.mutations)
-        except StreamError as exc:
-            print(
-                f"error: mutation stream {args.mutations}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-        except OSError as exc:
-            print(f"error: cannot read mutation stream: {exc}", file=sys.stderr)
-            return 2
+        kwargs["mutations"] = MutationStream.load(args.mutations)
 
-    observer = None
-    observed = nullcontext()
-    if args.obs_dir:
-        from repro.obs import Observer, enabled
-
-        observer = Observer()
-        observed = enabled(observer)
-
-    with _store_attached(args), observed:
-        result = func(**kwargs)
-    rows = result.rows()
-    headers = (
-        result.headers()
-        if hasattr(result, "headers")
-        else tuple(f"col{i}" for i in range(len(rows[0]) if rows else 0))
-    )
-    print(format_table(headers=headers, rows=rows, title=f"experiment {args.name}"))
-    if observer is not None:
-        from repro.obs import write_run_artifacts
-
-        config = getattr(result, "provenance", None) or _obs_config(args)
-        write_run_artifacts(observer, args.obs_dir, config=config)
-        print(f"observability artifacts: {args.obs_dir}")
+    with _observed(args) as run:
+        with _store_attached(args):
+            result = func(**kwargs)
+        run.config = getattr(result, "provenance", None)
+        rows = result.rows()
+        headers = (
+            result.headers()
+            if hasattr(result, "headers")
+            else tuple(f"col{i}" for i in range(len(rows[0]) if rows else 0))
+        )
+        print(format_table(headers=headers, rows=rows,
+                           title=f"experiment {args.name}"))
     return 0
 
 
@@ -1203,12 +1051,25 @@ def cmd_gen(args) -> int:
     from repro.store.gen import PERSISTED_NAMESPACES, warm_store
 
     if not (args.init or args.all or args.refresh or args.stats or args.vacuum):
-        print(
-            "error: nothing to do (pass --init, --all, --refresh, "
-            "--stats and/or --vacuum)",
-            file=sys.stderr,
+        raise _UsageError(
+            "nothing to do (pass --init, --all, --refresh, "
+            "--stats and/or --vacuum)"
         )
-        return 2
+    refresh = list(args.refresh or ())
+    if "all" in refresh:
+        refresh = list(PERSISTED_NAMESPACES)
+    for namespace in refresh:
+        if namespace not in PERSISTED_NAMESPACES:
+            raise _UsageError(
+                f"unknown namespace {namespace!r} "
+                f"(choose from {', '.join(PERSISTED_NAMESPACES)} or 'all')"
+            )
+    if args.all:
+        if not args.workload or not args.cluster:
+            raise _UsageError("--all requires --workload and --cluster")
+        workload = Workload.load(args.workload)
+        clusters = _shard_clusters(args)
+        estimator = _service_estimator(args)
 
     store = (
         SummaryStore.create(args.store)
@@ -1218,50 +1079,10 @@ def cmd_gen(args) -> int:
     try:
         if args.init:
             print(f"store initialised at {args.store} (or already present)")
-        if args.refresh:
-            requested = list(args.refresh)
-            if "all" in requested:
-                requested = list(PERSISTED_NAMESPACES)
-            for namespace in requested:
-                if namespace not in PERSISTED_NAMESPACES:
-                    print(
-                        f"error: unknown namespace {namespace!r} "
-                        f"(choose from {', '.join(PERSISTED_NAMESPACES)} "
-                        f"or 'all')",
-                        file=sys.stderr,
-                    )
-                    return 2
-                dropped = store.delete_namespace(namespace)
-                print(f"refreshed {namespace}: dropped {dropped} row(s)")
+        for namespace in refresh:
+            dropped = store.delete_namespace(namespace)
+            print(f"refreshed {namespace}: dropped {dropped} row(s)")
         if args.all:
-            if not args.workload or not args.cluster:
-                print(
-                    "error: --all requires --workload and --cluster",
-                    file=sys.stderr,
-                )
-                return 2
-            try:
-                workload = Workload.load(args.workload)
-            except OSError as exc:
-                print(f"error: cannot read workload: {exc}", file=sys.stderr)
-                return 2
-            specs = [s.strip() for s in args.cluster.split(";") if s.strip()]
-            if args.shards is not None:
-                if len(specs) == 1:
-                    specs = specs * args.shards
-                if len(specs) != args.shards:
-                    print(
-                        f"error: --cluster describes {len(specs)} shard "
-                        f"cluster(s) but --shards is {args.shards}",
-                        file=sys.stderr,
-                    )
-                    return 2
-            clusters = [_build_cluster(spec, args.scale) for spec in specs]
-            estimator = (
-                _make_estimator(args.policy, args.scale)
-                if args.policy != "default"
-                else None
-            )
             added = warm_store(
                 store,
                 workload,
@@ -1304,7 +1125,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    """Run the determinism & contract linter (exit 0/1/2)."""
+    """Run the determinism & contract linter (exit 0 clean, 1 findings)."""
     # Wall-clock here times the *linter*, not the simulation — the one
     # place in the library where reading the host clock is the point.
     from time import perf_counter  # repro: allow[DET001]
@@ -1318,33 +1139,23 @@ def cmd_lint(args) -> int:
         render_text,
         ruleset_signature,
     )
-    from repro.errors import ReproError
 
-    try:
-        rules = all_rules(
-            only=args.rules.split(",") if args.rules else None
-        )
-        baseline = (
-            Baseline.load(args.baseline)
-            if args.baseline and not args.write_baseline
-            else None
-        )
-        cache = (
-            SummaryCache(args.cache, ruleset_signature(rules))
-            if args.cache
-            else None
-        )
-        started = perf_counter()  # repro: allow[DET001]
-        report = lint_paths(
-            args.paths, rules=rules, baseline=baseline, cache=cache
-        )
-        elapsed = perf_counter() - started  # repro: allow[DET001]
-    except ReproError as exc:
-        print(f"lint error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"lint error: {exc}", file=sys.stderr)
-        return 2
+    if args.write_baseline and not args.baseline:
+        raise _UsageError("--write-baseline requires --baseline PATH")
+    rules = all_rules(only=args.rules.split(",") if args.rules else None)
+    baseline = (
+        Baseline.load(args.baseline)
+        if args.baseline and not args.write_baseline
+        else None
+    )
+    cache = (
+        SummaryCache(args.cache, ruleset_signature(rules))
+        if args.cache
+        else None
+    )
+    started = perf_counter()  # repro: allow[DET001]
+    report = lint_paths(args.paths, rules=rules, baseline=baseline, cache=cache)
+    elapsed = perf_counter() - started  # repro: allow[DET001]
 
     if args.graph and report.project is not None:
         import json as _json
@@ -1362,12 +1173,6 @@ def cmd_lint(args) -> int:
             fh.write("\n")
 
     if args.write_baseline:
-        if not args.baseline:
-            print(
-                "lint error: --write-baseline requires --baseline PATH",
-                file=sys.stderr,
-            )
-            return 2
         pruned = 0
         if os.path.isfile(args.baseline):
             try:
@@ -1450,8 +1255,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="generate a graph and write it")
     gen.add_argument("--dataset", help="Table II dataset name")
-    gen.add_argument("--vertices", type=_positive_int, default=10_000)
-    gen.add_argument("--alpha", type=_alpha, default=2.1)
+    gen.add_argument("--vertices", type=_positive_int, default=10_000,
+                     help="vertices in the power-law graph (ignored with "
+                     "--dataset; default 10000)")
+    gen.add_argument("--alpha", type=_alpha, default=2.1,
+                     help="power-law degree exponent, > 1 (ignored with "
+                     "--dataset; default 2.1)")
     gen.add_argument("--seed", type=int, default=0,
                      help="generator seed for the power-law graph "
                      "(ignored with --dataset; default 0)")
@@ -1464,7 +1273,8 @@ def build_parser() -> argparse.ArgumentParser:
     prof = sub.add_parser("profile", help="proxy-profile a cluster (Fig. 7a)")
     prof.add_argument("--cluster", required=True,
                       help="comma-separated machine types")
-    prof.add_argument("--apps", help="comma-separated app names (default all)")
+    prof.add_argument("--apps", type=_app_list,
+                      help="comma-separated app names (default all)")
     prof.add_argument("--scale", type=_model_scale, default=0.01,
                       help="fraction of paper scale, in (0, 1]; sizes "
                       "the proxy graphs and the cache model "
@@ -1479,7 +1289,7 @@ def build_parser() -> argparse.ArgumentParser:
     proc.add_argument("--cluster", required=True,
                       help="comma-separated machine types, one per "
                       "machine (e.g. m4.2xlarge,c4.2xlarge)")
-    proc.add_argument("--app", required=True,
+    proc.add_argument("--app", required=True, type=_app_name,
                       help="application: pagerank, coloring, "
                       "connected_components or triangle_count")
     proc.add_argument("--dataset", help="Table II dataset name")
@@ -1491,6 +1301,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "(proxy-profiled CCRs, the paper's method) or "
                       "oracle (CCRs measured on the input graph); default ccr")
     proc.add_argument("--partitioner", default="hybrid",
+                      type=_partitioner_name,
                       help="edge partitioner: hybrid, ginger, grid, "
                       "oblivious or random_hash (default hybrid)")
     proc.add_argument("--scale", type=_model_scale, default=0.01,
@@ -1570,7 +1381,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     flt.add_argument("--machines", type=_positive_int, default=None,
                      help="run-level mode: machines in the target cluster")
-    flt.add_argument("--supersteps", type=_positive_int, default=50)
+    flt.add_argument("--supersteps", type=_positive_int, default=50,
+                     help="run-level mode: supersteps the schedule spans "
+                     "(default 50)")
     flt.add_argument("--seed", type=int, default=0,
                      help="seed pinning every fault draw (default 0)")
     flt.add_argument("--crash-rate", type=_rate, default=0.0,
@@ -1579,8 +1392,12 @@ def build_parser() -> argparse.ArgumentParser:
     flt.add_argument("--slowdown-rate", type=_rate, default=0.0,
                      help="per-machine per-superstep slowdown probability "
                      "(with --shards: per-shard slowdown probability)")
-    flt.add_argument("--slowdown-factor", type=_nonnegative_float, default=4.0)
-    flt.add_argument("--slowdown-duration", type=_positive_int, default=5)
+    flt.add_argument("--slowdown-factor", type=_nonnegative_float, default=4.0,
+                     help="how many times slower a slowed machine or "
+                     "shard runs (default 4.0)")
+    flt.add_argument("--slowdown-duration", type=_positive_int, default=5,
+                     help="run-level mode: supersteps a slowdown lasts "
+                     "(default 5)")
     flt.add_argument("--network-rate", type=_rate, default=0.0,
                      help="per-superstep network degradation probability")
     flt.add_argument("--shards", type=_positive_int, default=None,
@@ -1607,7 +1424,8 @@ def build_parser() -> argparse.ArgumentParser:
     wkl = sub.add_parser(
         "workload", help="sample a seeded open-loop job stream (JSON)"
     )
-    wkl.add_argument("--jobs", type=_positive_int, default=50)
+    wkl.add_argument("--jobs", type=_positive_int, default=50,
+                     help="jobs in the stream (default 50)")
     wkl.add_argument("--seed", type=int, default=0,
                      help="seed pinning every job draw; also becomes the "
                      "workload's service seed (default 0)")
@@ -1615,25 +1433,38 @@ def build_parser() -> argparse.ArgumentParser:
                      default=0.001,
                      help="mean exponential gap between submissions "
                      "(simulated seconds)")
-    wkl.add_argument("--apps", default="pagerank,connected_components",
+    wkl.add_argument("--apps", type=_app_list,
+                     default="pagerank,connected_components",
                      help="comma-separated application mix")
-    wkl.add_argument("--graph-sizes", default="600,900,1200",
-                     help="comma-separated synthetic graph sizes")
+    wkl.add_argument("--graph-sizes", type=_positive_int_list,
+                     default="600,900,1200",
+                     help="comma-separated synthetic graph sizes "
+                     "(vertices, each > 0)")
     wkl.add_argument("--priorities", type=_positive_int, default=3,
                      help="priorities drawn uniformly from 0..N-1")
     wkl.add_argument("--deadline-fraction", type=_rate, default=0.0,
                      help="fraction of jobs given a deadline")
-    wkl.add_argument("--deadline-min", type=_positive_float, default=0.005)
-    wkl.add_argument("--deadline-max", type=_positive_float, default=0.05)
+    wkl.add_argument("--deadline-min", type=_positive_float, default=0.005,
+                     help="shortest deadline drawn (simulated seconds "
+                     "after submission)")
+    wkl.add_argument("--deadline-max", type=_positive_float, default=0.05,
+                     help="longest deadline drawn (simulated seconds "
+                     "after submission)")
     wkl.add_argument("--fault-fraction", type=_rate, default=0.0,
                      help="fraction of jobs carrying seeded fault rates")
-    wkl.add_argument("--crash-rate", type=_rate, default=0.01)
-    wkl.add_argument("--slowdown-rate", type=_rate, default=0.0)
+    wkl.add_argument("--crash-rate", type=_rate, default=0.01,
+                     help="per-machine per-superstep crash probability "
+                     "of a faulted job")
+    wkl.add_argument("--slowdown-rate", type=_rate, default=0.0,
+                     help="per-machine per-superstep slowdown probability "
+                     "of a faulted job")
     wkl.add_argument("--hot-machine", type=int, default=None,
                      help="machine slot that repeatedly crashes in a "
                      "fraction of jobs (breaker demo)")
-    wkl.add_argument("--hot-fraction", type=_rate, default=0.0)
-    wkl.add_argument("--hot-repeats", type=_positive_int, default=1)
+    wkl.add_argument("--hot-fraction", type=_rate, default=0.0,
+                     help="fraction of jobs in which --hot-machine crashes")
+    wkl.add_argument("--hot-repeats", type=_positive_int, default=1,
+                     help="crashes of --hot-machine per affected job")
     wkl.add_argument("--shards", type=_positive_int, default=None,
                      help="embed a seeded shard-outage schedule for this "
                      "many federation shards (workload format v2)")
@@ -1642,8 +1473,12 @@ def build_parser() -> argparse.ArgumentParser:
                      "schedule")
     wkl.add_argument("--shard-downtime", type=_positive_float, default=1.0,
                      help="mean shard crash downtime (simulated seconds)")
-    wkl.add_argument("--shard-partition-rate", type=_rate, default=0.0)
-    wkl.add_argument("--shard-slowdown-rate", type=_rate, default=0.0)
+    wkl.add_argument("--shard-partition-rate", type=_rate, default=0.0,
+                     help="per-shard network-partition probability for "
+                     "the embedded schedule")
+    wkl.add_argument("--shard-slowdown-rate", type=_rate, default=0.0,
+                     help="per-shard scheduler-slowdown probability for "
+                     "the embedded schedule")
     wkl.add_argument("--shard-horizon", type=_positive_float, default=None,
                      help="shard fault horizon (default: 1.5x the arrival "
                      "span)")
@@ -1691,7 +1526,8 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--policy", default="default",
                      choices=("default", "threads", "ccr", "oracle"),
                      help="capability estimator for base partition weights")
-    srv.add_argument("--max-queue-depth", type=_positive_int, default=8)
+    srv.add_argument("--max-queue-depth", type=_positive_int, default=8,
+                     help="reject arrivals once this many jobs are queued")
     srv.add_argument("--max-projected-wait", type=_positive_float,
                      default=None,
                      help="reject arrivals whose projected wait exceeds "
@@ -1733,7 +1569,8 @@ def build_parser() -> argparse.ArgumentParser:
     srv.set_defaults(func=cmd_serve)
 
     exp = sub.add_parser("experiment", help="regenerate a paper table/figure")
-    exp.add_argument("name", choices=sorted(_EXPERIMENTS))
+    exp.add_argument("name", choices=sorted(_EXPERIMENTS),
+                     help="table or figure to regenerate")
     exp.add_argument("--scale", type=_model_scale, default=0.01,
                      help="fraction of paper scale, in (0, 1], for "
                      "experiments that take one (default 0.01)")
@@ -1784,7 +1621,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="fraction of paper scale, in (0, 1]; must "
                           "match the serve invocation the warm rows "
                           "should accelerate (default 0.01)")
-    genstore.add_argument("--checkpoint-interval", type=int, default=10)
+    genstore.add_argument("--checkpoint-interval", type=int, default=10,
+                          help="supersteps between checkpoints under "
+                          "faults; must match the serve invocation "
+                          "(default 10)")
     genstore.set_defaults(func=cmd_gen)
 
     lnt = sub.add_parser(
@@ -1825,14 +1665,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    from repro.errors import ClusterError, StoreError, StreamError
+    """CLI entry point; returns the process exit code.
+
+    The one place errors become exit codes (table in the module
+    docstring): argparse exits 2 itself, a failed run exits 1, and any
+    other library or I/O error exits 2 with one ``error:`` line.
+    """
+    args = build_parser().parse_args(argv)
+    from repro.errors import ConvergenceError, RecoveryError
 
     try:
         return args.func(args)
-    except (ClusterError, StoreError, StreamError) as exc:
+    except (RecoveryError, ConvergenceError) as exc:
+        print(f"run FAILED: {exc}")
+        return 1
+    except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,7 +28,9 @@ class TestExitCodes:
 
     def test_missing_path_exits_two(self, capsys):
         assert main(["lint", "/no/such/lint/path"]) == 2
-        assert "lint error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "/no/such/lint/path" in err
 
     def test_unknown_rule_exits_two(self, tmp_path, capsys):
         target = tmp_path / "clean.py"

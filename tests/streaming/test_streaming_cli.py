@@ -151,7 +151,9 @@ class TestProcessMutations:
                      "--graph-file", graph_file, "--mutations", stream_file,
                      "--fault-schedule", "whatever.json"])
         assert code == 2
-        assert "cannot read fault schedule" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "whatever.json" in err
 
     def test_wrong_base_graph_exits_2(self, tmp_path, stream_file, capsys):
         other = str(tmp_path / "other.npz")

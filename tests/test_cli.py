@@ -23,6 +23,8 @@ class TestParser:
             main(["experiment", "fig99"])
 
     def test_every_seed_and_scale_has_help(self):
+        """Every argument of every subcommand, not only --seed and
+        --scale, carries help text."""
         parser = build_parser()
         (sub,) = [
             a for a in parser._actions
@@ -31,12 +33,16 @@ class TestParser:
         checked = []
         for name, command in sub.choices.items():
             for action in command._actions:
-                for flag in set(action.option_strings) & {"--seed", "--scale"}:
-                    checked.append(f"{name} {flag}")
-                    assert action.help, f"{name} {flag} has no help text"
+                if isinstance(action, argparse._HelpAction):
+                    continue
+                flag = (action.option_strings or [action.dest])[0]
+                label = f"{name} {flag}"
+                checked.append(label)
+                assert action.help, f"{label} has no help text"
         # Every command that takes either knob was walked.
         assert {"generate --seed", "profile --scale", "serve --scale",
-                "gen --scale", "experiment --scale"} <= set(checked)
+                "gen --scale", "experiment --scale", "experiment name",
+                "workload --jobs"} <= set(checked)
 
 
 class TestGenerate:
@@ -104,10 +110,10 @@ class TestProcess:
         assert code == 0
         assert "pagerank" in capsys.readouterr().out
 
-    def test_missing_graph_source(self):
-        with pytest.raises(SystemExit, match="dataset"):
-            main(["process", "--cluster", "c4.xlarge",
-                  "--app", "pagerank", "--scale", "0.001"])
+    def test_missing_graph_source(self, capsys):
+        assert main(["process", "--cluster", "c4.xlarge",
+                     "--app", "pagerank", "--scale", "0.001"]) == 2
+        assert "--dataset" in capsys.readouterr().err
 
     def test_bad_cluster_name(self, capsys):
         """An unknown machine type is a usage error (exit 2, no traceback)
@@ -122,6 +128,119 @@ class TestProcess:
             err = capsys.readouterr().err
             assert "unknown machine type 'z9.mega'" in err, argv[0]
             assert "Traceback" not in err, argv[0]
+
+
+def _exit_code(argv):
+    """main()'s return value, or the status of argparse's SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestErrorContract:
+    """Every CLI failure exits 2 (usage or input error, ``error:`` on
+    stderr) or 1 (the run itself failed, ``run FAILED:`` on stdout), and
+    never shows a traceback.  ``{tmp}`` is the test's scratch directory;
+    the last column is the offending input the message must name."""
+
+    @staticmethod
+    def _inputs(tmp):
+        (tmp / "bad-faults.json").write_text(json.dumps(
+            {"seed": 0, "crashes": [{"superstep": "x"}], "slowdowns": [],
+             "network_faults": []}
+        ))
+        (tmp / "doomed.json").write_text(json.dumps(
+            {"seed": 3, "crashes": [{"superstep": 2, "machine": 0,
+                                     "repeats": 20}],
+             "slowdowns": [], "network_faults": []}
+        ))
+        (tmp / "bad-edges.txt").write_text("0 1\nnot an edge\n")
+        (tmp / "bad-workload.json").write_text("{nope")
+
+    RUN = ["--cluster", "c4.xlarge,c4.2xlarge", "--app", "pagerank",
+           "--scale", "0.002"]
+
+    @pytest.mark.parametrize(
+        "argv, code, stream, prefix, names",
+        [
+            pytest.param(
+                ["process", *RUN], 2, "err", "error:", "--dataset",
+                id="no-graph-source"),
+            pytest.param(
+                ["process", *RUN, "--dataset", "wiki",
+                 "--fault-schedule", "{tmp}/bad-faults.json"],
+                2, "err", "error:", "fault schedule",
+                id="malformed-fault-schedule"),
+            pytest.param(
+                ["process", *RUN, "--dataset", "wiki",
+                 "--fault-schedule", "{tmp}/missing-faults.json"],
+                2, "err", "error:", "missing-faults.json",
+                id="missing-fault-schedule"),
+            pytest.param(
+                ["process", *RUN, "--graph-file", "{tmp}/bad-edges.txt"],
+                2, "err", "error:", "bad-edges.txt",
+                id="malformed-graph-file"),
+            pytest.param(
+                ["metrics", "{tmp}/no-such-run"], 2, "err", "error:",
+                "no-such-run", id="metrics-missing-dir"),
+            pytest.param(
+                ["profile", "--cluster", "c4.xlarge", "--apps", "bogus"],
+                2, "err", "error:", "bogus", id="profile-unknown-app"),
+            pytest.param(
+                ["workload", "--apps", "pagerank,bogus",
+                 "--output", "{tmp}/w.json"],
+                2, "err", "error:", "bogus", id="workload-unknown-app"),
+            pytest.param(
+                ["gen", "--store", "{tmp}/s.db", "--init", "--all",
+                 "--workload", "{tmp}/bad-workload.json",
+                 "--cluster", "m4.2xlarge"],
+                2, "err", "error:", "workload", id="gen-malformed-workload"),
+            pytest.param(
+                ["generate", "--vertices", "50",
+                 "--output", "{tmp}/no-such-dir/x.npz"],
+                2, "err", "error:", "no-such-dir", id="write-to-missing-dir"),
+            pytest.param(
+                ["process", *RUN, "--dataset", "wiki",
+                 "--fault-schedule", "{tmp}/doomed.json",
+                 "--max-retries", "2"],
+                1, "out", "run FAILED:", "retry budget",
+                id="retry-budget-exhausted"),
+        ],
+    )
+    def test_exit_code_and_message(
+        self, argv, code, stream, prefix, names, tmp_path, capsys
+    ):
+        self._inputs(tmp_path)
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        assert _exit_code(argv) == code
+        captured = capsys.readouterr()
+        text = captured.out if stream == "out" else captured.err
+        assert prefix in text
+        assert names in text
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_failed_run_still_writes_obs_artifacts(self, tmp_path, capsys):
+        """A streaming run that exhausts its retry budget keeps its
+        spans and metrics, as a non-streaming one does."""
+        from repro.obs import load_run_artifacts
+
+        self._inputs(tmp_path)
+        graph = str(tmp_path / "g.npz")
+        stream = str(tmp_path / "s.json")
+        assert main(["generate", "--vertices", "300", "--seed", "5",
+                     "--output", graph]) == 0
+        assert main(["stream", "--graph-file", graph, "--batches", "3",
+                     "--ops", "6", "--seed", "11", "--output", stream]) == 0
+        run_dir = tmp_path / "obs"
+        code = main(["process", "--cluster", "m4.2xlarge,c4.2xlarge",
+                     "--app", "pagerank", "--graph-file", graph,
+                     "--mutations", stream,
+                     "--fault-schedule", str(tmp_path / "doomed.json"),
+                     "--max-retries", "1", "--obs-dir", str(run_dir)])
+        assert code == 1
+        assert "run FAILED:" in capsys.readouterr().out
+        assert load_run_artifacts(str(run_dir)).spans
 
 
 class TestValidation:
@@ -295,11 +414,11 @@ class TestObservability:
         out = capsys.readouterr().out
         assert "delta" in out and "-" in out
 
-    def test_metrics_rejects_non_run_dir(self, tmp_path):
-        from repro.errors import ReproError
-
-        with pytest.raises(ReproError, match="manifest"):
-            main(["metrics", str(tmp_path)])
+    def test_metrics_rejects_non_run_dir(self, tmp_path, capsys):
+        assert main(["metrics", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "manifest" in err
+        assert str(tmp_path) in err
 
     def test_faulted_process_with_obs(self, tmp_path, capsys):
         from repro.faults.schedule import CrashFault, FaultSchedule
