@@ -18,13 +18,15 @@ import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.power import EnergyCounter
-from repro.engine.trace import ExecutionTrace
+from repro.engine.trace import PRICE_MEMO_KEY, ExecutionTrace
 from repro.errors import EngineError
+from repro.kernels.cache import cluster_key
 from repro.obs import context as obs
 
 __all__ = [
     "MachineReport",
     "ExecutionReport",
+    "enable_price_memo",
     "simulate_execution",
     "trace_warnings",
 ]
@@ -78,6 +80,27 @@ class ExecutionReport:
         return cluster.hourly_cost() * self.runtime_seconds / 3600.0
 
 
+#: Priced entries one trace keeps; the oldest is dropped first.
+_PRICE_MEMO_SIZE = 32
+
+#: What a memo entry holds: runtime, energy and per-machine reports.
+_Priced = Tuple[float, float, Tuple[MachineReport, ...]]
+
+
+def enable_price_memo(trace: ExecutionTrace) -> None:
+    """Give a shared trace a table of its priced results.
+
+    :func:`repro.engine.runtime.execute_partition` calls this as a trace
+    enters the ``trace`` cache, so the table is evicted with the trace.
+    :func:`simulate_execution` then prices each distinct (cluster,
+    ``threads_override``) once per trace.  Traces without the table —
+    built by hand, by an app that runs uncached, or appended to since
+    (:meth:`ExecutionTrace.append` drops the table) — price from scratch
+    on every call.
+    """
+    trace.__dict__[PRICE_MEMO_KEY] = {}
+
+
 def simulate_execution(
     trace: ExecutionTrace,
     cluster: Cluster,
@@ -98,7 +121,10 @@ def simulate_execution(
     -------
     ExecutionReport
         Wall-clock runtime (sum of barrier-bound supersteps), total energy
-        and per-machine breakdowns.
+        and per-machine breakdowns.  A trace from the ``trace`` cache
+        serves repeat prices from its memo (see :func:`enable_price_memo`)
+        unless an observer is installed; every call returns a fresh
+        report, so editing one never changes the next.
     """
     if cluster.num_machines != trace.num_machines:
         raise EngineError(
@@ -108,6 +134,38 @@ def simulate_execution(
     if threads_override is not None and len(threads_override) != cluster.num_machines:
         raise EngineError("threads_override must have one entry per machine")
 
+    memo = None if obs.is_enabled() else trace.__dict__.get(PRICE_MEMO_KEY)
+    if memo is None:
+        priced = _price(trace, cluster, threads_override)
+    else:
+        key = (
+            cluster_key(cluster),
+            None if threads_override is None else tuple(threads_override),
+        )
+        priced = memo.get(key)
+        if priced is None:
+            priced = _price(trace, cluster, threads_override)
+            if len(memo) >= _PRICE_MEMO_SIZE:
+                del memo[next(iter(memo))]
+            memo[key] = priced
+    wall, energy, machines = priced
+    return ExecutionReport(
+        app=trace.app,
+        runtime_seconds=wall,
+        energy_joules=energy,
+        machines=list(machines),
+        num_supersteps=trace.num_supersteps,
+        result=dict(trace.result),
+        warnings=trace_warnings(trace),
+    )
+
+
+def _price(
+    trace: ExecutionTrace,
+    cluster: Cluster,
+    threads_override: Optional[List[int]],
+) -> _Priced:
+    """The barrier-model walk over every superstep and machine."""
     m = cluster.num_machines
     busy = np.zeros(m)
     comm = np.zeros(m)
@@ -182,15 +240,7 @@ def simulate_execution(
             "pricing.energy_joules", float(counter.total_joules), app=trace.app
         )
 
-    return ExecutionReport(
-        app=trace.app,
-        runtime_seconds=wall,
-        energy_joules=float(counter.total_joules),
-        machines=reports,
-        num_supersteps=trace.num_supersteps,
-        result=dict(trace.result),
-        warnings=trace_warnings(trace),
-    )
+    return wall, float(counter.total_joules), tuple(reports)
 
 
 def trace_warnings(trace: ExecutionTrace) -> Tuple[str, ...]:

@@ -17,7 +17,11 @@ import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.engine.distributed_graph import DistributedGraph
-from repro.engine.report import ExecutionReport, simulate_execution
+from repro.engine.report import (
+    ExecutionReport,
+    enable_price_memo,
+    simulate_execution,
+)
 from repro.engine.trace import ExecutionTrace
 from repro.engine.vertex_program import GraphApplication
 from repro.errors import EngineError
@@ -72,7 +76,9 @@ def execute_partition(
     are memoised by content: identical partitions share one cached
     layout, and each distinct (app, partition) pair runs the engine
     once per process.  Traces are machine-agnostic and pricing never
-    mutates them, so a hit returns exactly the bytes a miss would.
+    mutates them, so a hit returns exactly the bytes a miss would.  A
+    cached trace also carries a price memo, so each distinct cluster
+    prices it once (:func:`~repro.engine.report.enable_price_memo`).
     Observed runs bypass both caches and execute for real.
     """
     if obs.is_enabled():
@@ -95,6 +101,7 @@ def execute_partition(
     trace = trace_cache.get(trace_key)
     if trace is None:
         trace = app.execute(dgraph)
+        enable_price_memo(trace)
         trace_cache.put(trace_key, trace)
     return dgraph, trace
 

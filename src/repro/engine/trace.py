@@ -22,6 +22,10 @@ __all__ = ["MachinePhase", "SuperstepTrace", "ExecutionTrace"]
 #: Bump when the serialized layout changes; readers reject other versions.
 TRACE_FORMAT_VERSION = 1
 
+#: Where a cached trace keeps its price memo, in its ``__dict__`` (see
+#: :func:`repro.engine.report.enable_price_memo`).
+PRICE_MEMO_KEY = "_price_memo"
+
 
 def _jsonable(value: Any) -> Any:
     """Plain JSON types from result values (numpy arrays and scalars)."""
@@ -109,6 +113,8 @@ class ExecutionTrace:
                 f"{self.num_machines}"
             )
         self.supersteps.append(step)
+        # Prices memoised for the shorter trace no longer hold.
+        self.__dict__.pop(PRICE_MEMO_KEY, None)
 
     @property
     def num_supersteps(self) -> int:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import io
 import os
+import zipfile
+import zlib
 from typing import Union
 
 import numpy as np
@@ -101,16 +103,26 @@ def write_npz(graph: DiGraph, path: PathLike) -> None:
 
 
 def read_npz(path: PathLike) -> DiGraph:
-    """Read a graph written by :func:`write_npz`."""
-    with np.load(path) as data:
-        try:
+    """Read a graph written by :func:`write_npz`.
+
+    A file that is not a readable archive of the right shape — empty,
+    truncated, corrupt, pickled, a bare ``.npy`` array, or with a
+    non-scalar vertex count — raises :class:`GraphFormatError` naming
+    the path.  A missing or unreadable file raises the ``OSError``.
+    """
+    try:
+        with np.load(path) as data:
             return DiGraph(
                 int(data["num_vertices"]), data["src"], data["dst"]
             )
-        except KeyError as exc:
-            raise GraphFormatError(
-                f"{path}: not a repro graph archive (missing {exc})"
-            ) from exc
+    except KeyError as exc:
+        raise GraphFormatError(
+            f"{path}: not a repro graph archive (missing {exc})"
+        ) from exc
+    except (zipfile.BadZipFile, zlib.error, EOFError, ValueError, TypeError) as exc:
+        raise GraphFormatError(
+            f"{path}: not a readable graph archive ({exc})"
+        ) from exc
 
 
 def write_edge_list(graph: DiGraph, path: PathLike, header: bool = True) -> None:

@@ -1,7 +1,8 @@
 """Content-keyed caches for the kernel pipeline.
 
-Six process-level LRU caches amortise the repeated work the experiment
-drivers and the job service generate:
+Six process-level LRU caches, plus a price memo on each cached trace,
+amortise the repeated work the experiment drivers and the job service
+generate:
 
 * :data:`profile_trace_cache` — single-machine profiling traces keyed by
   ``(app, graph fingerprint)``.  Traces are machine-agnostic (pricing
@@ -25,7 +26,12 @@ drivers and the job service generate:
   is its class, name, scalar instance state, ``max_supersteps`` and
   ``strict``; an app holding non-scalar state runs uncached.  Pricing
   never mutates a trace, so every run of the same (app, partition) pair
-  may share one.
+  may share one.  Each cached trace also carries a small price memo
+  (:func:`repro.engine.report.enable_price_memo`): priced results keyed
+  by ``(cluster_key(cluster), threads_override)``, so
+  :func:`~repro.engine.report.simulate_execution` walks each distinct
+  (trace, cluster) once.  The memo lives on the trace object, so it is
+  evicted with it and is not a namespace of its own.
 * :data:`estimate_cache` — the service's projected runtimes keyed by
   ``(app, graph fingerprint, cluster key)``.
 
@@ -57,8 +63,9 @@ layouts they are keyed by.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import astuple
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import fields
+from operator import attrgetter
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.machine import MachineSpec
@@ -209,9 +216,19 @@ def graph_memo(graph: DiGraph) -> Dict[Tuple[Any, ...], Any]:
     return memo  # type: ignore[no-any-return]
 
 
+#: Reads every MachineSpec field, in declaration order, into one tuple.
+_machine_fields: Callable[[MachineSpec], Tuple[Any, ...]] = attrgetter(
+    *(f.name for f in fields(MachineSpec))
+)
+
+
 def machine_key(spec: MachineSpec) -> Tuple[Any, ...]:
-    """Hashable identity of a machine spec (all fields, by value)."""
-    return astuple(spec)
+    """Hashable identity of a machine spec (all fields, by value).
+
+    Equal to ``dataclasses.astuple(spec)`` — the form every estimate and
+    store key was written with — without its recursive deep copy.
+    """
+    return _machine_fields(spec)
 
 
 def perf_key(perf: PerformanceModel) -> Tuple[float, float, float]:

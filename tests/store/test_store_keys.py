@@ -112,6 +112,19 @@ class TestKeyStability:
         assert machine_key(spec) == machine_key(clone)
         assert repr(machine_key(spec)) == repr(machine_key(clone))
 
+    def test_machine_key_is_the_astuple_form(self):
+        """Estimate and store keys were written with ``astuple``: every
+        catalog machine must keep exactly that key."""
+        import dataclasses
+
+        from repro.cluster.catalog import CATALOG
+
+        for spec in CATALOG.values():
+            key = machine_key(spec)
+            assert type(key) is tuple
+            assert key == dataclasses.astuple(spec)
+            assert repr(key) == repr(dataclasses.astuple(spec))
+
 
 # ---------------------------------------------------------------------- #
 # Divergence

@@ -157,6 +157,8 @@ class TestErrorContract:
         ))
         (tmp / "bad-edges.txt").write_text("0 1\nnot an edge\n")
         (tmp / "bad-workload.json").write_text("{nope")
+        # The first bytes of a zip archive, cut off before its directory.
+        (tmp / "trunc.npz").write_bytes(b"PK\x03\x04" + bytes(60))
 
     RUN = ["--cluster", "c4.xlarge,c4.2xlarge", "--app", "pagerank",
            "--scale", "0.002"]
@@ -181,6 +183,10 @@ class TestErrorContract:
                 ["process", *RUN, "--graph-file", "{tmp}/bad-edges.txt"],
                 2, "err", "error:", "bad-edges.txt",
                 id="malformed-graph-file"),
+            pytest.param(
+                ["process", *RUN, "--graph-file", "{tmp}/trunc.npz"],
+                2, "err", "error:", "trunc.npz",
+                id="truncated-npz-graph-file"),
             pytest.param(
                 ["metrics", "{tmp}/no-such-run"], 2, "err", "error:",
                 "no-such-run", id="metrics-missing-dir"),

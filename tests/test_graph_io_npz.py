@@ -37,3 +37,55 @@ def test_foreign_archive_rejected(tmp_path):
     np.savez(path, something=np.arange(3))
     with pytest.raises(GraphFormatError, match="not a repro graph archive"):
         read_npz(path)
+
+
+def _written(tmp_path, powerlaw_graph) -> bytes:
+    path = tmp_path / "g.npz"
+    write_npz(powerlaw_graph, path)
+    return path.read_bytes()
+
+
+def test_truncated_archive_is_a_format_error(tmp_path, powerlaw_graph):
+    path = tmp_path / "trunc.npz"
+    data = _written(tmp_path, powerlaw_graph)
+    path.write_bytes(data[: len(data) // 2])
+    with pytest.raises(GraphFormatError, match="trunc.npz"):
+        read_npz(path)
+
+
+def test_garbage_file_is_a_format_error(tmp_path):
+    # np.load reads unknown bytes as a pickle and refuses with ValueError.
+    path = tmp_path / "garbage.npz"
+    path.write_bytes(b"not an archive at all\n" * 8)
+    with pytest.raises(GraphFormatError, match="garbage.npz"):
+        read_npz(path)
+
+
+def test_empty_file_is_a_format_error(tmp_path):
+    path = tmp_path / "empty.npz"
+    path.write_bytes(b"")
+    with pytest.raises(GraphFormatError, match="empty.npz"):
+        read_npz(path)
+
+
+def test_non_scalar_vertex_count_is_a_format_error(tmp_path):
+    path = tmp_path / "vector.npz"
+    np.savez(path, num_vertices=np.array([3, 4]), src=np.array([0]),
+             dst=np.array([1]))
+    with pytest.raises(GraphFormatError, match="vector.npz"):
+        read_npz(path)
+
+
+def test_corrupt_member_is_a_format_error(tmp_path, powerlaw_graph):
+    path = tmp_path / "corrupt.npz"
+    data = bytearray(_written(tmp_path, powerlaw_graph))
+    for i in range(60, 120):  # inside the first member's deflate stream
+        data[i] ^= 0xFF
+    path.write_bytes(bytes(data))
+    with pytest.raises(GraphFormatError, match="corrupt.npz"):
+        read_npz(path)
+
+
+def test_missing_file_stays_an_os_error(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        read_npz(tmp_path / "absent.npz")
