@@ -313,13 +313,15 @@ def _observed(args, label: str = "observability artifacts:"):
 
     Yields a namespace on which the command sets ``trace`` (and, for an
     experiment, ``config``) once it has them.  On exit — also when the
-    block raises, so a failed run keeps its spans and metrics — the run
+    block raises, so a failed run keeps its spans and metrics — the
+    kernel caches' counters are recorded as ``cache.*`` gauges, the run
     directory is written and ``label`` plus its path is printed.
     """
     run = SimpleNamespace(trace=None, config=None)
     if not args.obs_dir:
         yield run
         return
+    from repro.kernels.cache import cache_stats
     from repro.obs import Observer, enabled, write_run_artifacts
 
     observer = Observer()
@@ -327,6 +329,11 @@ def _observed(args, label: str = "observability artifacts:"):
         with enabled(observer):
             yield run
     finally:
+        for namespace, stats in cache_stats().items():
+            for field in ("hits", "misses", "store_hits"):
+                observer.metrics.gauge(
+                    f"cache.{field}", namespace=namespace
+                ).set(float(stats[field]))
         write_run_artifacts(
             observer,
             args.obs_dir,

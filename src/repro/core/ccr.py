@@ -15,6 +15,8 @@ the reusable artifact of the one-time offline profiling pass.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple, Union
@@ -50,6 +52,14 @@ class CCRTable:
         if not self.ratios:
             raise ProfilingError(f"CCRTable for {self.app!r} has no entries")
         for name, r in sorted(self.ratios.items()):
+            if (
+                isinstance(r, bool)
+                or not isinstance(r, numbers.Real)
+                or not math.isfinite(r)
+            ):
+                raise ProfilingError(
+                    f"CCR of {name!r} must be a finite number, got {r!r}"
+                )
             if r < 1.0 - 1e-9:
                 raise ProfilingError(
                     f"CCR of {name!r} is {r} < 1; Eq. 1 anchors the slowest "

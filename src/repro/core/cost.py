@@ -16,6 +16,7 @@ from typing import Dict, Iterable, List, Optional, Union
 from repro.apps.registry import DEFAULT_APPS, make_app
 from repro.cluster.cluster import Cluster
 from repro.cluster.machine import MachineSpec
+from repro.core.profiler import ProxyProfiler
 from repro.core.proxy import ProxySet
 from repro.engine.report import simulate_execution
 from repro.engine.runtime import GraphProcessingSystem
@@ -81,7 +82,10 @@ def cost_efficiency(
                 f"machine {m.name!r} has no hourly rate; Fig. 11 covers "
                 "priced (cloud) machines"
             )
+        if m.name in rates:
+            raise ClusterError(f"machine {m.name!r} is listed twice")
         rates[m.name] = m.cost_per_hour
+    reps = {m.name: m for m in machine_list}
     proxy_set = proxies if proxies is not None else ProxySet()
     graphs = proxy_set.graphs()
 
@@ -90,15 +94,11 @@ def cost_efficiency(
         # One trace per proxy, priced on each machine.
         times: Dict[str, float] = {m.name: 0.0 for m in machine_list}
         for _proxy, graph in sorted(graphs.items()):
-            system = GraphProcessingSystem(cluster_template)
-            trace = system.run_single_machine(make_app(app_name), graph)
-            for m in machine_list:
-                solo = Cluster(
-                    [m],
-                    network=cluster_template.network,
-                    perf=cluster_template.perf,
-                )
-                times[m.name] += simulate_execution(trace, solo).runtime_seconds
+            solo_times = ProxyProfiler._time_on_machines(
+                app_name, graph, cluster_template, reps
+            )
+            for name, t in sorted(solo_times.items()):
+                times[name] += t
 
         if baseline is None:
             anchor = max(times.values())

@@ -28,6 +28,7 @@ from repro.core.ccr import CCRPool, CCRTable, ccr_from_times
 from repro.core.proxy import ProxySet
 from repro.engine.report import simulate_execution
 from repro.engine.runtime import GraphProcessingSystem
+from repro.engine.trace import ExecutionTrace
 from repro.errors import ProfilingError
 from repro.graph.digraph import DiGraph
 from repro.kernels.cache import (
@@ -166,23 +167,20 @@ class ProxyProfiler:
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def _single_machine_trace(app_name: str, graph: DiGraph, cluster: Cluster):
+    def _single_machine_trace(
+        app_name: str, graph: DiGraph, cluster: Cluster
+    ) -> ExecutionTrace:
         """One profiling-set execution, memoised by graph *content*.
 
         Single-machine traces are machine-agnostic and cluster-independent
         (pricing happens in :func:`simulate_execution`), so the cache key
-        is just ``(app, graph fingerprint)``.  Bypassed whenever an
-        observer is installed — observed runs must execute for real.
+        is just ``(app, graph fingerprint)``.
         """
-        key = None
-        if not obs.is_enabled():
-            key = ("profile_trace", app_name, graph_fingerprint(graph))
-            hit = profile_trace_cache.get(key)
-            if hit is not None:
-                return hit
-        system = GraphProcessingSystem(cluster)
-        trace = system.run_single_machine(make_app(app_name), graph)
-        if key is not None:
+        key = ("profile_trace", app_name, graph_fingerprint(graph))
+        trace = profile_trace_cache.get(key)
+        if trace is None:
+            system = GraphProcessingSystem(cluster)
+            trace = system.run_single_machine(make_app(app_name), graph)
             profile_trace_cache.put(key, trace)
         return trace
 
@@ -193,27 +191,28 @@ class ProxyProfiler:
         cluster: Cluster,
         reps: Mapping[str, MachineSpec],
     ) -> Dict[str, float]:
-        """Single-machine runtimes of one profiling set per machine type."""
-        use_cache = not obs.is_enabled()
-        fp = graph_fingerprint(graph) if use_cache else None
-        pkey = perf_key(cluster.perf) if use_cache else None
+        """Single-machine runtimes of one profiling set per machine type.
+
+        Each runtime is memoised by ``(app, graph fingerprint, machine
+        spec, perf params)``; the trace is executed (or fetched) only
+        when some machine type misses.
+        """
+        fp = graph_fingerprint(graph)
+        pkey = perf_key(cluster.perf)
         times: Dict[str, float] = {}
         trace = None
         for mtype, spec in sorted(reps.items()):
-            tkey = None
-            if use_cache:
-                tkey = ("profile_time", app_name, fp, machine_key(spec), pkey)
-                cached = machine_time_cache.get(tkey)
-                if cached is not None:
-                    times[mtype] = float(cached)
-                    continue
+            tkey = ("profile_time", app_name, fp, machine_key(spec), pkey)
+            cached = machine_time_cache.get(tkey)
+            if cached is not None:
+                times[mtype] = float(cached)
+                continue
             if trace is None:
                 trace = ProxyProfiler._single_machine_trace(
                     app_name, graph, cluster
                 )
             solo = Cluster([spec], network=cluster.network, perf=cluster.perf)
             t = simulate_execution(trace, solo).runtime_seconds
-            if tkey is not None:
-                machine_time_cache.put(tkey, t)
+            machine_time_cache.put(tkey, t)
             times[mtype] = t
         return times

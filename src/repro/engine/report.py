@@ -122,9 +122,9 @@ def simulate_execution(
     ExecutionReport
         Wall-clock runtime (sum of barrier-bound supersteps), total energy
         and per-machine breakdowns.  A trace from the ``trace`` cache
-        serves repeat prices from its memo (see :func:`enable_price_memo`)
-        unless an observer is installed; every call returns a fresh
-        report, so editing one never changes the next.
+        serves repeat prices from its memo (see :func:`enable_price_memo`);
+        every call returns a fresh report, so editing one never changes
+        the next.
     """
     if cluster.num_machines != trace.num_machines:
         raise EngineError(
@@ -134,7 +134,7 @@ def simulate_execution(
     if threads_override is not None and len(threads_override) != cluster.num_machines:
         raise EngineError("threads_override must have one entry per machine")
 
-    memo = None if obs.is_enabled() else trace.__dict__.get(PRICE_MEMO_KEY)
+    memo = trace.__dict__.get(PRICE_MEMO_KEY)
     if memo is None:
         priced = _price(trace, cluster, threads_override)
     else:

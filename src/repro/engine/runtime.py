@@ -27,7 +27,6 @@ from repro.engine.vertex_program import GraphApplication
 from repro.errors import EngineError
 from repro.graph.digraph import DiGraph
 from repro.kernels.cache import dgraph_cache, graph_fingerprint, trace_cache
-from repro.obs import context as obs
 from repro.partition.base import Partitioner, PartitionResult
 
 __all__ = ["RunOutcome", "GraphProcessingSystem", "execute_partition"]
@@ -79,11 +78,7 @@ def execute_partition(
     mutates them, so a hit returns exactly the bytes a miss would.  A
     cached trace also carries a price memo, so each distinct cluster
     prices it once (:func:`~repro.engine.report.enable_price_memo`).
-    Observed runs bypass both caches and execute for real.
     """
-    if obs.is_enabled():
-        dgraph = DistributedGraph(partition)
-        return dgraph, app.execute(dgraph)
     layout_key = (
         graph_fingerprint(partition.graph),
         hashlib.sha256(partition.assignment.tobytes()).hexdigest(),

@@ -23,14 +23,7 @@ from repro.cluster.catalog import get_machine
 from repro.cluster.cluster import Cluster
 from repro.core.profiler import ProxyProfiler
 from repro.core.proxy import ProxySet
-from repro.engine.report import simulate_execution
 from repro.graph.datasets import load_dataset
-from repro.kernels.cache import (
-    graph_fingerprint,
-    machine_key,
-    machine_time_cache,
-    perf_key,
-)
 from repro.experiments.common import (
     C4_FAMILY,
     DEFAULT_SCALE,
@@ -55,38 +48,16 @@ def machine_speedups(
 
     The application executes once (traces are machine-agnostic) and the
     trace is priced per machine type — the simulation analogue of running
-    the same profiling set on one representative of each group.
-
-    With no observer installed the per-machine priced runtimes are
-    memoised, and the trace always comes from
-    :meth:`~repro.core.profiler.ProxyProfiler._single_machine_trace`;
-    both use the profiler's content keys, so the fig2/fig8a/fig8b drivers
-    — which profile identical (app, machine) pairs on identical graph
-    content — deduplicate across each other.
+    the same profiling set on one representative of each group.  Both
+    steps are :meth:`~repro.core.profiler.ProxyProfiler._time_on_machines`,
+    so the fig2/fig8a/fig8b drivers — which profile identical (app,
+    machine) pairs on identical graph content — share its cache entries.
     """
-    specs = [get_machine(n) for n in machine_names]
-    use_cache = not obs.is_enabled()
-    fp = graph_fingerprint(graph) if use_cache else None
-    pkey = perf_key(perf) if use_cache else None
-    trace = None
-    times = np.empty(len(specs), dtype=np.float64)
-    for j, spec in enumerate(specs):
-        tkey = None
-        if use_cache:
-            tkey = ("profile_time", app_name, fp, machine_key(spec), pkey)
-            cached = machine_time_cache.get(tkey)
-            if cached is not None:
-                times[j] = float(cached)
-                continue
-        if trace is None:
-            trace = ProxyProfiler._single_machine_trace(
-                app_name, graph, Cluster([specs[0]], perf=perf)
-            )
-        t = simulate_execution(trace, Cluster([spec], perf=perf)).runtime_seconds
-        if tkey is not None:
-            machine_time_cache.put(tkey, t)
-        times[j] = t
-    return times[0] / times
+    reps = {name: get_machine(name) for name in machine_names}
+    cluster = Cluster([reps[machine_names[0]]], perf=perf)
+    times = ProxyProfiler._time_on_machines(app_name, graph, cluster, reps)
+    ladder = np.array([times[name] for name in machine_names], dtype=np.float64)
+    return ladder[0] / ladder
 
 
 @dataclass(frozen=True)

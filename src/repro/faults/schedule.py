@@ -40,6 +40,12 @@ from repro.utils.rng import make_rng
 __all__ = ["CrashFault", "SlowdownFault", "NetworkFault", "FaultSchedule"]
 
 
+def check_seed(seed: object, what: str) -> None:
+    """Reject a schedule seed that is neither ``None`` nor a plain ``int``."""
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+        raise FaultError(f"{what} seed must be an integer or null, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class CrashFault:
     """Fail-stop failure of one machine during one superstep.
@@ -166,6 +172,7 @@ class FaultSchedule:
     seed: Optional[int] = None
 
     def __post_init__(self):
+        check_seed(self.seed, "fault schedule")
         object.__setattr__(self, "crashes", tuple(self.crashes))
         object.__setattr__(self, "slowdowns", tuple(self.slowdowns))
         object.__setattr__(self, "network_faults", tuple(self.network_faults))

@@ -31,6 +31,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.errors import FaultError
+from repro.faults.schedule import check_seed
 from repro.utils.rng import make_rng
 
 __all__ = [
@@ -158,6 +159,7 @@ class ShardFaultSchedule:
     seed: int | None = None
 
     def __post_init__(self) -> None:
+        check_seed(self.seed, "shard fault schedule")
         object.__setattr__(self, "crashes", tuple(self.crashes))
         object.__setattr__(self, "partitions", tuple(self.partitions))
         object.__setattr__(self, "slowdowns", tuple(self.slowdowns))

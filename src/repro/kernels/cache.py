@@ -40,14 +40,12 @@ arrays — so independently loaded copies of the same dataset deduplicate
 (the latent fig2/fig8a/fig8b duplicate-profiling bug this subsystem
 fixes).
 
-Two rules keep the caches semantically invisible:
-
-* they are consulted only with no observer installed — an observed run
-  must execute for real so its span stream is complete (see DESIGN.md
-  §11);
-* cached values are deterministic functions of their keys, so a hit
-  returns exactly the bytes a miss would recompute (proven by the
-  differential equivalence tests).
+One rule keeps the caches semantically invisible: cached values are
+deterministic functions of their keys, so a hit returns exactly the bytes
+a miss would recompute (proven by the differential equivalence tests).
+The caches are consulted whether or not an observer is installed, so an
+observed run executes the same code as an unobserved one; work served
+from a cache is simply not re-executed (see DESIGN.md §11).
 
 Since the summary store landed, each cache is a
 :class:`~repro.store.backend.LayeredCache`: the in-process LRU is L1,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -140,28 +140,24 @@ class Partitioner(abc.ABC):
         if num_machines < 1:
             raise PartitionError("num_machines must be >= 1")
         w = normalize_weights(weights, num_machines)
-        # Content-keyed assignment memo.  Skipped whenever an observer is
-        # installed so observed runs execute for real and their span
-        # streams stay complete.
-        cache_key: Optional[Tuple[Any, ...]] = None
-        if not obs.is_enabled():
-            cache_key = (
-                "assignment",
-                self.name,
-                self._config_key(),
-                graph_fingerprint(graph),
-                num_machines,
-                w.tobytes(),
+        # Content-keyed assignment memo.
+        cache_key = (
+            "assignment",
+            self.name,
+            self._config_key(),
+            graph_fingerprint(graph),
+            num_machines,
+            w.tobytes(),
+        )
+        cached = assignment_cache.get(cache_key)
+        if cached is not None:
+            return PartitionResult(
+                graph=graph,
+                assignment=cached,
+                num_machines=num_machines,
+                algorithm=self.name,
+                weights=w,
             )
-            cached = assignment_cache.get(cache_key)
-            if cached is not None:
-                return PartitionResult(
-                    graph=graph,
-                    assignment=cached,
-                    num_machines=num_machines,
-                    algorithm=self.name,
-                    weights=w,
-                )
         with obs.span(
             f"partition/{self.name}",
             algorithm=self.name,
@@ -178,12 +174,11 @@ class Partitioner(abc.ABC):
             algorithm=self.name,
             weights=w,
         )
-        if cache_key is not None:
-            # PartitionResult.__post_init__ already produced a contiguous
-            # int32 array; freeze it so every consumer (current and cached)
-            # shares one immutable copy.
-            result.assignment.setflags(write=False)
-            assignment_cache.put(cache_key, result.assignment)
+        # PartitionResult.__post_init__ already produced a contiguous
+        # int32 array; freeze it so every consumer (current and cached)
+        # shares one immutable copy.
+        result.assignment.setflags(write=False)
+        assignment_cache.put(cache_key, result.assignment)
         if obs.is_enabled():
             counts = result.edges_per_machine()
             obs.counter_add(

@@ -13,18 +13,15 @@ cluster identity (machine specs, network, perf parameters), so services
 fronting different clusters sharing one process can never trade
 estimates — a hit is always the number a miss would recompute.
 
-The cache is consulted under the same gate as every other kernel cache
-(no observer installed); an observed run executes the profiling for real
-so its span stream is complete.  On a miss the single-machine trace comes
-from :meth:`~repro.core.profiler.ProxyProfiler._single_machine_trace`, so
-a trace the profiler already ran is reused, not re-executed.  Crucially
-the *value* is cache-state-independent, so service traces stay
-byte-identical whether the cache was cold or warm.
+On a miss the single-machine trace comes from
+:meth:`~repro.core.profiler.ProxyProfiler._single_machine_trace`, so a
+trace the profiler already ran is reused, not re-executed.  Crucially the
+*value* is cache-state-independent, so service traces stay byte-identical
+whether the cache was cold or warm.
 """
 
 from __future__ import annotations
 
-from repro import obs
 from repro.cluster.cluster import Cluster
 from repro.core.cost import projected_runtime_seconds
 from repro.core.profiler import ProxyProfiler
@@ -36,8 +33,6 @@ __all__ = ["projected_seconds"]
 
 def projected_seconds(cluster: Cluster, app: str, graph: DiGraph) -> float:
     """CCR-priced projected runtime, memoised across the job stream."""
-    if obs.is_enabled():
-        return projected_runtime_seconds(cluster, app, graph)
     key = (app, graph_fingerprint(graph), cluster_key(cluster))
     hit = estimate_cache.get(key)
     if hit is not None:

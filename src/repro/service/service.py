@@ -341,10 +341,10 @@ class JobService:
     def _projection_for(self, job: JobRequest) -> float:
         """CCR-projected solo runtime, memoised per (app, graph) pair.
 
-        The service memo makes admission O(1) per queued job even when
-        the process-level kernel caches are gated off (an installed
-        observer); the value is a deterministic function of
-        the key either way.
+        The service memo makes admission O(1) per queued job without
+        re-deriving the estimate cache's content key (graph fingerprint
+        and cluster key); the value is a deterministic function of the
+        key either way.
         """
         key = (job.app, job.graph.key())
         cached = self._projections.get(key)

@@ -13,13 +13,10 @@ state die with the process.  This module teases the interface out into a
   through to both.  With no store attached it behaves exactly like the
   PR 4 LRU, byte for byte, counter for counter.
 
-Two invariants carry over unchanged from PR 4 (DESIGN.md §11/§14):
-
-* backends are consulted only at call sites already gated on
-  ``not obs.is_enabled()`` — attaching a store never adds a read on an
-  observed run;
-* every cached value is a deterministic function of its key, so a hit —
-  L1 or store — returns exactly the bytes a miss would recompute.
+One invariant carries over unchanged from PR 4 (DESIGN.md §11/§14):
+every cached value is a deterministic function of its key, so a hit —
+L1 or store — returns exactly the bytes a miss would recompute.  Observed
+and unobserved runs read and write the backends alike.
 """
 
 from __future__ import annotations

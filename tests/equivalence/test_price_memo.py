@@ -6,15 +6,15 @@ once per trace (DESIGN.md §11).  The memo is safe only if (a) a hit
 returns exactly what pricing an uncached copy of the trace returns, (b)
 callers that edit a returned report cannot change the next one, (c) the
 key separates every cluster or thread setting that can change a price,
-and (d) an observed run still prices for real, so its metrics are
-complete.  This module checks all four.
+and (d) an observed run shares the memo: it walks (and records pricing
+metrics) only on a miss, and prices the same bytes as a dark run.  This
+module checks all four.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -344,7 +344,7 @@ class TestKeySeparation:
 
 
 # ---------------------------------------------------------------------- #
-# (d) Observed runs price for real
+# (d) Observed runs share the memo
 # ---------------------------------------------------------------------- #
 
 
@@ -357,7 +357,7 @@ def _slack_samples(observer) -> int:
 
 
 class TestObserverGate:
-    def test_observed_pricing_of_a_memoised_trace_walks(
+    def test_observed_pricing_of_a_memoised_trace_hits_the_memo(
         self, base_cluster, count_walks
     ):
         trace = _fixed_trace()
@@ -366,14 +366,24 @@ class TestObserverGate:
         observer = obs.Observer()
         with obs.enabled(observer):
             seen = simulate_execution(trace, base_cluster)
-        assert len(count_walks) == 2
+        # The hit neither walks nor records pricing metrics.
+        assert len(count_walks) == 1
         assert _fields(seen) == _fields(dark)
-        assert _slack_samples(observer) == trace.num_supersteps
+        assert _slack_samples(observer) == 0
+
+        # A miss under the observer walks once and records every step.
+        fresh = _fixed_trace()
+        enable_price_memo(fresh)
+        observer = obs.Observer()
+        with obs.enabled(observer):
+            missed = simulate_execution(fresh, base_cluster)
+            again = simulate_execution(fresh, base_cluster)
+        assert len(count_walks) == 2
+        assert _fields(missed) == _fields(again) == _fields(dark)
+        assert _slack_samples(observer) == fresh.num_supersteps
         assert "pricing.runtime_seconds{app=fixed}" in observer.metrics.gauges
 
-    def test_observed_service_replay_equals_dark_replay(
-        self, monkeypatch, count_walks
-    ):
+    def test_observed_service_replay_equals_dark_replay(self, count_walks):
         workload = Workload(
             jobs=tuple(
                 JobRequest(
@@ -392,27 +402,14 @@ class TestObserverGate:
         )
         dark = JobService(cluster).run_workload(workload).trace_json()
         # The dark replay priced repeat (trace, cluster) pairs from memo.
-        dark_walks = len(count_walks)
-
-        priced = []
-        price = report_module.simulate_execution
-
-        def spied(trace, *args, **kwargs):
-            priced.append(trace.num_supersteps)
-            return price(trace, *args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("repro") and vars(module).get(
-                "simulate_execution"
-            ) is price:
-                monkeypatch.setattr(module, "simulate_execution", spied)
+        dark_walks = list(count_walks)
 
         clear_all_caches()
         observer = obs.Observer()
         with obs.enabled(observer):
             observed = JobService(cluster).run_workload(workload).trace_json()
         assert observed == dark
-        assert len(priced) > dark_walks
-        # Every observed pricing call walked and sampled every superstep.
-        assert len(count_walks) - dark_walks == len(priced)
-        assert _slack_samples(observer) == sum(priced)
+        # The observed replay walked exactly what the dark one walked,
+        # and sampled every superstep of every walk.
+        assert count_walks[len(dark_walks):] == dark_walks
+        assert _slack_samples(observer) == sum(dark_walks)

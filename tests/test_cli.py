@@ -155,6 +155,9 @@ class TestErrorContract:
                                      "repeats": 20}],
              "slowdowns": [], "network_faults": []}
         ))
+        (tmp / "str-seed-faults.json").write_text(json.dumps(
+            {"seed": "a", "crashes": [{"superstep": 1, "machine": 0}]}
+        ))
         (tmp / "bad-edges.txt").write_text("0 1\nnot an edge\n")
         (tmp / "bad-workload.json").write_text("{nope")
         # The first bytes of a zip archive, cut off before its directory.
@@ -179,6 +182,10 @@ class TestErrorContract:
                  "--fault-schedule", "{tmp}/missing-faults.json"],
                 2, "err", "error:", "missing-faults.json",
                 id="missing-fault-schedule"),
+            pytest.param(
+                ["process", *RUN, "--dataset", "wiki",
+                 "--fault-schedule", "{tmp}/str-seed-faults.json"],
+                2, "err", "error:", "seed", id="string-fault-schedule-seed"),
             pytest.param(
                 ["process", *RUN, "--graph-file", "{tmp}/bad-edges.txt"],
                 2, "err", "error:", "bad-edges.txt",
@@ -390,6 +397,23 @@ class TestObservability:
         assert any(
             k.startswith("engine.edge_ops") for k in run.metrics["counters"]
         )
+
+    def test_process_records_cache_gauges(self, tmp_path, capsys):
+        from repro.obs import load_run_artifacts
+
+        assert self._process(tmp_path / "cold") == 0
+        assert self._process(tmp_path / "warm") == 0
+        cold = load_run_artifacts(str(tmp_path / "cold"))
+        warm = load_run_artifacts(str(tmp_path / "warm"))
+        key = "cache.{}{{namespace=trace}}"
+        assert cold.metrics["gauges"][key.format("misses")] >= 1
+        assert cold.metrics["gauges"][key.format("hits")] == 0
+        for field in ("hits", "misses", "store_hits"):
+            assert key.format(field) in warm.metrics["gauges"]
+        # The warm run was served from the caches: hits, and no engine.
+        assert warm.metrics["gauges"][key.format("hits")] >= 1
+        assert "engine/run" in cold.span_names()
+        assert "engine/run" not in warm.span_names()
 
     def test_obs_does_not_change_output(self, tmp_path, capsys):
         args = ["process", "--cluster", "c4.xlarge,c4.2xlarge",

@@ -106,3 +106,18 @@ class TestCCRPool:
     def test_non_object_json(self):
         with pytest.raises(ProfilingError):
             CCRPool.from_json("[1, 2]")
+
+    @pytest.mark.parametrize(
+        "ratio", ['"x"', "null", "true", "[2.0]", "NaN", "Infinity"]
+    )
+    def test_non_numeric_ratio_rejected(self, ratio):
+        with pytest.raises(ProfilingError, match="finite number"):
+            CCRPool.from_json('{"pagerank": {"a": %s, "b": 1.0}}' % ratio)
+
+    def test_top_level_null_entry_rejected(self):
+        with pytest.raises(ProfilingError, match="machine->ratio"):
+            CCRPool.from_json('{"a": null}')
+
+    def test_numpy_ratios_accepted(self):
+        table = CCRTable("pr", {"a": np.float64(1.0), "b": np.float64(2.5)})
+        assert table.ratio("b") == 2.5

@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.apps.registry import make_app
 from repro.cluster.catalog import get_machine, xeon_small
 from repro.cluster.cluster import Cluster
 from repro.cluster.perfmodel import PerformanceModel
 from repro.core.cost import CostPoint, cost_efficiency, pareto_front
 from repro.core.proxy import ProxySet
+from repro.engine.report import simulate_execution
+from repro.engine.runtime import GraphProcessingSystem
 from repro.errors import ClusterError
 
 
@@ -70,6 +73,30 @@ class TestCostEfficiency:
         template = Cluster([get_machine("c4.xlarge")])
         with pytest.raises(ClusterError):
             cost_efficiency([], template)
+
+    def test_duplicate_machine_rejected(self):
+        template = Cluster([get_machine("c4.xlarge")])
+        with pytest.raises(ClusterError, match="listed twice"):
+            cost_efficiency(
+                [get_machine("c4.xlarge"), get_machine("c4.xlarge")], template
+            )
+
+    def test_runtimes_equal_solo_pricing_of_each_proxy(self, points):
+        """The profiler's cached loop prices exactly what a hand-rolled
+        per-proxy, per-machine solo pricing does."""
+        template = Cluster(
+            [get_machine("c4.xlarge")], perf=PerformanceModel(model_scale=0.001)
+        )
+        graphs = ProxySet(num_vertices=1200, seed=41).graphs()
+        for p in points:
+            total = 0.0
+            for _name, graph in sorted(graphs.items()):
+                trace = GraphProcessingSystem(template).run_single_machine(
+                    make_app("pagerank"), graph
+                )
+                solo = Cluster([get_machine(p.machine)], perf=template.perf)
+                total += simulate_execution(trace, solo).runtime_seconds
+            assert p.runtime_seconds == total
 
 
 class TestParetoFront:

@@ -1,5 +1,7 @@
 """Unit tests for repro.faults.schedule (fault models and scenarios)."""
 
+import json
+
 import pytest
 
 from repro.errors import FaultError
@@ -164,6 +166,15 @@ class TestPersistence:
     def test_non_object_json_rejected(self):
         with pytest.raises(FaultError, match="object"):
             FaultSchedule.from_json("[1, 2, 3]")
+
+    @pytest.mark.parametrize("seed", ['"a"', "1.5", "true", "[1]"])
+    def test_non_integer_seed_rejected(self, seed):
+        text = '{"seed": %s, "crashes": [{"superstep": 1, "machine": 0}]}'
+        with pytest.raises(FaultError, match="seed"):
+            FaultSchedule.from_json(text % seed)
+        with pytest.raises(FaultError, match="seed"):
+            FaultSchedule(seed=json.loads(seed))
+        assert FaultSchedule.from_json(text % "null").seed is None
 
 
 class TestDescribe:

@@ -148,6 +148,15 @@ class TestShardFaultSchedule:
         again = ShardFaultSchedule.from_json(schedule.to_json())
         assert again == schedule
 
+    @pytest.mark.parametrize("seed", ['"a"', "1.5", "true", "[1]"])
+    def test_non_integer_seed_rejected(self, seed):
+        text = '{"seed": %s, "crashes": []}'
+        with pytest.raises(FaultError, match="seed"):
+            ShardFaultSchedule.from_json(text % seed)
+        with pytest.raises(FaultError, match="seed"):
+            ShardFaultSchedule(seed=json.loads(seed))
+        assert ShardFaultSchedule.from_json(text % "7").seed == 7
+
     def test_validate_for_rejects_out_of_range_shards(self):
         schedule = ShardFaultSchedule(
             crashes=(ShardCrash(time_s=0.0, shard=5, downtime_s=1.0),)

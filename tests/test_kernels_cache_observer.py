@@ -2,14 +2,16 @@
 
 Three contracts the service leans on:
 
-* installing an observer gates the kernel caches off (so observed runs
-  profile for real), but hits must *resume* once the observer is
-  uninstalled mid-process — the gate is per-call, not a one-way switch;
+* installing an observer does not change how the kernel caches are
+  used: an observed call looks up and fills the same entries an
+  unobserved one does, and returns the same bytes — cached work is
+  served, not re-executed to be watched;
 * the estimate cache key embeds the full cluster identity, so services
   fronting different clusters in one process can never trade
   projections;
-* the ``trace`` cache behind ``execute_partition`` obeys the same gate,
-  and a replay served from it is byte-identical to an observed one.
+* the ``trace`` cache behind ``execute_partition`` serves observed and
+  unobserved runs alike, and a replay served from it is byte-identical
+  to an observed one.
 """
 
 from repro import obs
@@ -43,7 +45,7 @@ def make_graph(seed: int = 0) -> DiGraph:
 
 
 class TestObserverGate:
-    def test_hits_resume_after_observer_uninstalled(self):
+    def test_observed_call_is_a_cache_hit(self):
         cluster = make_cluster(0.01)
         graph = make_graph()
 
@@ -53,29 +55,37 @@ class TestObserverGate:
         stats = estimate_cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
 
-        # Observed call: the gate bypasses the cache entirely (no new
-        # hits or misses) but still computes the same number.
+        # Observed call: served from the warm entry, same number.
         with obs.enabled(obs.Observer()):
             observed = projected_seconds(cluster, "pagerank", graph)
         assert observed == cold
-        assert estimate_cache.stats() == stats
+        assert estimate_cache.stats()["hits"] == stats["hits"] + 1
+        assert estimate_cache.stats()["misses"] == stats["misses"]
 
-        # Uninstalled again: the warm entry is still there and serves.
+        # Uninstalled again: the entry keeps serving.
         after = projected_seconds(cluster, "pagerank", graph)
         assert after == cold
-        assert estimate_cache.stats()["hits"] == stats["hits"] + 1
+        assert estimate_cache.stats()["hits"] == stats["hits"] + 2
         assert estimate_cache.stats()["misses"] == stats["misses"]
 
     def test_observed_run_records_profile_spans(self):
         cluster = make_cluster(0.01)
         graph = make_graph()
-        projected_seconds(cluster, "pagerank", graph)  # warm the caches
-        observer = obs.Observer()
-        with obs.enabled(observer):
-            projected_seconds(cluster, "pagerank", graph)
-        # The observed call profiled for real instead of reading the
-        # cached trace, so its span stream is complete.
-        assert observer.spans
+        dark = projected_seconds(cluster, "pagerank", graph)
+
+        # Cold caches: the observed call profiles, so the engine spans
+        # are in the stream.
+        clear_all_caches()
+        cold = obs.Observer()
+        with obs.enabled(cold):
+            assert projected_seconds(cluster, "pagerank", graph) == dark
+        assert cold.tracer.named("engine/run")
+
+        # Warm caches: nothing is re-executed, so nothing is traced.
+        warm = obs.Observer()
+        with obs.enabled(warm):
+            assert projected_seconds(cluster, "pagerank", graph) == dark
+        assert not warm.spans
 
     def test_profile_trace_cache_shared_across_clusters(self):
         # The single-machine profile trace depends only on (app, graph),
@@ -89,7 +99,7 @@ class TestObserverGate:
 
 
 class TestTraceCacheGate:
-    def test_observed_runtime_bypasses_trace_cache(self):
+    def test_observed_runtime_hits_trace_cache(self):
         cluster = make_cluster(0.01)
         graph = make_graph()
         runtime = ResilientRuntime(cluster, partitioner="hybrid")
@@ -100,15 +110,21 @@ class TestTraceCacheGate:
         observer = obs.Observer()
         with obs.enabled(observer):
             observed = runtime.run("pagerank", graph)
-        assert cache_stats()["trace"] == stats
-        # The engine ran for real, so its spans are in the stream.
-        assert observer.tracer.named("engine/run")
-        assert observed.trace.canonical_json() == cold.trace.canonical_json()
-
-        warm = runtime.run("pagerank", graph)
-        assert warm.trace is cold.trace
+        assert observed.trace is cold.trace
         assert cache_stats()["trace"]["hits"] == stats["hits"] + 1
         assert cache_stats()["trace"]["misses"] == stats["misses"]
+        # Served from the cache: the engine did not run again.
+        assert not observer.tracer.named("engine/run")
+        assert observed.trace.canonical_json() == cold.trace.canonical_json()
+
+        # With the caches cleared the observed run executes, and traces
+        # the engine, with the same bytes.
+        clear_all_caches()
+        observer = obs.Observer()
+        with obs.enabled(observer):
+            fresh = runtime.run("pagerank", graph)
+        assert observer.tracer.named("engine/run")
+        assert fresh.trace.canonical_json() == cold.trace.canonical_json()
 
     def test_identical_jobs_replay_like_an_observed_run(self):
         n = 5
@@ -128,27 +144,22 @@ class TestTraceCacheGate:
         cached = JobService(cluster).run_workload(workload).trace_json()
         # One miss for the service's single-machine projection, one for
         # the first run; every later identical job is a hit.
-        stats = cache_stats()["trace"]
-        assert (stats["hits"], stats["misses"]) == (n - 1, 2)
+        dark = cache_stats()["trace"]
+        assert (dark["hits"], dark["misses"]) == (n - 1, 2)
 
         clear_all_caches()
         with obs.enabled(obs.Observer()):
             observed = JobService(cluster).run_workload(workload).trace_json()
         assert observed == cached
-        stats = cache_stats()["trace"]
-        assert (stats["hits"], stats["misses"]) == (0, 0)
+        # The observed replay uses the cache exactly as the dark one did.
+        assert cache_stats()["trace"] == dark
 
 
 class TestObserverGateWithStore:
-    def test_attached_store_never_touched_under_observer(self, tmp_path):
-        """PR 7: the summary store inherits the PR 4 gate — an observed
-        run neither reads nor writes the store, and still computes the
-        same number."""
-        from repro.kernels.cache import (
-            attach_store,
-            clear_all_caches,
-            detach_store,
-        )
+    def test_observed_run_reads_the_attached_store(self, tmp_path):
+        """An observed run reads the summary store like any other run,
+        and computes the same number."""
+        from repro.kernels.cache import attach_store, detach_store
         from repro.store import SummaryStore
 
         cluster = make_cluster(0.01)
@@ -163,15 +174,9 @@ class TestObserverGateWithStore:
             with obs.enabled(obs.Observer()):
                 observed = projected_seconds(cluster, "pagerank", graph)
             assert observed == cold
-            # Gated: zero store reads, zero new rows.
-            assert estimate_cache.stats()["store_hits"] == 0
-            assert profile_trace_cache.stats()["store_hits"] == 0
-            assert store.counts() == rows_before
-
-            # Uninstalled again: the store serves the warm row.
-            after = projected_seconds(cluster, "pagerank", graph)
-            assert after == cold
+            # Served from the store row: one store read, no new rows.
             assert estimate_cache.stats()["store_hits"] == 1
+            assert store.counts() == rows_before
             detach_store()
 
 

@@ -5,6 +5,10 @@ single byte of what the simulation computes.  These tests run identical
 workloads dark and instrumented and compare canonical trace JSON, app
 results, priced reports — including under a fault schedule with crashes,
 slowdowns and a mid-run re-balance through :class:`ResilientRuntime`.
+
+Observed runs use the kernel caches like any other run, so a test that
+asserts spans clears the caches first: work served from a cache is not
+re-executed, and so is not traced.
 """
 
 import numpy as np
@@ -15,6 +19,7 @@ from repro.cluster.machine import MachineSpec
 from repro.engine.report import simulate_execution
 from repro.engine.resilient import ResilientRuntime
 from repro.faults import CrashFault, FaultSchedule, SlowdownFault, Supervisor
+from repro.kernels.cache import clear_all_caches
 from repro.obs import Observer, enabled
 from repro.testing import GOLDEN_APPS, golden_cluster, golden_graph, golden_run
 
@@ -29,6 +34,7 @@ class TestObsInertOnStaticPath:
     def test_trace_and_results_byte_identical(self, app, graph):
         dark = golden_run(app, graph=graph)
 
+        clear_all_caches()
         observer = Observer()
         with enabled(observer):
             lit = golden_run(app, graph=graph)
@@ -89,6 +95,7 @@ class TestObsInertUnderFaults:
     def test_faulted_run_byte_identical(self, graph):
         dark = self._run(graph)
 
+        clear_all_caches()
         observer = Observer()
         with enabled(observer):
             lit = self._run(graph)
@@ -119,6 +126,7 @@ class TestObsInertUnderFaults:
         a, b = Observer(), Observer()
         with enabled(a):
             self._run(graph)
+        clear_all_caches()
         with enabled(b):
             self._run(graph)
         assert [s.to_jsonable() for s in a.spans] == [
