@@ -32,7 +32,7 @@ from repro.engine.trace import ExecutionTrace
 from repro.engine.vertex_program import GraphApplication
 from repro.errors import EngineError
 from repro.graph.digraph import DiGraph
-from repro.apps.triangle_count import undirected_simple_edges
+from repro.apps.triangle_count import skeleton_degrees, undirected_simple_edges
 from repro.kernels.accounting import coloring_trace
 from repro.kernels.csr import concat_ranges
 from repro.utils.rng import hash_to_unit, mix64
@@ -108,9 +108,7 @@ class GraphColoring(GraphApplication):
         """
         n = graph.num_vertices
         u, v = undirected_simple_edges(graph)
-        deg = (np.bincount(u, minlength=n) + np.bincount(v, minlength=n)).astype(
-            np.int64
-        )
+        deg = skeleton_degrees(graph)
 
         colors = np.full(n, -1, dtype=np.int64)
         # Isolated vertices trivially take colour 0.

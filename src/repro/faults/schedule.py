@@ -31,6 +31,8 @@ inspect and replay scenarios.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -44,6 +46,26 @@ def check_seed(seed: object, what: str) -> None:
     """Reject a schedule seed that is neither ``None`` nor a plain ``int``."""
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise FaultError(f"{what} seed must be an integer or null, got {seed!r}")
+
+
+def check_integer(value: object, what: str) -> None:
+    """Reject an index, count or step duration that is not an integer.
+
+    ``numbers.Integral`` admits numpy integers; ``bool`` is refused
+    although it subclasses ``int``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise FaultError(f"{what} must be an integer, got {value!r}")
+
+
+def check_finite(value: object, what: str) -> None:
+    """Reject a factor or time that is not a finite real number."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+    ):
+        raise FaultError(f"{what} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -68,6 +90,9 @@ class CrashFault:
     repeats: int = 1
 
     def __post_init__(self):
+        check_integer(self.superstep, "crash superstep")
+        check_integer(self.machine, "crash machine slot")
+        check_integer(self.repeats, "crash repeats")
         if self.superstep < 0:
             raise FaultError("crash superstep must be >= 0")
         if self.machine < 0:
@@ -100,6 +125,11 @@ class SlowdownFault:
     duration: Optional[int] = None
 
     def __post_init__(self):
+        check_integer(self.superstep, "slowdown superstep")
+        check_integer(self.machine, "slowdown machine slot")
+        check_finite(self.factor, "slowdown factor")
+        if self.duration is not None:
+            check_integer(self.duration, "slowdown duration")
         if self.superstep < 0:
             raise FaultError("slowdown superstep must be >= 0")
         if self.machine < 0:
@@ -140,6 +170,11 @@ class NetworkFault:
     duration: Optional[int] = None
 
     def __post_init__(self):
+        check_integer(self.superstep, "network fault superstep")
+        check_finite(self.bandwidth_factor, "network bandwidth factor")
+        check_finite(self.latency_factor, "network latency factor")
+        if self.duration is not None:
+            check_integer(self.duration, "network fault duration")
         if self.superstep < 0:
             raise FaultError("network fault superstep must be >= 0")
         if self.bandwidth_factor < 1.0 or self.latency_factor < 1.0:

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.errors import FaultError
-from repro.faults.schedule import check_seed
+from repro.faults.schedule import check_finite, check_integer, check_seed
 from repro.utils.rng import make_rng
 
 __all__ = [
@@ -62,6 +62,9 @@ class ShardCrash:
     downtime_s: float
 
     def __post_init__(self) -> None:
+        check_finite(self.time_s, "shard crash time_s")
+        check_integer(self.shard, "shard crash shard index")
+        check_finite(self.downtime_s, "shard crash downtime_s")
         if self.time_s < 0.0:
             raise FaultError("shard crash time_s must be >= 0")
         if self.shard < 0:
@@ -91,6 +94,9 @@ class ShardPartition:
     duration_s: float
 
     def __post_init__(self) -> None:
+        check_finite(self.time_s, "shard partition time_s")
+        check_integer(self.shard, "shard partition shard index")
+        check_finite(self.duration_s, "shard partition duration_s")
         if self.time_s < 0.0:
             raise FaultError("shard partition time_s must be >= 0")
         if self.shard < 0:
@@ -125,6 +131,10 @@ class ShardSlowdown:
     duration_s: float
 
     def __post_init__(self) -> None:
+        check_finite(self.time_s, "shard slowdown time_s")
+        check_integer(self.shard, "shard slowdown shard index")
+        check_finite(self.factor, "shard slowdown factor")
+        check_finite(self.duration_s, "shard slowdown duration_s")
         if self.time_s < 0.0:
             raise FaultError("shard slowdown time_s must be >= 0")
         if self.shard < 0:

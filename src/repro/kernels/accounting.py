@@ -10,9 +10,9 @@ references under ``tests/oracle/``), which is what keeps the emitted
 §11).
 
 Partition-independent results (the colouring waves, the triangle total;
-``undirected_simple_edges`` memoises the simple skeleton the same way)
-are memoised per graph instance via
-:func:`repro.kernels.cache.graph_memo` — the dominant win for the
+``undirected_simple_edges`` and ``skeleton_degrees`` memoise the simple
+skeleton and its degrees the same way) are memoised per graph instance
+via :func:`repro.kernels.cache.graph_memo` — the dominant win for the
 ``experiments/fig*`` drivers, which execute the same handful of graphs
 under dozens of (partitioner, estimator) configurations.
 """
@@ -70,9 +70,13 @@ def cached_coloring(
 
 
 def cached_triangle_total(app: "TriangleCount", graph: "DiGraph") -> int:
-    """Memoised exact triangle total (independent of the partition)."""
+    """Memoised exact triangle total.
+
+    Independent of the partition and of ``app.row_block``, which only
+    bounds the counting's peak memory.
+    """
     memo = graph_memo(graph)
-    key = ("triangle_total", app.row_block)
+    key = ("triangle_total",)
     cached = memo.get(key)
     if cached is not None:
         return int(cached)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
@@ -255,6 +256,14 @@ class MutationStream:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "batches", tuple(self.batches))
+        for name in ("base_vertices", "seed"):
+            value = getattr(self, name)
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            ):
+                raise StreamFormatError(
+                    f"{name} must be an integer or null, got {value!r}"
+                )
         if self.base_vertices is not None and self.base_vertices < 0:
             raise StreamError(
                 f"base_vertices must be >= 0, got {self.base_vertices}"

@@ -238,6 +238,23 @@ class TestJsonFormat:
         with pytest.raises(StreamFormatError, match="malformed"):
             MutationStream.from_json("{nope")
 
+    @pytest.mark.parametrize("field", ["base_vertices", "seed"])
+    @pytest.mark.parametrize("bad", ["x", 1.5, True, [1]])
+    def test_non_integer_header_field_rejected(self, field, bad):
+        payload = self.stream().to_jsonable()
+        payload[field] = bad
+        with pytest.raises(StreamFormatError, match=field):
+            MutationStream.from_jsonable(payload)
+        with pytest.raises(StreamFormatError, match=field):
+            MutationStream(**{field: bad})
+
+    def test_null_and_numpy_header_fields_accepted(self):
+        payload = self.stream().to_jsonable()
+        payload["base_vertices"] = payload["seed"] = None
+        stream = MutationStream.from_jsonable(payload)
+        assert stream.base_vertices is None and stream.seed is None
+        assert MutationStream(base_vertices=np.int64(5)).base_vertices == 5
+
 
 class TestReplay:
     def test_replay_chains_liveness(self, tiny_graph):

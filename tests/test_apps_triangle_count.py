@@ -1,10 +1,23 @@
 """Triangle Count correctness against NetworkX and analytic cases."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.apps.triangle_count import TriangleCount, undirected_simple_edges
+from repro.apps.triangle_count import (
+    TriangleCount,
+    skeleton_degrees,
+    undirected_simple_edges,
+)
+from repro.core.proxy import ProxySet
+from repro.graph.datasets import load_dataset
 from repro.engine.distributed_graph import DistributedGraph
 from repro.graph.digraph import DiGraph
 from repro.partition import RandomHashPartitioner
@@ -16,6 +29,21 @@ def nx_triangles(graph):
     und = nx.Graph(und)
     und.remove_edges_from(nx.selfloop_edges(und))
     return sum(nx.triangles(und).values()) // 3
+
+
+@st.composite
+def messy_digraphs(draw):
+    """Small digraphs with self loops, parallel and reciprocal edges and
+    isolated vertices (ids above every endpoint drawn)."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    pairs = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                 max_size=90)
+    )
+    reciprocal = draw(st.lists(st.sampled_from(pairs), max_size=20)) if pairs else []
+    edges = pairs + [(d, s) for s, d in reciprocal] + pairs[:5]
+    isolated = draw(st.integers(min_value=0, max_value=4))
+    return DiGraph.from_edges(edges, num_vertices=n + isolated)
 
 
 class TestUndirectedSimpleEdges:
@@ -62,6 +90,31 @@ class TestCounting:
         b = TriangleCount(row_block=100_000).count_triangles(powerlaw_graph)
         assert a == b
 
+    @given(messy_digraphs(), st.sampled_from([1, 2, 7, 4096]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_networkx_on_messy_digraphs(self, graph, row_block):
+        assert TriangleCount(row_block=row_block).count_triangles(
+            graph
+        ) == nx_triangles(graph)
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("proxy_alpha_1.95", 52_373),
+            ("proxy_alpha_2.10", 55_001),
+            ("proxy_alpha_2.25", 1_053),
+        ],
+    )
+    def test_default_proxy_totals(self, name, expected):
+        """The three default proxies at 40,000 vertices, as profiled by
+        the ``process-cold`` benchmark workload."""
+        graph = ProxySet(num_vertices=40_000).graphs()[name]
+        assert TriangleCount().count_triangles(graph) == expected
+
+    def test_wiki_total(self):
+        graph = load_dataset("wiki", scale=0.0125)
+        assert TriangleCount().count_triangles(graph) == 157
+
     def test_empty_graph(self):
         g = DiGraph(5, np.empty(0, np.int64), np.empty(0, np.int64))
         assert TriangleCount().count_triangles(g) == 0
@@ -69,6 +122,54 @@ class TestCounting:
     def test_invalid_row_block(self):
         with pytest.raises(ValueError):
             TriangleCount(row_block=0)
+
+
+class TestSkeletonDegrees:
+    def test_counts_each_simple_neighbour_once(self, tiny_graph):
+        deg = skeleton_degrees(tiny_graph)
+        assert deg.tolist() == [3, 2, 3, 2, 0]
+        assert deg.dtype == np.int64
+
+    def test_memoised_and_read_only(self, tiny_graph):
+        deg = skeleton_degrees(tiny_graph)
+        assert skeleton_degrees(tiny_graph) is deg
+        with pytest.raises(ValueError):
+            deg[0] = 7
+
+
+def test_numpy_is_the_only_dependency_loaded():
+    """Importing every ``repro`` module and counting one graph's
+    triangles loads no third-party module besides numpy."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = textwrap.dedent(
+        """
+        import importlib, pkgutil, sys
+        import numpy.random
+
+        def top_level():
+            return {name.split(".")[0] for name in sys.modules}
+
+        baseline = top_level()
+        import repro
+        from repro.apps.triangle_count import TriangleCount
+        from repro.graph.digraph import DiGraph
+
+        for module in pkgutil.walk_packages(repro.__path__, "repro."):
+            importlib.import_module(module.name)
+        graph = DiGraph.from_edges([(0, 1), (1, 2), (2, 0)], num_vertices=3)
+        assert TriangleCount().count_triangles(graph) == 1
+        extra = top_level() - baseline - set(sys.stdlib_module_names)
+        print(sorted(extra - {"repro"}))
+        """
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestExecution:

@@ -158,6 +158,12 @@ class TestErrorContract:
         (tmp / "str-seed-faults.json").write_text(json.dumps(
             {"seed": "a", "crashes": [{"superstep": 1, "machine": 0}]}
         ))
+        (tmp / "frac-step-faults.json").write_text(json.dumps(
+            {"crashes": [{"superstep": 1.5, "machine": 0}]}
+        ))
+        (tmp / "str-base-stream.json").write_text(json.dumps(
+            {"format_version": 1, "base_vertices": "x", "batches": []}
+        ))
         (tmp / "bad-edges.txt").write_text("0 1\nnot an edge\n")
         (tmp / "bad-workload.json").write_text("{nope")
         # The first bytes of a zip archive, cut off before its directory.
@@ -186,6 +192,16 @@ class TestErrorContract:
                 ["process", *RUN, "--dataset", "wiki",
                  "--fault-schedule", "{tmp}/str-seed-faults.json"],
                 2, "err", "error:", "seed", id="string-fault-schedule-seed"),
+            pytest.param(
+                ["process", *RUN, "--dataset", "wiki",
+                 "--fault-schedule", "{tmp}/frac-step-faults.json"],
+                2, "err", "error:", "superstep",
+                id="fractional-fault-superstep"),
+            pytest.param(
+                ["process", *RUN, "--dataset", "wiki",
+                 "--mutations", "{tmp}/str-base-stream.json"],
+                2, "err", "error:", "base_vertices",
+                id="string-stream-base-vertices"),
             pytest.param(
                 ["process", *RUN, "--graph-file", "{tmp}/bad-edges.txt"],
                 2, "err", "error:", "bad-edges.txt",

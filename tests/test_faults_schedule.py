@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.errors import FaultError
@@ -33,6 +34,51 @@ class TestEventValidation:
     def test_network_rejects_factor_below_one(self):
         with pytest.raises(FaultError):
             NetworkFault(superstep=0, bandwidth_factor=0.5)
+
+
+class TestEventFieldTypes:
+    """Indices, counts and step durations must be integers (numpy ints
+    included, bools refused); factors must be finite reals."""
+
+    GOOD = {
+        CrashFault: dict(superstep=1, machine=0, repeats=1),
+        SlowdownFault: dict(superstep=1, machine=0, factor=2.0, duration=2),
+        NetworkFault: dict(superstep=1, bandwidth_factor=2.0,
+                           latency_factor=2.0, duration=2),
+    }
+
+    @pytest.mark.parametrize(
+        "kind, field, bad",
+        [
+            (CrashFault, "superstep", 1.5),
+            (CrashFault, "superstep", True),
+            (CrashFault, "machine", 0.5),
+            (CrashFault, "repeats", 1.5),
+            (SlowdownFault, "superstep", 1.5),
+            (SlowdownFault, "machine", 0.5),
+            (SlowdownFault, "factor", float("nan")),
+            (SlowdownFault, "factor", float("inf")),
+            (SlowdownFault, "factor", "2"),
+            (SlowdownFault, "duration", 2.5),
+            (NetworkFault, "superstep", 1.5),
+            (NetworkFault, "bandwidth_factor", float("nan")),
+            (NetworkFault, "latency_factor", float("inf")),
+            (NetworkFault, "duration", True),
+        ],
+    )
+    def test_bad_field_rejected(self, kind, field, bad):
+        with pytest.raises(FaultError, match=field.split("_")[0]):
+            kind(**{**self.GOOD[kind], field: bad})
+
+    def test_numpy_integers_accepted(self):
+        crash = CrashFault(superstep=np.int64(2), machine=np.int32(1))
+        assert FaultSchedule(crashes=(crash,)).crashes_at(2) == (crash,)
+
+    def test_fractional_superstep_json_rejected(self):
+        with pytest.raises(FaultError, match="superstep"):
+            FaultSchedule.from_json(
+                '{"crashes": [{"superstep": 1.5, "machine": 0}]}'
+            )
 
 
 class TestQueries:

@@ -198,6 +198,32 @@ class TestShardFaultSchedule:
         with pytest.raises(FaultError, match="speedups"):
             ShardSlowdown(time_s=0.0, shard=0, factor=0.5, duration_s=1.0)
 
+    @pytest.mark.parametrize(
+        "kind, field, bad",
+        [
+            (ShardCrash, "time_s", float("nan")),
+            (ShardCrash, "shard", 1.5),
+            (ShardCrash, "shard", True),
+            (ShardCrash, "downtime_s", float("inf")),
+            (ShardPartition, "time_s", float("inf")),
+            (ShardPartition, "shard", 0.5),
+            (ShardPartition, "duration_s", float("nan")),
+            (ShardSlowdown, "time_s", "0"),
+            (ShardSlowdown, "shard", 1.5),
+            (ShardSlowdown, "factor", float("nan")),
+            (ShardSlowdown, "duration_s", float("inf")),
+        ],
+    )
+    def test_bad_field_type_rejected(self, kind, field, bad):
+        good = {
+            ShardCrash: dict(time_s=0.0, shard=0, downtime_s=1.0),
+            ShardPartition: dict(time_s=0.0, shard=0, duration_s=1.0),
+            ShardSlowdown: dict(time_s=0.0, shard=0, factor=2.0,
+                                duration_s=1.0),
+        }[kind]
+        with pytest.raises(FaultError, match=field):
+            kind(**{**good, field: bad})
+
 
 class TestWorkloadFormatV2:
     def test_round_trip_with_shard_faults(self):
