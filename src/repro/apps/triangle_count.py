@@ -57,9 +57,15 @@ def undirected_simple_edges(graph: DiGraph):
     keep = u != v
     u, v = u[keep], v[keep]
     if u.size:
-        keys = u * np.int64(graph.num_vertices) + v
-        _, idx = np.unique(keys, return_index=True)
-        u, v = u[idx], v[idx]
+        # Sorted distinct keys decode to the pairs in (u, v) order: the
+        # same arrays as ``np.unique(keys, return_index=True)``'s first
+        # occurrences, without its stable mergesort argsort.
+        n = np.int64(graph.num_vertices)
+        keys = np.sort(u * n + v)
+        first = np.empty(keys.size, dtype=bool)
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        u, v = np.divmod(keys[first], n)
     u.setflags(write=False)
     v.setflags(write=False)
     memo[("skeleton",)] = (u, v)

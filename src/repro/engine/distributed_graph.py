@@ -6,9 +6,13 @@ One replica is the *master* (owns the authoritative value), the rest are
 *mirrors*; gather results flow mirror→master, applied values flow
 master→mirror at every superstep.
 
-The :class:`DistributedGraph` precomputes everything the engines need:
+The :class:`DistributedGraph` precomputes everything the engines need,
+and nothing more (it is cached and shared across runs):
 
-* per-machine local edge arrays (in canonical order),
+* per-machine local edge arrays (in canonical order) — zero-copy slices
+  of one flat machine-sorted :class:`~repro.kernels.csr.MachineEdgeView`,
+  the layout's only edge-length storage; per-machine canonical edge ids
+  are recomputed on demand (:attr:`DistributedGraph.edge_ids`),
 * the vertex presence matrix and master assignment,
 * per-machine hot working sets (adjacency of hub vertices, which drives
   the cache term of the performance model).
@@ -62,35 +66,25 @@ class DistributedGraph:
 
         # Per-machine edge views (canonical order preserved within machine).
         # Counting sort over the few machine buckets; provably the same
-        # permutation as the stable argsort (see kernels.csr).
+        # permutation as the stable argsort (see kernels.csr).  Gather the
+        # endpoints once over the whole machine-sorted order and slice per
+        # machine: the slices are zero-copy views holding exactly the bytes
+        # the per-machine fancy-index would produce.  The permutation
+        # itself is dropped, so the layout keeps two edge-length arrays.
         order, counts = stable_machine_order(assignment, self.num_machines)
-        bounds = np.concatenate([[0], np.cumsum(counts)])
-        self.edge_ids: List[np.ndarray] = [
-            order[bounds[m] : bounds[m + 1]] for m in range(self.num_machines)
-        ]
-        # Gather the endpoints once over the whole machine-sorted order and
-        # slice per machine: the slices are zero-copy views holding exactly
-        # the bytes the per-machine fancy-index would produce, and the flat
-        # arrays double as the kernels' MachineEdgeView (pre-populating its
-        # per-instance memo).
-        flat_src = src[order]
-        flat_dst = dst[order]
+        bounds = np.zeros(self.num_machines + 1, dtype=np.int64)
+        np.cumsum(counts, out=bounds[1:])
+        self.edge_view = MachineEdgeView(
+            src=src[order], dst=dst[order], bounds=bounds
+        )
         self.local_src = [
-            flat_src[bounds[m] : bounds[m + 1]] for m in range(self.num_machines)
+            self.edge_view.src[bounds[m] : bounds[m + 1]]
+            for m in range(self.num_machines)
         ]
         self.local_dst = [
-            flat_dst[bounds[m] : bounds[m + 1]] for m in range(self.num_machines)
+            self.edge_view.dst[bounds[m] : bounds[m + 1]]
+            for m in range(self.num_machines)
         ]
-        machine_ids = np.repeat(
-            np.arange(self.num_machines, dtype=np.int32),
-            np.asarray(counts, dtype=np.int64),
-        )
-        self.__dict__["_kernels_machine_edges"] = MachineEdgeView(
-            src=flat_src,
-            dst=flat_dst,
-            bounds=np.asarray(bounds, dtype=np.int64),
-            machine_ids=machine_ids,
-        )
 
         # Presence matrix: vertex v has a replica on machine m.
         presence = np.zeros((self.graph.num_vertices, self.num_machines), dtype=bool)
@@ -118,9 +112,23 @@ class DistributedGraph:
     def num_vertices(self) -> int:
         return self.graph.num_vertices
 
+    @property
+    def edge_ids(self) -> List[np.ndarray]:
+        """Canonical ids of each machine's local edges, in local order.
+
+        Recomputed from the assignment on every access rather than stored:
+        no engine path reads it, and holding the permutation would cost
+        every cached layout an edge-length int64 array.
+        """
+        order, counts = stable_machine_order(
+            self.partition.assignment, self.num_machines
+        )
+        bounds = np.concatenate([[0], np.cumsum(counts)])
+        return [order[bounds[m] : bounds[m + 1]] for m in range(self.num_machines)]
+
     def local_edge_count(self, machine: int) -> int:
         self._check_machine(machine)
-        return int(self.edge_ids[machine].size)
+        return int(self.local_src[machine].size)
 
     def masters_on(self, machine: int) -> np.ndarray:
         """Vertex ids mastered by ``machine``."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -26,42 +26,15 @@ from repro.engine.trace import ExecutionTrace
 from repro.engine.vertex_program import GraphApplication
 from repro.errors import EngineError
 from repro.graph.digraph import DiGraph
-from repro.kernels.cache import dgraph_cache, graph_fingerprint, trace_cache
+from repro.kernels.cache import (
+    app_key,
+    dgraph_cache,
+    graph_fingerprint,
+    trace_cache,
+)
 from repro.partition.base import Partitioner, PartitionResult
 
 __all__ = ["RunOutcome", "GraphProcessingSystem", "execute_partition"]
-
-
-#: Instance-state types an application may hold and still be keyed.
-_SCALARS = (bool, int, float, str, type(None))
-
-
-def _scalar_key(value: Any) -> Tuple[str, str]:
-    # Type name plus repr: keeps True apart from 1 and -0.0 from 0.0,
-    # which compare (and hash) equal as raw tuple entries.
-    return (type(value).__name__, repr(value))
-
-
-def _app_key(app: GraphApplication) -> Optional[Tuple[Any, ...]]:
-    """Content key of an application's configuration, or ``None``.
-
-    Covers the class, the name, every instance attribute and the two
-    class-level knobs the engine reads (``max_supersteps``, ``strict``).
-    An app holding anything but plain scalars (arrays, RNGs, callables)
-    cannot be keyed and runs uncached.
-    """
-    state = vars(app)
-    if not all(type(value) in _SCALARS for value in state.values()):
-        return None
-    cls = type(app)
-    return (
-        cls.__module__,
-        cls.__qualname__,
-        app.name,
-        tuple((name, _scalar_key(state[name])) for name in sorted(state)),
-        _scalar_key(getattr(app, "max_supersteps", None)),
-        _scalar_key(getattr(app, "strict", None)),
-    )
 
 
 def execute_partition(
@@ -89,10 +62,10 @@ def execute_partition(
     if dgraph is None:
         dgraph = DistributedGraph(partition)
         dgraph_cache.put(dgraph_key, dgraph)
-    app_key = _app_key(app)
-    if app_key is None:
+    akey = app_key(app)
+    if akey is None:
         return dgraph, app.execute(dgraph)
-    trace_key = ("trace", app_key) + layout_key
+    trace_key = ("trace", akey) + layout_key
     trace = trace_cache.get(trace_key)
     if trace is None:
         trace = app.execute(dgraph)

@@ -18,11 +18,19 @@ The algorithm executes *for real* (the values are the actual PageRank
 ranks / component labels, verified against NetworkX in the tests); the
 cluster only enters later, when the recorded trace is priced by
 :func:`repro.engine.report.simulate_execution`.
+
+A ``sum`` program gathers on the layout superstep by superstep
+(:func:`repro.kernels.engine.gather_sum`).  A ``min`` program's values
+and frontiers do not depend on the partition, so it runs once per graph
+(:func:`repro.kernels.engine.frontier_log`) and each layout is accounted
+from that log; the emitted trace and spans are the same either way.
+Only programs that declare ``messages_elementwise`` are accepted.
 """
 
 from __future__ import annotations
 
-from typing import List
+import functools
+from typing import List, Union
 
 import numpy as np
 
@@ -31,11 +39,10 @@ from repro.engine.trace import ExecutionTrace, MachinePhase, SuperstepTrace
 from repro.engine.vertex_program import SyncVertexProgram
 from repro.errors import ConvergenceError, EngineError
 from repro.kernels import engine as kernels_engine
+from repro.kernels.engine import FrontierLog, SuperstepLoop
 from repro.obs import context as obs
 
 __all__ = ["SyncEngine"]
-
-_ACC_INIT = {"sum": 0.0, "min": np.inf}
 
 
 class SyncEngine:
@@ -55,21 +62,39 @@ class SyncEngine:
     def run(
         self, program: SyncVertexProgram, dgraph: DistributedGraph
     ) -> ExecutionTrace:
-        if program.accumulator not in _ACC_INIT:
+        if program.accumulator not in ("sum", "min"):
             raise EngineError(
                 f"unsupported accumulator {program.accumulator!r}; "
-                f"expected one of {sorted(_ACC_INIT)}"
+                f"expected one of ['min', 'sum']"
+            )
+        if not program.messages_elementwise:
+            raise EngineError(
+                f"{program.name}: messages must be declared elementwise "
+                "(messages_elementwise = True)"
+            )
+        if program.accumulator == "sum" and program.undirected:
+            raise EngineError(
+                f"{program.name}: a 'sum' program must be directed"
             )
         graph = dgraph.graph
         n = graph.num_vertices
         m = dgraph.num_machines
 
-        values = np.asarray(program.initial_values(graph), dtype=np.float64)
-        if values.shape != (n,):
-            raise EngineError(
-                f"initial_values must have shape ({n},), got {values.shape}"
+        # A min program's frontier does not depend on the partition: run
+        # it once per graph and account this layout from the log.
+        outcome: Union[FrontierLog, SuperstepLoop]
+        if program.accumulator == "min":
+            outcome = kernels_engine.frontier_log(program, graph)
+            steps = kernels_engine.frontier_supersteps(
+                outcome, dgraph, program.undirected
             )
-        active = np.asarray(program.initial_active(graph), dtype=bool)
+        else:
+            outcome = SuperstepLoop(
+                program,
+                graph,
+                functools.partial(kernels_engine.gather_sum, program, dgraph),
+            )
+            steps = iter(outcome)
 
         trace = ExecutionTrace(app=program.name, num_machines=m)
         # Reuse sync accounting while the applied frontier is unchanged
@@ -92,18 +117,13 @@ class SyncEngine:
                 app=program.name,
             )
 
-        superstep = 0
-        while np.any(active) and superstep < program.max_supersteps:
+        # Spans run on the simulated clock, so they record the phase
+        # sequence of each superstep, not where its arithmetic happens.
+        for superstep, (active, edge_ops, applied) in enumerate(steps):
             step_span = obs.span(
                 "superstep", index=superstep, app=program.name
             )
-            acc = np.full(n, _ACC_INIT[program.accumulator], dtype=np.float64)
-            has_message = np.zeros(n, dtype=bool)
-
             gather_span = obs.span("gather")
-            edge_ops = kernels_engine.gather_vectorized(
-                program, dgraph, values, active, acc, has_message
-            )
             if obs.is_enabled():
                 gather_span.set(
                     edge_ops=edge_ops.tolist(),
@@ -111,19 +131,12 @@ class SyncEngine:
                 )
             gather_span.close()
 
-            apply_span = obs.span("apply")
-            new_values, new_active = program.apply(graph, values, acc, has_message)
-            new_values = np.asarray(new_values, dtype=np.float64)
-            new_active = np.asarray(new_active, dtype=bool)
-            if new_values.shape != (n,) or new_active.shape != (n,):
-                raise EngineError("apply must return per-vertex arrays")
-            apply_span.close()
+            obs.span("apply").close()
 
             # Accounting: gather edge ops per machine; apply vertex ops on
             # each vertex's master; mirror sync for vertices that changed
             # hands this superstep (the applied frontier).
             sync_span = obs.span("sync")
-            applied = has_message | active
             if prev_applied is not None and np.array_equal(applied, prev_applied):
                 vertex_ops, comm = prev_vertex_ops, prev_comm
             else:
@@ -137,7 +150,6 @@ class SyncEngine:
                     vertex_ops=vertex_ops.tolist(),
                 )
             sync_span.close()
-
             phases: List[MachinePhase] = []
             for i in range(m):
                 work = program.cost.work(
@@ -169,52 +181,18 @@ class SyncEngine:
                 obs.counter_add("engine.supersteps", 1.0, app=program.name)
             step_span.close()
 
-            values, active = new_values, new_active
-            superstep += 1
-
-        converged = not bool(np.any(active))
+        supersteps = trace.num_supersteps
+        converged = outcome.converged
         if obs.is_enabled():
-            run_span.set(supersteps=superstep, converged=converged)
+            run_span.set(supersteps=supersteps, converged=converged)
         run_span.close()
         if not converged and self.strict:
             raise ConvergenceError(
                 f"{program.name} did not converge within "
                 f"{program.max_supersteps} supersteps"
             )
-        trace.result = program.finalize(graph, values)
-        trace.result["supersteps"] = superstep
+        trace.result = program.finalize(graph, outcome.values.copy())
+        trace.result["supersteps"] = supersteps
         trace.result["converged"] = converged
         return trace
 
-    @staticmethod
-    def _gather(
-        program: SyncVertexProgram,
-        graph,
-        values: np.ndarray,
-        sources: np.ndarray,
-        targets: np.ndarray,
-        active: np.ndarray,
-        acc: np.ndarray,
-        has_message: np.ndarray,
-    ) -> int:
-        """Aggregate messages for one edge direction; returns ops counted.
-
-        The per-machine fallback :func:`repro.kernels.engine.gather_vectorized`
-        uses for programs whose messages cannot be hoisted.
-        """
-        if sources.size == 0:
-            return 0
-        live = active[sources]
-        if not np.any(live):
-            return 0
-        s = sources[live]
-        t = targets[live]
-        msgs = program.messages(graph, values, s)
-        if program.accumulator == "sum":
-            # bincount is an order of magnitude faster than np.add.at for
-            # dense scatter-sums, and the accumulator array is dense here.
-            acc += np.bincount(t, weights=msgs, minlength=acc.size)
-        else:
-            np.minimum.at(acc, t, msgs)
-        has_message[t] = True
-        return int(s.size)

@@ -58,7 +58,9 @@ class SyncVertexProgram(GraphApplication):
       from source-endpoint values (push-style).
     * :attr:`accumulator` — how contributions combine at the target
       (``"sum"`` or ``"min"``); must be commutative and associative so the
-      per-machine partial aggregation matches a global computation.
+      per-machine partial aggregation matches a global computation.  A
+      ``"min"`` program runs once per graph and is accounted per
+      partition; a ``"sum"`` program must be directed.
     * :meth:`apply` — new vertex values and the next active set.
 
     ``undirected`` programs send messages both ways across every edge
@@ -74,8 +76,8 @@ class SyncVertexProgram(GraphApplication):
     #: each source endpoint (``messages(g, v, s)[k]`` depends only on
     #: ``s[k]``).  The engine then computes messages once over
     #: all machines' live edges and slices per machine — bit-identical for
-    #: elementwise float ops.  Leave False for anything that reduces over
-    #: the batch; the engine falls back to the per-machine reference loop.
+    #: elementwise float ops.  The engine runs only programs that declare
+    #: it, and raises :class:`~repro.errors.EngineError` for the rest.
     #: An elementwise program may additionally define
     #: ``messages_vertexwise(graph, values) -> per-vertex array`` with
     #: ``messages(g, v, s) == messages_vertexwise(g, v)[s]`` (same float64

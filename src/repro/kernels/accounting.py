@@ -25,7 +25,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.kernels.cache import graph_memo
-from repro.kernels.csr import machine_edges
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.apps.coloring import GraphColoring
@@ -194,16 +193,13 @@ def coloring_trace(
         cr = _color_round(n, rounds_log)
         width = rounds + 1
 
-        # Edge work: histogram of max(cr) per machine, suffix-summed.
-        view = machine_edges(dgraph)
-        if view.src.size:
-            edge_max = np.maximum(cr[view.src], cr[view.dst])
-            ehist = np.bincount(
-                view.machine_ids.astype(np.int64) * width + edge_max,
-                minlength=m * width,
-            ).reshape(m, width)
-        else:
-            ehist = np.zeros((m, width), dtype=np.int64)
+        # Edge work: histogram of max(cr) per machine slice, suffix-summed.
+        view = dgraph.edge_view
+        edge_max = np.maximum(cr[view.src], cr[view.dst])
+        ehist = np.zeros((m, width), dtype=np.int64)
+        for i in range(m):
+            lo, hi = int(view.bounds[i]), int(view.bounds[i + 1])
+            ehist[i] = np.bincount(edge_max[lo:hi], minlength=width)
         edge_ops_table = _suffix_sums(ehist.astype(np.float64))
 
         # Winner applies: per-machine histogram of winner rounds.  Vertices

@@ -24,9 +24,9 @@ generate:
   graph fingerprint, assignment digest, machines)``, filled by
   :func:`repro.engine.runtime.execute_partition`.  The app configuration
   is its class, name, scalar instance state, ``max_supersteps`` and
-  ``strict``; an app holding non-scalar state runs uncached.  Pricing
-  never mutates a trace, so every run of the same (app, partition) pair
-  may share one.  Each cached trace also carries a small price memo
+  ``strict`` (:func:`app_key`); an app holding non-scalar state runs
+  uncached.  Pricing never mutates a trace, so every run of the same
+  (app, partition) pair may share one.  Each cached trace also carries a small price memo
   (:func:`repro.engine.report.enable_price_memo`): priced results keyed
   by ``(cluster_key(cluster), threads_override)``, so
   :func:`~repro.engine.report.simulate_execution` walks each distinct
@@ -75,6 +75,7 @@ from repro.store.codecs import CODECS
 __all__ = [
     "LRUCache",
     "LayeredCache",
+    "app_key",
     "assignment_cache",
     "attach_store",
     "attached_store",
@@ -212,6 +213,40 @@ def graph_memo(graph: DiGraph) -> Dict[Tuple[Any, ...], Any]:
         memo = {}
         graph.__dict__["_kernels_memo"] = memo
     return memo  # type: ignore[no-any-return]
+
+
+#: Instance-state types an application may hold and still be keyed.
+_SCALARS = (bool, int, float, str, type(None))
+
+
+def _scalar_key(value: Any) -> Tuple[str, str]:
+    # Type name plus repr: keeps True apart from 1 and -0.0 from 0.0,
+    # which compare (and hash) equal as raw tuple entries.
+    return (type(value).__name__, repr(value))
+
+
+def app_key(app: Any) -> Optional[Tuple[Any, ...]]:
+    """Content key of an application's configuration, or ``None``.
+
+    Covers the class, the name, every instance attribute and the two
+    class-level knobs the engine reads (``max_supersteps``, ``strict``).
+    An app holding anything but plain scalars (arrays, RNGs, callables)
+    cannot be keyed and runs uncached.  The ``trace`` cache keys on it,
+    and so does the per-graph frontier log of ``min`` programs
+    (:func:`repro.kernels.engine.frontier_log`).
+    """
+    state = vars(app)
+    if not all(type(value) in _SCALARS for value in state.values()):
+        return None
+    cls = type(app)
+    return (
+        cls.__module__,
+        cls.__qualname__,
+        app.name,
+        tuple((name, _scalar_key(state[name])) for name in sorted(state)),
+        _scalar_key(getattr(app, "max_supersteps", None)),
+        _scalar_key(getattr(app, "strict", None)),
+    )
 
 
 #: Reads every MachineSpec field, in declaration order, into one tuple.

@@ -3,6 +3,10 @@
 Everything here is *exact*: each function documents why its output is
 bit-identical to the reference construction it replaces (kept under
 ``tests/oracle/``), which is the equivalence contract of DESIGN.md §11.
+
+:class:`MachineEdgeView` is the only edge storage a
+:class:`~repro.engine.distributed_graph.DistributedGraph` keeps: two
+machine-sorted endpoint arrays plus ``m + 1`` slice bounds.
 """
 
 from __future__ import annotations
@@ -14,14 +18,12 @@ import numpy as np
 from numpy.typing import NDArray
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.engine.distributed_graph import DistributedGraph
     from repro.graph.digraph import DiGraph
 
 __all__ = [
     "CSRAdjacency",
     "MachineEdgeView",
     "concat_ranges",
-    "machine_edges",
     "stable_machine_order",
 ]
 
@@ -150,35 +152,11 @@ class MachineEdgeView:
     ``src[bounds[i]:bounds[i+1]]`` equals ``dgraph.local_src[i]`` (same
     order), so per-machine reductions become contiguous-slice operations
     and global elementwise work (message computation) runs once instead of
-    once per machine.
+    once per machine.  ``bounds`` is the only per-machine index: a
+    per-edge machine id would cost a third edge-length array per cached
+    layout, and every reader bins by slice instead.
     """
 
     src: NDArray[np.int64]
     dst: NDArray[np.int64]
     bounds: NDArray[np.int64]
-    machine_ids: NDArray[np.int32]
-
-
-def machine_edges(dgraph: "DistributedGraph") -> MachineEdgeView:
-    """Build (or fetch the per-instance memo of) the flat machine view."""
-    view = dgraph.__dict__.get("_kernels_machine_edges")
-    if view is not None:
-        return view  # type: ignore[no-any-return]
-    m = dgraph.num_machines
-    counts = np.array(
-        [dgraph.local_src[i].size for i in range(m)], dtype=np.int64
-    )
-    bounds = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(counts, out=bounds[1:])
-    if int(counts.sum()):
-        src = np.concatenate([dgraph.local_src[i] for i in range(m)])
-        dst = np.concatenate([dgraph.local_dst[i] for i in range(m)])
-    else:
-        src = np.empty(0, dtype=np.int64)
-        dst = np.empty(0, dtype=np.int64)
-    machine_ids = np.repeat(
-        np.arange(m, dtype=np.int32), counts
-    )
-    view = MachineEdgeView(src=src, dst=dst, bounds=bounds, machine_ids=machine_ids)
-    dgraph.__dict__["_kernels_machine_edges"] = view
-    return view

@@ -19,10 +19,12 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
+from repro.apps.registry import app_names
 from repro.errors import FaultError, StreamError, WorkloadFormatError
 from repro.faults.schedule import FaultSchedule
 from repro.faults.shards import ShardFaultSchedule
 from repro.graph.digraph import DiGraph
+from repro.partition import PARTITIONERS
 from repro.streaming.mutations import MutationStream
 
 __all__ = [
@@ -393,6 +395,22 @@ class JobRequest:
         for required in ("job_id", "app", "graph"):
             if required not in payload:
                 raise WorkloadFormatError(f"missing required field {required!r}")
+        for name in ("job_id", "app", "partitioner"):
+            if name in payload and not isinstance(payload[name], str):
+                raise WorkloadFormatError(
+                    f"{name!r} must be a string, got {payload[name]!r}"
+                )
+        if payload["app"] not in app_names():
+            raise WorkloadFormatError(
+                f"unknown app {payload['app']!r}; "
+                f"available: {sorted(app_names())}"
+            )
+        partitioner = payload.get("partitioner", "hybrid")
+        if partitioner not in PARTITIONERS:
+            raise WorkloadFormatError(
+                f"unknown partitioner {partitioner!r}; "
+                f"available: {sorted(PARTITIONERS)}"
+            )
         faults = None
         if "faults" in payload:
             faults = FaultSchedule.from_json(json.dumps(payload["faults"]))
@@ -404,8 +422,8 @@ class JobRequest:
             raise WorkloadFormatError("'app_args' must be an object")
         try:
             return cls(
-                job_id=str(payload["job_id"]),
-                app=str(payload["app"]),
+                job_id=payload["job_id"],
+                app=payload["app"],
                 graph=GraphSpec.from_jsonable(payload["graph"]),
                 submit_s=float(payload.get("submit_s", 0.0)),
                 priority=int(payload.get("priority", 0)),
@@ -414,7 +432,7 @@ class JobRequest:
                     if payload.get("deadline_s") is not None
                     else None
                 ),
-                partitioner=str(payload.get("partitioner", "hybrid")),
+                partitioner=partitioner,
                 faults=faults,
                 fault_rates=fault_rates,
                 app_args=dict(app_args),

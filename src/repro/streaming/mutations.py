@@ -56,6 +56,12 @@ __all__ = [
 STREAM_FORMAT_VERSION = 1
 
 
+def _require_int(what: str, value: Any) -> None:
+    """Reject a non-integer field (``bool`` included) with a typed error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise StreamFormatError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AddVertices:
     """Append ``count`` fresh live vertices at the top of the id range."""
@@ -63,6 +69,7 @@ class AddVertices:
     count: int
 
     def __post_init__(self) -> None:
+        _require_int("add_vertices count", self.count)
         if self.count < 1:
             raise StreamError(f"add_vertices count must be >= 1, got {self.count}")
 
@@ -74,6 +81,7 @@ class RemoveVertex:
     vertex: int
 
     def __post_init__(self) -> None:
+        _require_int("remove_vertex vertex", self.vertex)
         if self.vertex < 0:
             raise StreamError(f"remove_vertex id must be >= 0, got {self.vertex}")
 
@@ -85,6 +93,7 @@ class ReviveVertex:
     vertex: int
 
     def __post_init__(self) -> None:
+        _require_int("revive_vertex vertex", self.vertex)
         if self.vertex < 0:
             raise StreamError(f"revive_vertex id must be >= 0, got {self.vertex}")
 
@@ -97,6 +106,8 @@ class AddEdge:
     dst: int
 
     def __post_init__(self) -> None:
+        _require_int("add_edge src", self.src)
+        _require_int("add_edge dst", self.dst)
         if self.src < 0 or self.dst < 0:
             raise StreamError(
                 f"add_edge endpoints must be >= 0, got ({self.src}, {self.dst})"
@@ -116,6 +127,8 @@ class RemoveEdge:
     dst: int
 
     def __post_init__(self) -> None:
+        _require_int("remove_edge src", self.src)
+        _require_int("remove_edge dst", self.dst)
         if self.src < 0 or self.dst < 0:
             raise StreamError(
                 f"remove_edge endpoints must be >= 0, got ({self.src}, {self.dst})"
@@ -257,13 +270,8 @@ class MutationStream:
     def __post_init__(self) -> None:
         object.__setattr__(self, "batches", tuple(self.batches))
         for name in ("base_vertices", "seed"):
-            value = getattr(self, name)
-            if value is not None and (
-                isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            ):
-                raise StreamFormatError(
-                    f"{name} must be an integer or null, got {value!r}"
-                )
+            if getattr(self, name) is not None:
+                _require_int(name, getattr(self, name))
         if self.base_vertices is not None and self.base_vertices < 0:
             raise StreamError(
                 f"base_vertices must be >= 0, got {self.base_vertices}"

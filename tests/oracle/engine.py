@@ -1,11 +1,13 @@
 """Per-machine loops: the references for the layout and the engine.
 
 Production builds the distributed layout with a counting sort and
-zero-copy views, counts mirror-sync traffic with a dense matvec, and
-hoists message computation across machines (``repro.kernels``).  This
-module keeps the literal loops those replaced — the stable ``argsort``
-layout, the boolean row-sum sync count and the per-machine
-gather/apply/sync superstep — so the differential tests in
+zero-copy views, counts mirror-sync traffic with a dense matvec, hoists
+``sum`` message computation across machines, and runs a ``min``
+program once per graph before accounting each partition from its
+frontier log (``repro.kernels``).  This module keeps the literal loops
+those replaced — the stable ``argsort`` layout, the boolean row-sum sync
+count and the per-machine gather/apply/sync superstep with its ``sum``
+and ``min`` scatters — so the differential tests in
 ``tests/equivalence/`` can compare production against them byte for byte.
 """
 
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.sync_engine import SyncEngine
 from repro.engine.trace import ExecutionTrace, MachinePhase, SuperstepTrace
 
 __all__ = ["reference_layout", "reference_sync_bytes", "reference_sync_run"]
@@ -77,14 +78,21 @@ def reference_sync_run(program, dgraph):
         has_message = np.zeros(n, dtype=bool)
         edge_ops = np.zeros(m, dtype=np.float64)
         for i in range(m):
-            ls, ld = local_src[i], local_dst[i]
-            edge_ops[i] += SyncEngine._gather(
-                program, graph, values, ls, ld, active, acc, has_message
-            )
+            directions = [(local_src[i], local_dst[i])]
             if program.undirected:
-                edge_ops[i] += SyncEngine._gather(
-                    program, graph, values, ld, ls, active, acc, has_message
-                )
+                directions.append((local_dst[i], local_src[i]))
+            for sources, targets in directions:
+                live = active[sources]
+                s, t = sources[live], targets[live]
+                if s.size == 0:
+                    continue
+                msgs = program.messages(graph, values, s)
+                if program.accumulator == "sum":
+                    acc += np.bincount(t, weights=msgs, minlength=n)
+                else:
+                    np.minimum.at(acc, t, msgs)
+                has_message[t] = True
+                edge_ops[i] += s.size
         new_values, new_active = program.apply(graph, values, acc, has_message)
 
         applied = has_message | active

@@ -44,6 +44,34 @@ class TestOpValidation:
         with pytest.raises(StreamError):
             RemoveEdge(0, -2)
 
+    @pytest.mark.parametrize("count", [1.5, True, "2", None])
+    def test_add_vertices_rejects_non_integer_count(self, count):
+        with pytest.raises(StreamFormatError, match="add_vertices count"):
+            AddVertices(count)
+
+    @pytest.mark.parametrize("op", [RemoveVertex, ReviveVertex])
+    @pytest.mark.parametrize("vertex", [True, 0.0, "1"])
+    def test_vertex_ops_reject_non_integer_vertex(self, op, vertex):
+        with pytest.raises(StreamFormatError, match="vertex must be an integer"):
+            op(vertex)
+
+    @pytest.mark.parametrize("op", [AddEdge, RemoveEdge])
+    @pytest.mark.parametrize("src, dst", [(0.5, 1), (0, False), (1, "2")])
+    def test_edge_ops_reject_non_integer_endpoints(self, op, src, dst):
+        with pytest.raises(StreamFormatError, match="must be an integer"):
+            op(src, dst)
+
+    def test_numpy_integers_accepted(self):
+        assert AddEdge(np.int64(1), np.int32(2)).dst == 2
+        assert AddVertices(np.int64(3)).count == 3
+
+    def test_non_integer_op_in_json_is_a_format_error(self):
+        with pytest.raises(StreamFormatError, match="add_vertices count"):
+            MutationStream.from_jsonable({
+                "format_version": STREAM_FORMAT_VERSION,
+                "batches": [[{"op": "add_vertices", "count": 1.5}]],
+            })
+
 
 class TestApplyBatch:
     def test_add_edge_appends_in_canonical_order(self, tiny_graph):

@@ -165,6 +165,22 @@ class TestErrorContract:
             {"format_version": 1, "base_vertices": "x", "batches": []}
         ))
         (tmp / "bad-edges.txt").write_text("0 1\nnot an edge\n")
+        (tmp / "three.txt").write_text("0 1\n1 2\n")
+        (tmp / "frac-count-stream.json").write_text(json.dumps(
+            {"format_version": 1, "base_vertices": 3,
+             "batches": [[{"op": "add_vertices", "count": 1.5}]]}
+        ))
+        for name, field, value in (
+            ("unknown-app", "app", "x"),
+            ("null-app", "app", None),
+            ("null-partitioner", "partitioner", None),
+        ):
+            job = {"job_id": "j0", "app": "pagerank",
+                   "graph": {"vertices": 50}}
+            job[field] = value
+            (tmp / f"{name}-workload.json").write_text(json.dumps(
+                {"format_version": 4, "jobs": [job]}
+            ))
         (tmp / "bad-workload.json").write_text("{nope")
         # The first bytes of a zip archive, cut off before its directory.
         (tmp / "trunc.npz").write_bytes(b"PK\x03\x04" + bytes(60))
@@ -202,6 +218,26 @@ class TestErrorContract:
                  "--mutations", "{tmp}/str-base-stream.json"],
                 2, "err", "error:", "base_vertices",
                 id="string-stream-base-vertices"),
+            pytest.param(
+                ["process", *RUN, "--graph-file", "{tmp}/three.txt",
+                 "--mutations", "{tmp}/frac-count-stream.json"],
+                2, "err", "error:", "add_vertices count",
+                id="fractional-stream-op-count"),
+            pytest.param(
+                ["serve", "--cluster", "c4.xlarge",
+                 "--workload", "{tmp}/unknown-app-workload.json"],
+                2, "err", "error:", "unknown app 'x'",
+                id="workload-unknown-app-name"),
+            pytest.param(
+                ["serve", "--cluster", "c4.xlarge",
+                 "--workload", "{tmp}/null-app-workload.json"],
+                2, "err", "error:", "'app' must be a string",
+                id="workload-null-app"),
+            pytest.param(
+                ["serve", "--cluster", "c4.xlarge",
+                 "--workload", "{tmp}/null-partitioner-workload.json"],
+                2, "err", "error:", "'partitioner' must be a string",
+                id="workload-null-partitioner"),
             pytest.param(
                 ["process", *RUN, "--graph-file", "{tmp}/bad-edges.txt"],
                 2, "err", "error:", "bad-edges.txt",

@@ -1,8 +1,11 @@
 """Unit tests for repro.engine.distributed_graph (masters/mirrors)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.apps.registry import DEFAULT_APPS, make_app
 from repro.engine.distributed_graph import DistributedGraph
 from repro.errors import EngineError
 from repro.graph.digraph import DiGraph
@@ -34,6 +37,53 @@ class TestLocalEdges:
             assert np.array_equal(
                 dgraph.local_src[m], dgraph.graph.src[ids]
             )
+
+
+def _owned_buffers(dgraph):
+    """Distinct array buffers reachable from the layout's own attributes.
+
+    The partition and the graph are the layout's inputs, shared with the
+    caller, so the walk does not enter them.  Views count as the array
+    that owns their memory.
+    """
+    stack = [v for k, v in vars(dgraph).items() if k not in ("partition", "graph")]
+    seen, owners = set(), {}
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            owners[id(obj)] = obj
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif dataclasses.is_dataclass(obj):
+            stack.extend(vars(obj).values())
+    return list(owners.values())
+
+
+class TestLayoutMemory:
+    def test_only_the_view_endpoints_are_edge_length(self, dgraph):
+        """After every app has run on it, a layout holds two edge-length
+        arrays: the machine-sorted ``src`` and ``dst`` of its view."""
+        for name in DEFAULT_APPS:
+            make_app(name).execute(dgraph)
+        num_edges = dgraph.graph.num_edges
+        assert num_edges not in (dgraph.num_vertices, 4)
+        edge_length = [
+            a for a in _owned_buffers(dgraph) if a.ndim and a.shape[0] == num_edges
+        ]
+        view = dgraph.edge_view
+        assert sorted(map(id, edge_length)) == sorted([id(view.src), id(view.dst)])
+
+    def test_edge_ids_are_recomputed_not_stored(self, dgraph):
+        assert "edge_ids" not in vars(dgraph)
+        first, again = dgraph.edge_ids, dgraph.edge_ids
+        assert [a.tobytes() for a in first] == [b.tobytes() for b in again]
 
 
 class TestPresenceAndMasters:

@@ -116,6 +116,28 @@ class TestProgramValidation:
         with pytest.raises(EngineError, match="apply"):
             SyncEngine().run(Bad(), distribute(tiny_graph, 1))
 
+    def test_non_elementwise_program_rejected(self, tiny_graph):
+        class Batchwise(PageRank):
+            messages_elementwise = False
+
+        with pytest.raises(EngineError, match="elementwise"):
+            SyncEngine().run(Batchwise(), distribute(tiny_graph, 1))
+
+    def test_undirected_sum_program_rejected(self, tiny_graph):
+        class Undirected(PageRank):
+            undirected = True
+
+        with pytest.raises(EngineError, match="directed"):
+            SyncEngine().run(Undirected(), distribute(tiny_graph, 1))
+
+    def test_bad_min_apply_shape_rejected(self, tiny_graph):
+        class Bad(ConnectedComponents):
+            def apply(self, graph, values, acc, has_message):
+                return np.ones(2), np.ones(2, dtype=bool)
+
+        with pytest.raises(EngineError, match="apply"):
+            SyncEngine().run(Bad(), distribute(tiny_graph, 2))
+
     def test_max_supersteps_caps_runaway(self, ring_graph):
         class NeverConverges(PageRank):
             def apply(self, graph, values, acc, has_message):

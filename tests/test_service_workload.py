@@ -95,6 +95,32 @@ class TestJobRequest:
         with pytest.raises(WorkloadFormatError, match="app"):
             JobRequest.from_jsonable({"job_id": "j", "graph": GRAPH.to_jsonable()})
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("app", "x", "unknown app 'x'"),
+            ("app", None, "'app' must be a string"),
+            ("app", 1, "'app' must be a string"),
+            ("partitioner", "x", "unknown partitioner 'x'"),
+            ("partitioner", None, "'partitioner' must be a string"),
+            ("job_id", None, "'job_id' must be a string"),
+            ("job_id", 7, "'job_id' must be a string"),
+        ],
+    )
+    def test_bad_name_fields_rejected(self, field, value, match):
+        payload = JobRequest(job_id="j", app="pagerank",
+                             graph=GRAPH).to_jsonable()
+        payload[field] = value
+        with pytest.raises(WorkloadFormatError, match=match):
+            JobRequest.from_jsonable(payload)
+
+    def test_bad_app_names_its_job_in_a_workload(self):
+        payload = json.loads(Workload(jobs=(JobRequest(
+            job_id="j", app="pagerank", graph=GRAPH),)).to_json())
+        payload["jobs"][0]["app"] = None
+        with pytest.raises(WorkloadFormatError, match="jobs\\[0\\]"):
+            Workload.from_json(json.dumps(payload))
+
 
 class TestWorkloadFormat:
     def make_workload(self):
