@@ -1,7 +1,8 @@
 """Experiment harness: one module per table/figure of the paper.
 
 Each module exposes ``run_*`` functions returning structured results with
-``rows()`` accessors; ``benchmarks/`` prints them in the paper's layout.
+``rows()`` accessors; ``tests/paper/`` prints them in the paper's layout
+and asserts their headline shapes.
 See DESIGN.md section 4 for the experiment index and EXPERIMENTS.md for
 recorded paper-vs-measured outcomes.
 """

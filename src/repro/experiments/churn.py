@@ -14,7 +14,7 @@ This experiment replays one seeded churn stream through both modes for
 every Case 1 partitioning algorithm and reports, per algorithm: final
 weighted imbalance, cumulative placement work, migration volume and the
 total simulated runtime across epochs.  The headline invariant (gated by
-``scripts/bench_streaming.py --check``) is that incremental placement
+``tests/streaming/test_streaming_churn.py``) is that incremental placement
 work is strictly below full re-partitioning's while the final imbalance
 stays comparable.
 """

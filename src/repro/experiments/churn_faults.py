@@ -8,7 +8,7 @@ robustness story (DESIGN.md §17):
   baseline: no snapshots exist, so the crash replays every completed
   epoch.  Denser cadences trade a steady snapshot tax on fault-free
   epochs for shorter replays.  The headline invariant (gated by
-  ``scripts/bench_streaming_faults.py --check``) is that the recovered
+  ``tests/streaming/test_recovery.py``) is that the recovered
   trace is byte-identical to the undisturbed run at *every* cadence —
   recovery is a pure time-and-energy bill, never a different answer.
 * :func:`run_halo_sweep` — the incremental partitioner's

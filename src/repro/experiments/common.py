@@ -1,8 +1,9 @@
 """Shared experiment scaffolding.
 
 Every experiment module exposes ``run(scale=...) -> <Result>`` returning a
-structured result with a ``rows()`` method; the benchmark harness prints
-those rows in the layout of the corresponding paper table/figure.
+structured result with a ``rows()`` method; ``repro experiment`` and
+``tests/paper/`` print those rows in the layout of the corresponding paper
+table/figure.
 
 The cluster builders here encode the paper's three evaluation cases:
 

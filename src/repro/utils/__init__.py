@@ -8,8 +8,8 @@ Small, dependency-free helpers used across the library:
 * :mod:`repro.utils.stats` -- generalised harmonic numbers, error metrics
   and summary statistics used by the power-law machinery and the
   experiment harness.
-* :mod:`repro.utils.tables` -- plain-text table rendering for benchmark
-  output (the benches print the same rows/series the paper reports).
+* :mod:`repro.utils.tables` -- plain-text table rendering for experiment
+  output (the same rows/series the paper reports).
 * :mod:`repro.utils.validation` -- argument checking helpers that raise
   consistent, actionable errors.
 """

@@ -1,7 +1,7 @@
 """Plain-text table rendering.
 
-Every benchmark prints the rows/series of the paper table or figure it
-regenerates; this module renders them uniformly so the bench output is
+Every experiment prints the rows/series of the paper table or figure it
+regenerates; this module renders them uniformly so the output is
 readable in a terminal and diffable across runs.
 """
 

@@ -1,8 +1,8 @@
 """Shared fixtures: small deterministic graphs and clusters.
 
 Tests run at tiny scales so the whole suite stays fast on one core;
-experiment-level behaviour at realistic scales is exercised by the
-benchmark suite.
+experiment-level behaviour at evaluation scale is exercised by
+``tests/paper/``.
 """
 
 from __future__ import annotations

@@ -2,9 +2,11 @@
 
 Covers the :mod:`repro.streaming.recovery` contracts in isolation:
 checkpoint serialization and validation, custody seal semantics, the
-crash/replay accounting of :class:`ResilientStreamingSystem`, and
-mid-stream resume (byte-identical continuation).  The federated failover
-path is exercised end-to-end in ``test_streaming_federation.py``.
+crash/replay accounting of :class:`ResilientStreamingSystem`,
+mid-stream resume (byte-identical continuation), and the recorded
+recovery bill of the ``repro experiment churn_faults`` cadence sweep.
+The federated failover path is exercised end-to-end in
+``test_streaming_federation.py``.
 """
 
 import dataclasses
@@ -18,6 +20,7 @@ from repro.errors import (
     StreamCheckpointError,
     StreamError,
 )
+from repro.experiments.churn_faults import run_churn_faults
 from repro.faults.checkpoint import CheckpointPolicy, RetryPolicy
 from repro.faults.schedule import (
     CrashFault,
@@ -375,3 +378,48 @@ class TestSnapshotCost:
         for earlier, later in zip(snapshots, snapshots[1:]):
             prefix = later.record_json()[: len(earlier.epoch_records)]
             assert all(a is b for a, b in zip(prefix, earlier.record_json()))
+
+
+#: The ``repro experiment churn_faults`` cadence sweep (pagerank, hybrid,
+#: seed 9, scale 0.01): one seeded mid-stream crash per checkpoint
+#: interval, interval 0 restarting from scratch.  Per interval:
+#: (checkpoints taken, crashes, replayed epochs, checkpoint s, replay s,
+#: overhead s), the seconds rounded to 6 decimals.
+CADENCE_BASELINE = {
+    0: (0, 1, 5, 0.0, 0.00103, 2.544543),
+    1: (7, 1, 1, 0.352035, 0.000206, 2.895754),
+    2: (3, 1, 1, 0.150872, 0.000206, 2.69459),
+    4: (1, 1, 1, 0.050291, 0.000206, 2.594009),
+}
+
+
+@pytest.fixture(scope="module")
+def cadence_sweep():
+    result = run_churn_faults(
+        scale=0.01, app=APP, algorithm="hybrid",
+        intervals=tuple(CADENCE_BASELINE), seed=9,
+    )
+    return {row.interval: row for row in result.rows_list}
+
+
+class TestCadenceSweepBaseline:
+    """Everything in the sweep is deterministic, so the bill is held to
+    the recorded values exactly, and every cadence must recover the
+    undisturbed trace byte for byte."""
+
+    @pytest.mark.parametrize("interval", sorted(CADENCE_BASELINE))
+    def test_recovered_trace_is_byte_identical(self, cadence_sweep, interval):
+        assert cadence_sweep[interval].trace_identical
+
+    @pytest.mark.parametrize("interval", sorted(CADENCE_BASELINE))
+    def test_recovery_bill_matches_recorded(self, cadence_sweep, interval):
+        row = cadence_sweep[interval]
+        measured = (
+            row.checkpoints_taken,
+            row.crashes,
+            row.replayed_epochs,
+            round(row.checkpoint_seconds, 6),
+            round(row.replay_seconds, 6),
+            round(row.overhead_seconds, 6),
+        )
+        assert measured == CADENCE_BASELINE[interval]

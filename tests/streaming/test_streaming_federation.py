@@ -7,9 +7,11 @@ instant, fail the stream over in ring order, journal the
 ``checkpoint:<cursor>`` / ``resumed:<cursor>`` pair proving exactly-once
 batch application, and complete with a final trace byte-identical to the
 undisturbed run — pinned to ``tests/golden/federated_stream_pagerank
-.trace.json`` (regenerate with ``scripts/regen_streaming_golden.py``).
+.trace.json`` (regenerate with ``scripts/regen_streaming_golden.py``) and
+to the recorded crash placement, failover count and trace digest.
 """
 
+import hashlib
 import json
 import pathlib
 
@@ -31,6 +33,11 @@ from repro.testing import (
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "golden"
 FIXTURE = GOLDEN_DIR / "federated_stream_pagerank.trace.json"
 
+#: sha256 of the stream trace, fault-free and after the failover alike.
+STREAM_TRACE_SHA256 = (
+    "a546b6ab50662264b1bc5d9ddfc9655bde5aa123e6cb15fe40f031088586f747"
+)
+
 
 def _service():
     return FederationService(
@@ -49,14 +56,18 @@ def _run(shard_faults=None):
 
 
 def _stream_trace(service):
-    """The stream job's trace from whichever shard completed it."""
-    traces = [
+    """The stream job's trace; every shard that holds one must agree."""
+    traces = {
         shard.service.stream_traces[GOLDEN_FED_STREAM_JOB]
         for shard in service.shards
         if GOLDEN_FED_STREAM_JOB in shard.service.stream_traces
-    ]
-    assert traces, "no shard holds the stream trace"
-    return traces[-1]
+    }
+    assert len(traces) == 1, f"{len(traces)} distinct stream traces"
+    return traces.pop()
+
+
+def _sha256(trace):
+    return hashlib.sha256(trace.encode("utf-8")).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +99,9 @@ def disturbed(crash_schedule):
 class TestFaultFreeBaseline:
     def test_matches_golden_fixture(self, fault_free):
         service, result = fault_free
-        assert _stream_trace(service) + "\n" == FIXTURE.read_text()
+        trace = _stream_trace(service)
+        assert trace + "\n" == FIXTURE.read_text()
+        assert _sha256(trace) == STREAM_TRACE_SHA256
 
     def test_all_jobs_complete(self, fault_free):
         _, result = fault_free
@@ -98,9 +111,10 @@ class TestFaultFreeBaseline:
 
 class TestMidStreamFailover:
     def test_crash_and_failover_happened(self, disturbed):
-        _, _, result = disturbed
+        owner, _, result = disturbed
+        assert owner == 2
         assert result.shard_crashes == 1
-        assert result.failovers >= 1
+        assert result.failovers == 1
 
     def test_stream_completes_exactly_once(self, disturbed):
         _, _, result = disturbed
@@ -148,6 +162,7 @@ class TestMidStreamFailover:
         _, service, _ = disturbed
         trace = _stream_trace(service)
         assert trace + "\n" == FIXTURE.read_text()
+        assert _sha256(trace) == STREAM_TRACE_SHA256
         # Every epoch exactly once: initial placement + one per batch.
         assert len(json.loads(trace)["epochs"]) == GOLDEN_STREAM_BATCHES + 1
 

@@ -1,6 +1,6 @@
 """Fast smoke tests of the experiment harness at tiny scale.
 
-The benchmarks validate the paper-shape claims at evaluation scale; these
+``tests/paper/`` validates the paper-shape claims at evaluation scale; these
 only assert that every experiment runs end to end and returns structurally
 sound results, so a refactor cannot silently break the harness.
 """

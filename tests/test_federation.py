@@ -25,12 +25,14 @@ from repro.federation import (
     FederationService,
     ShardJournal,
 )
+from repro.kernels.cache import clear_all_caches
 from repro.service import (
     BreakerPolicy,
     GraphSpec,
     JobRequest,
     ServicePolicy,
     Workload,
+    generate_workload,
 )
 from repro.service.breaker import STATE_OPEN, BreakerBoard
 
@@ -499,3 +501,72 @@ class TestFailoverStealRecovery:
         }
         assert ran_on == {1}
         assert len(result.records) == len(jobs)
+
+
+#: Federated scale-out: a seeded 600-job Poisson workload (seed 17, mean
+#: interarrival 0.02 s) replayed on 1, 4 and 8 m4/c4 shards at scale 0.01,
+#: with one seeded mid-stream shard crash at widths above 1.  Per width:
+#: (throughput jobs/sim-hour, p99 latency s, rejection rate, steals,
+#: failovers, shard crashes), the first three rounded to 3, 9 and 6
+#: decimals.
+SCALE_OUT_BASELINE = {
+    1: (12732.777, 10.257202326, 0.893333, 0, 0, 0),
+    4: (83481.842, 4.903446695, 0.206667, 270, 0, 1),
+    8: (119122.39, 6.402387511, 0.0, 329, 0, 1),
+}
+
+
+@pytest.fixture(scope="module")
+def scale_out_summaries():
+    workload = generate_workload(
+        600,
+        seed=17,
+        mean_interarrival_s=0.02,
+        deadline_fraction=0.2,
+        fault_fraction=0.1,
+        crash_rate=0.01,
+    )
+    horizon_s = max(j.submit_s for j in workload.jobs)
+    summaries = {}
+    for num_shards in SCALE_OUT_BASELINE:
+        clear_all_caches()
+        faults = ShardFaultSchedule()
+        if num_shards > 1:
+            faults = ShardFaultSchedule(
+                crashes=(
+                    ShardCrash(
+                        time_s=round(horizon_s / 3.0, 6),
+                        shard=num_shards - 1,
+                        downtime_s=round(horizon_s / 10.0, 6),
+                    ),
+                )
+            )
+        service = FederationService(
+            [_cluster() for _ in range(num_shards)],
+            policy=ServicePolicy(max_queue_depth=8),
+            federation=FederationPolicy(steal_backlog=2),
+        )
+        result = service.run_workload(workload, shard_faults=faults)
+        summaries[num_shards] = result.summary()
+    return summaries
+
+
+class TestScaleOutBaseline:
+    """The simulated metrics are deterministic functions of (workload seed,
+    clusters, policies, fault schedule), so any drift means routing,
+    stealing or recovery behaviour changed."""
+
+    @pytest.mark.parametrize("num_shards", sorted(SCALE_OUT_BASELINE))
+    def test_matches_recorded_metrics(self, scale_out_summaries, num_shards):
+        summary = scale_out_summaries[num_shards]
+        measured = (
+            round(summary["throughput_jobs_per_sim_hour"], 3),
+            round(summary["latency_p99_s"], 9),
+            round(summary["rejection_rate"], 6),
+            summary["steals"],
+            summary["failovers"],
+            summary["shard_crashes"],
+        )
+        assert measured == pytest.approx(
+            SCALE_OUT_BASELINE[num_shards], rel=1e-6, abs=1e-6
+        )

@@ -2,7 +2,7 @@
 
 These exercise the full pipelines — proxy profiling feeding partitioning
 feeding execution — and assert the paper's qualitative claims at test
-scale (each claim is checked at evaluation scale by the benchmarks).
+scale (each claim is checked at evaluation scale by ``tests/paper/``).
 """
 
 import numpy as np

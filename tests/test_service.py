@@ -13,6 +13,7 @@ from repro.cluster.perfmodel import PerformanceModel
 from repro.errors import ServiceError
 from repro.faults.checkpoint import CheckpointPolicy, RetryPolicy
 from repro.faults.schedule import CrashFault, FaultSchedule
+from repro.kernels.cache import clear_all_caches
 from repro.service import (
     STATUS_COMPLETED,
     STATUS_DEADLINE_EXCEEDED,
@@ -23,6 +24,7 @@ from repro.service import (
     JobService,
     ServicePolicy,
     Workload,
+    generate_workload,
 )
 
 GRAPH = GraphSpec(vertices=300, alpha=2.1, seed=0)
@@ -264,3 +266,55 @@ class TestAccountingAndDeterminism:
         first = JobService(pair).run_workload(workload).trace_json()
         second = JobService(pair).run_workload(workload).trace_json()
         assert first == second
+
+
+#: The service under three arrival rates: a seeded 60-job Poisson
+#: workload (seed 11) replayed on the m4/c4 pair at scale 0.01.  Per rate:
+#: (mean interarrival gap s, throughput jobs/sim-hour, p99 latency s,
+#: rejection rate), the metrics rounded to 3, 9 and 6 decimals.  Mean
+#: service time is roughly 0.2 simulated seconds per job, so the rates
+#: sit below, at, and well above the service rate.
+ARRIVAL_RATE_BASELINE = {
+    "light": (0.5, 7019.279, 2.617169748, 0.0),
+    "saturating": (0.2, 15100.51, 2.577631368, 0.166667),
+    "overload": (0.05, 15770.439, 2.59931544, 0.716667),
+}
+
+
+@pytest.fixture(scope="module")
+def arrival_rate_summaries():
+    summaries = {}
+    for name, (gap, *_) in ARRIVAL_RATE_BASELINE.items():
+        clear_all_caches()
+        workload = generate_workload(
+            60,
+            seed=11,
+            mean_interarrival_s=gap,
+            deadline_fraction=0.2,
+            fault_fraction=0.1,
+            crash_rate=0.01,
+        )
+        cluster = Cluster(
+            [get_machine("m4.2xlarge"), get_machine("c4.2xlarge")],
+            perf=PerformanceModel(model_scale=0.01),
+        )
+        service = JobService(cluster, policy=ServicePolicy(max_queue_depth=8))
+        summaries[name] = service.run_workload(workload).summary()
+    return summaries
+
+
+class TestArrivalRateBaseline:
+    """The simulated metrics are deterministic functions of (workload seed,
+    cluster, policy), so any drift means the scheduling behaviour changed."""
+
+    @pytest.mark.parametrize("rate", sorted(ARRIVAL_RATE_BASELINE))
+    def test_matches_recorded_metrics(self, arrival_rate_summaries, rate):
+        summary = arrival_rate_summaries[rate]
+        measured = (
+            round(summary["throughput_jobs_per_sim_hour"], 3),
+            round(summary["latency_p99_s"], 9),
+            round(summary["rejection_rate"], 6),
+        )
+        assert measured == pytest.approx(
+            ARRIVAL_RATE_BASELINE[rate][1:], rel=1e-6, abs=1e-6
+        )
