@@ -3,8 +3,10 @@
 
 Writes ``tests/golden/federation_compat.sha256`` — the sha256 of the
 canonical 40-job service trace that ``tests/test_federation_compat.py``
-pins.  Run only after an *intentional* semantic change to the service or
-federation replay path::
+pins.  The service replays on the federation's event loop as a 1-shard
+federation, so this one hash covers both.  Run only after an
+*intentional* semantic change to that loop or to the per-job service
+policies::
 
     PYTHONPATH=src python scripts/regen_federation_golden.py
 """

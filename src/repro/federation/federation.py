@@ -7,9 +7,11 @@ ring keyed by graph content fingerprints (:mod:`repro.federation.ring`).
 All shards run on **one seeded simulated clock** driven by a single
 deterministic event loop, so the byte-identical replay contract of the
 whole library survives the scale-out: the same workload file plus the
-same shard-fault schedule replays to the same federation trace bytes,
-and a 1-shard, no-fault federation reproduces ``JobService.run_workload``
-exactly (record for record, byte for byte — pinned by the compat tests).
+same shard-fault schedule replays to the same federation trace bytes.
+Its event loop is the library's only replay loop:
+``JobService.run_workload`` is a 1-shard federation around the service
+(:meth:`FederationService._around`), and the compat golden pins the
+bytes of that 1-shard trace.
 
 The robustness layer, in the order a job meets it:
 
@@ -83,8 +85,8 @@ __all__ = [
 FEDERATION_TRACE_VERSION = 1
 
 #: Seed stride between shard retry-RNG streams.  Shard 0 keeps the plain
-#: workload seed so a 1-shard federation draws the identical backoff
-#: sequence as ``JobService.run_workload`` (the byte-identity contract).
+#: workload seed, so the 1-shard ``JobService.run_workload`` draws its
+#: backoffs from the workload seed itself.
 _SHARD_SEED_STRIDE = 1000003
 
 
@@ -212,12 +214,10 @@ class FederationResult:
     def service_view(self) -> ServiceResult:
         """The replay flattened into PR 5's :class:`ServiceResult` shape.
 
-        For a 1-shard federation this is *the* service result — records,
-        breaker history and totals byte-identical to a direct
-        ``JobService.run_workload`` on the same workload (the compat
-        golden test).  For wider federations the per-shard breaker
-        histories are merged by (time, shard) and machine indices stay
-        shard-local.
+        For a 1-shard federation this is *the* service result: it is
+        what ``JobService.run_workload`` returns.  For wider federations
+        the per-shard breaker histories are merged by (time, shard) and
+        machine indices stay shard-local.
         """
         merged: List[Tuple[float, int, int, Any]] = []
         for report in self.shards:
@@ -331,34 +331,56 @@ class FederationService:
         clusters = tuple(clusters)
         if not clusters:
             raise FederationError("federation needs at least one cluster")
+        services = [
+            JobService(
+                cluster,
+                policy=policy,
+                breaker_policy=breaker_policy,
+                estimator=estimator,
+                checkpoint=checkpoint,
+                engine_retry=engine_retry,
+                monitor=monitor,
+                stream_checkpoint=stream_checkpoint,
+            )
+            for cluster in clusters
+        ]
+        self._bind(services, federation, {}, custody)
+
+    @classmethod
+    def _around(cls, service: JobService) -> "FederationService":
+        """A 1-shard federation whose only shard is ``service`` itself.
+
+        The shard keeps the service's own graph memo and checkpoint
+        custody, so the caller's board, stream traces and memo fill as
+        if the service had replayed the workload alone.
+        """
+        federation = cls.__new__(cls)
+        federation._bind([service], None, service._graphs, service.checkpoints)
+        return federation
+
+    def _bind(
+        self,
+        services: Sequence[JobService],
+        federation: Optional[FederationPolicy],
+        graphs: Dict[Tuple[Any, ...], DiGraph],
+        custody: Optional[CheckpointCustody],
+    ) -> None:
+        """Wire one shard per service onto a shared memo and custody."""
         self.federation = (
             federation if federation is not None else FederationPolicy()
         )
         self.ring = HashRing(
-            range(len(clusters)), replicas=self.federation.ring_replicas
+            range(len(services)), replicas=self.federation.ring_replicas
         )
         #: Shared graph memo: every shard resolves graph specs through
         #: this one table, so a graph is loaded once per federation and
         #: the content-keyed kernel caches see one object per input.
-        self._graphs: Dict[Tuple[Any, ...], DiGraph] = {}
+        self._graphs = graphs
         self._fingerprints: Dict[Tuple[Any, ...], str] = {}
         self.custody = custody
         self.shards: Tuple[_Shard, ...] = tuple(
-            _Shard(
-                shard_id=i,
-                service=JobService(
-                    cluster,
-                    policy=policy,
-                    breaker_policy=breaker_policy,
-                    estimator=estimator,
-                    checkpoint=checkpoint,
-                    engine_retry=engine_retry,
-                    monitor=monitor,
-                    stream_checkpoint=stream_checkpoint,
-                ),
-                journal=ShardJournal(i),
-            )
-            for i, cluster in enumerate(clusters)
+            _Shard(shard_id=i, service=service, journal=ShardJournal(i))
+            for i, service in enumerate(services)
         )
         for shard in self.shards:
             shard.service._graphs = self._graphs
@@ -594,6 +616,9 @@ class FederationService:
         if shard.inflight is not None:
             job, start_s = shard.inflight
             shard.inflight = None
+            # The run never finished here: its stream trace (priced when
+            # the job started) belongs to the adopting shard alone.
+            shard.service.stream_traces.pop(job.job_id, None)
             lost = max(0.0, now_s - start_s)
             self._lost_seconds += lost
             self._aborted_runs += 1
@@ -687,7 +712,12 @@ class FederationService:
                 "service.queue_depth", len(shard.queue),
                 shard=shard.shard_id,
             )
+        trips_before = shard.service.board.total_trips()
         record = shard.service._run_job(job, start_s, len(shard.queue))
+        if obs.is_enabled():
+            trips = shard.service.board.total_trips() - trips_before
+            if trips:
+                obs.counter_add("service.breaker_trips", float(trips))
         resumed_from = shard.service.stream_resumes.pop(job.job_id, None)
         if resumed_from is not None:
             shard.journal.append(

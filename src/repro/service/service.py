@@ -825,90 +825,19 @@ class JobService:
     def run_workload(self, workload: Workload) -> ServiceResult:
         """Replay a workload to completion and return the full history.
 
-        The loop is a single-server discrete-event simulation: arrivals
-        are admitted at their submission instants (the queue-depth and
-        projected-wait checks see the queue exactly as it stood then),
-        and whenever the server frees, the highest-priority admitted job
-        starts.  Admissions are batched up to the next start time, which
-        is equivalent to admitting at arrival instants because the queue
-        only changes between starts by those same arrivals.
+        The service is a 1-shard federation: the replay runs on
+        :class:`~repro.federation.federation.FederationService`'s event
+        loop with this service as its only shard, so the two can never
+        disagree on admission, scheduling or accounting.  Arrivals are
+        admitted at their submission instants and, whenever the server
+        frees, the highest-priority admitted job starts.  A workload's
+        embedded shard faults are ignored: one service has no shard to
+        crash.
         """
-        arrivals = list(workload.sorted_jobs())
-        self._rng = make_rng(workload.seed)
-        self._stream_seed = workload.seed
-        job_index = {job.job_id: i for i, job in enumerate(workload.jobs)}
-        queue: List[JobRequest] = []
-        records: List[JobRecord] = []
-        free_at = 0.0
-        ptr = 0
-        max_depth = 0
-        with obs.span("service/run", jobs=len(arrivals)) as span:
-            while ptr < len(arrivals) or queue:
-                horizon = (
-                    free_at
-                    if queue
-                    else max(free_at, arrivals[ptr].submit_s)
-                )
-                while (
-                    ptr < len(arrivals)
-                    and arrivals[ptr].submit_s <= horizon
-                ):
-                    job = arrivals[ptr]
-                    ptr += 1
-                    reason = self._admission_error(job, queue, free_at)
-                    if reason:
-                        reason = _locate_reason(
-                            reason, job_index.get(job.job_id)
-                        )
-                        records.append(
-                            JobRecord(
-                                job_id=job.job_id,
-                                app=job.app,
-                                status=STATUS_REJECTED,
-                                priority=job.priority,
-                                submit_s=job.submit_s,
-                                reason=reason,
-                            )
-                        )
-                        if obs.is_enabled():
-                            obs.counter_add("service.rejected", 1.0)
-                            obs.event(
-                                "service/reject",
-                                job_id=job.job_id,
-                                reason=reason,
-                            )
-                        continue
-                    queue.append(job)
-                    max_depth = max(max_depth, len(queue))
-                    if obs.is_enabled():
-                        obs.counter_add("service.admitted", 1.0)
-                        obs.gauge_set("service.queue_depth", len(queue))
-                if not queue:
-                    continue
-                job = min(
-                    queue,
-                    key=lambda j: (-j.priority, j.submit_s, j.job_id),
-                )
-                queue.remove(job)
-                if obs.is_enabled():
-                    obs.gauge_set("service.queue_depth", len(queue))
-                start = max(free_at, job.submit_s)
-                trips_before = self.board.total_trips()
-                record = self._run_job(job, start, len(queue))
-                records.append(record)
-                if obs.is_enabled():
-                    trips = self.board.total_trips() - trips_before
-                    if trips:
-                        obs.counter_add("service.breaker_trips", float(trips))
-                free_at = record.end_s if record.end_s is not None else start
-            span.set(jobs_done=len(records), makespan_s=free_at)
+        from repro.faults.shards import ShardFaultSchedule
+        from repro.federation.federation import FederationService
 
-        records.sort(key=lambda r: (r.submit_s, r.job_id))
-        return ServiceResult(
-            records=tuple(records),
-            breaker_events=tuple(self.board.events),
-            breaker_states=self.board.states(),
-            breaker_trips=self.board.total_trips(),
-            makespan_s=free_at,
-            max_queue_depth=max_depth,
-        )
+        federation = FederationService._around(self)
+        return federation.run_workload(
+            workload, shard_faults=ShardFaultSchedule()
+        ).service_view()

@@ -99,7 +99,8 @@ class LayeredCache:
 
     * a miss in L1 falls through to the store namespace; a store hit is
       decoded, promoted into L1 and counted as a hit (plus
-      ``store_hits``);
+      ``store_hits``); a row that does not decode is quarantined and
+      counted as a miss;
     * every put writes through to the store, so warm state survives the
       process and an L1 *eviction* no longer loses the entry — the
       eviction-coordination story the federation's shared shards needed;
@@ -160,9 +161,10 @@ class LayeredCache:
             return value
         if self._store is not None and self._codec is not None:
             assert self.namespace is not None
-            payload = self._store.get(self.namespace, repr(key))
-            if payload is not None:
-                decoded = self._codec.decode(payload)
+            decoded = self._store.get_decoded(
+                self.namespace, repr(key), self._codec
+            )
+            if decoded is not None:
                 self._l1.put(key, decoded)
                 self._l1.hits += 1
                 self.store_hits += 1

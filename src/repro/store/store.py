@@ -34,8 +34,9 @@ Durability contract:
 * **Typed failure** — an unreadable file raises
   :class:`~repro.errors.StoreCorruptError`, a version mismatch
   :class:`~repro.errors.StoreSchemaError`.  Silent degradation is
-  reserved for the one recoverable case: a row whose payload hash does
-  not match, which is quarantined and recomputed.
+  reserved for the recoverable case: a row whose payload hash does not
+  match, or whose verified payload does not decode, is quarantined and
+  recomputed.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import hashlib
 import os
 import sqlite3
 import time
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import (
     StoreCorruptError,
@@ -53,6 +54,9 @@ from repro.errors import (
     StoreSchemaError,
 )
 from repro.utils.rng import make_rng
+
+if TYPE_CHECKING:
+    from repro.store.codecs import PayloadCodec
 
 __all__ = ["SCHEMA_VERSION", "SummaryStore"]
 
@@ -284,6 +288,28 @@ class SummaryStore:
             return None
         return payload
 
+    def get_decoded(
+        self, namespace: str, key_text: str, codec: "PayloadCodec"
+    ) -> Optional[Any]:
+        """Decoded value for one key, or ``None``.
+
+        Like :meth:`get`, and a verified payload that ``codec`` cannot
+        decode is quarantined and reported as a miss too: intact bytes
+        from another encoding are as unusable as damaged ones.
+        """
+        payload = self.get(namespace, key_text)
+        if payload is None:
+            return None
+        try:
+            return codec.decode(payload)
+        except ValueError as exc:
+            self._quarantine(
+                namespace,
+                key_sha(key_text),
+                f"undecodable {codec.name} payload ({exc})",
+            )
+            return None
+
     def put(self, namespace: str, key_text: str, payload: bytes) -> None:
         """Insert or overwrite one row, transactionally.
 
@@ -379,7 +405,11 @@ class SummaryStore:
                     self._conn.execute(sql, params)
                 self._conn.execute("COMMIT")
             except BaseException:
-                self._conn.execute("ROLLBACK")
+                # sqlite may have rolled the whole transaction back
+                # already (a busy page-cache spill, for one); a second
+                # ROLLBACK would raise and hide the error that says why.
+                if self._conn.in_transaction:
+                    self._conn.execute("ROLLBACK")
                 raise
         except sqlite3.OperationalError as exc:
             if "locked" in str(exc) or "busy" in str(exc):

@@ -477,19 +477,19 @@ class CheckpointCustody:
         """Re-hydrate one persisted snapshot from the attached store.
 
         Returns ``None`` on a miss *or* a quarantined row (the store
-        verifies the payload sha256 and quarantines mismatches — the
-        caller recomputes, exactly the PR 7 contract).
+        verifies the payload sha256 and quarantines mismatches and
+        undecodable payloads); the caller recomputes.
         """
         if self._store is None:
             return None
-        payload = self._store.get(CHECKPOINT_NAMESPACE, key_text)
-        if payload is None:
-            return None
         from repro.store.codecs import CODECS
 
-        return StreamCheckpoint.from_jsonable(
-            CODECS[CHECKPOINT_NAMESPACE].decode(payload)
+        decoded = self._store.get_decoded(
+            CHECKPOINT_NAMESPACE, key_text, CODECS[CHECKPOINT_NAMESPACE]
         )
+        if decoded is None:
+            return None
+        return StreamCheckpoint.from_jsonable(decoded)
 
 
 # ---------------------------------------------------------------------- #

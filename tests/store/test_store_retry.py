@@ -111,3 +111,38 @@ class TestDeterministicBackoff:
         assert self._exhaust(store_path, seed=7) != self._exhaust(
             store_path, seed=8
         )
+
+
+class _RollsBackOnFirstInsert:
+    """A connection whose first INSERT fails the way sqlite fails a
+    statement after rolling the whole transaction back itself."""
+
+    def __init__(self, conn):
+        self._conn = conn
+        self.failed = False
+
+    @property
+    def in_transaction(self):
+        return self._conn.in_transaction
+
+    def execute(self, sql, params=()):
+        if sql.startswith("INSERT") and not self.failed:
+            self.failed = True
+            self._conn.execute("ROLLBACK")
+            raise sqlite3.OperationalError("database is locked")
+        return self._conn.execute(sql, params)
+
+    def close(self):
+        self._conn.close()
+
+
+class TestTransactionAlreadyRolledBack:
+    def test_lock_error_is_retried_not_masked(self, store_path):
+        SummaryStore.create(store_path).close()
+        with _open_fast(store_path, retry_attempts=1) as st:
+            sleeps = _record_sleeps(st)
+            st._conn = _RollsBackOnFirstInsert(st._conn)
+            st.put("estimate", "('k',)", b"1.5")
+            assert st._conn.failed
+            assert len(sleeps) == 1
+            assert st.get("estimate", "('k',)") == b"1.5"

@@ -6,11 +6,13 @@ with a typed StoreError* — never silently serve bad rows.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import sqlite3
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -21,7 +23,7 @@ from repro.errors import StoreCorruptError, StoreSchemaError
 from repro.kernels.cache import attach_store, clear_all_caches, detach_store
 from repro.powerlaw.generator import generate_power_law_graph
 from repro.service import generate_workload
-from repro.store import SCHEMA_VERSION, SummaryStore
+from repro.store import CODECS, SCHEMA_VERSION, LayeredCache, SummaryStore
 
 
 def _cluster():
@@ -119,6 +121,89 @@ class TestFlippedPayloadByte:
         detach_store()
         store.close()
         assert again == cold
+
+
+class TestUndecodableRow:
+    """A row with a valid sha256 whose bytes its codec cannot decode is
+    quarantined and read as a miss, like a row that failed its hash."""
+
+    @pytest.mark.parametrize(
+        "namespace, key, value, bad_payload",
+        [
+            ("machine_time", ("m", 1), 0.125, b"not-a-float"),
+            (
+                "assignment",
+                ("a", 2),
+                np.array([0, 1, 1, 0], dtype=np.int32),
+                b"i4le:9\n\x00\x00",
+            ),
+            ("run_summary", ("s", 3), {"jobs": 2}, b"{not json"),
+        ],
+        ids=["float", "assignment", "json"],
+    )
+    def test_quarantined_recomputed_and_overwritten(
+        self, store, namespace, key, value, bad_payload
+    ):
+        codec = CODECS[namespace]
+        # The store records the sha256 of the bad bytes: they verify.
+        store.put(namespace, repr(key), bad_payload)
+        cache = LayeredCache(maxsize=4, namespace=namespace, codec=codec)
+        cache.attach(store)
+
+        assert cache.get(key) is None
+        assert cache.stats()["misses"] == 1
+        assert cache.stats()["store_hits"] == 0
+        assert store.quarantined() == {namespace: 1}
+        assert store.counts() == {}
+
+        # The caller recomputes; its put overwrites the row and clears
+        # the quarantine record.
+        cache.put(key, value)
+        assert store.quarantined() == {}
+        assert store.get(namespace, repr(key)) == codec.encode(value)
+        cache.clear()
+        np.testing.assert_equal(cache.get(key), value)
+        assert cache.stats()["store_hits"] == 1
+
+    def test_pipeline_recomputes_past_undecodable_floats(self, store_path):
+        graph = generate_power_law_graph(num_vertices=150, alpha=2.0, seed=9)
+        cold = _projected(graph)
+
+        store = SummaryStore.create(store_path)
+        clear_all_caches()
+        attach_store(store)
+        _projected(graph)  # populate
+        detach_store()
+        store.close()
+
+        # Replace every float payload with intact but undecodable bytes.
+        conn = sqlite3.connect(store_path)
+        rows = conn.execute(
+            "SELECT namespace, key_sha FROM summaries "
+            "WHERE namespace IN ('machine_time', 'estimate')"
+        ).fetchall()
+        assert rows
+        bad = b"not-a-float"
+        for namespace, sha in rows:
+            conn.execute(
+                "UPDATE summaries SET payload = ?, payload_sha = ? "
+                "WHERE namespace = ? AND key_sha = ?",
+                (bad, hashlib.sha256(bad).hexdigest(), namespace, sha),
+            )
+        conn.commit()
+        conn.close()
+
+        store = SummaryStore.open(store_path)
+        clear_all_caches()
+        attach_store(store)
+        warm = _projected(graph)
+        detach_store()
+        try:
+            assert warm == cold
+            # Recomputed puts superseded every quarantine record.
+            assert store.quarantined() == {}
+        finally:
+            store.close()
 
 
 class TestStaleSchema:

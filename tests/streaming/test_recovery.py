@@ -29,6 +29,7 @@ from repro.faults.schedule import (
 )
 from repro.partition import make_partitioner
 from repro.streaming import (
+    CHECKPOINT_NAMESPACE,
     CheckpointCustody,
     EpochOutcome,
     ResilientStreamingSystem,
@@ -217,6 +218,31 @@ class TestCheckpointCustody:
             assert fetched is not None
             assert fetched.canonical_json() == checkpoint.canonical_json()
             assert custody.fetch("stream_checkpoint:v1:job=missing") is None
+        finally:
+            store.close()
+
+
+    def test_undecodable_store_row_is_quarantined(self, tmp_path, checkpoint):
+        from repro.store import SummaryStore
+
+        path = str(tmp_path / "custody.db")
+        SummaryStore.create(path).close()
+        store = SummaryStore.open(path)
+        try:
+            key = checkpoint.checkpoint_key("j")
+            # Valid sha256, but not UTF-8: the row verifies, then fails
+            # to decode.
+            store.put(CHECKPOINT_NAMESPACE, key, b"\xff\xfe{")
+            custody = CheckpointCustody(store=store)
+            assert custody.fetch(key) is None
+            assert store.quarantined() == {CHECKPOINT_NAMESPACE: 1}
+            assert store.counts() == {}
+            # Recording the snapshot again overwrites the row.
+            custody.record("j", checkpoint, durable_at_s=1.0)
+            assert store.quarantined() == {}
+            fetched = custody.fetch(key)
+            assert fetched is not None
+            assert fetched.canonical_json() == checkpoint.canonical_json()
         finally:
             store.close()
 

@@ -55,15 +55,22 @@ def _run(shard_faults=None):
     return service, result
 
 
-def _stream_trace(service):
-    """The stream job's trace; every shard that holds one must agree."""
-    traces = {
-        shard.service.stream_traces[GOLDEN_FED_STREAM_JOB]
+def _stream_trace(service, result):
+    """The stream job's trace, held only by the shard that completed it.
+
+    A shard whose in-flight run was destroyed by a crash must not keep a
+    trace for a job it never finished: the adopting shard is the one
+    holder.
+    """
+    holders = [
+        shard.shard_id
         for shard in service.shards
         if GOLDEN_FED_STREAM_JOB in shard.service.stream_traces
-    }
-    assert len(traces) == 1, f"{len(traces)} distinct stream traces"
-    return traces.pop()
+    ]
+    assert holders == [dict(result.placements)[GOLDEN_FED_STREAM_JOB]]
+    return service.shards[holders[0]].service.stream_traces[
+        GOLDEN_FED_STREAM_JOB
+    ]
 
 
 def _sha256(trace):
@@ -99,7 +106,7 @@ def disturbed(crash_schedule):
 class TestFaultFreeBaseline:
     def test_matches_golden_fixture(self, fault_free):
         service, result = fault_free
-        trace = _stream_trace(service)
+        trace = _stream_trace(service, result)
         assert trace + "\n" == FIXTURE.read_text()
         assert _sha256(trace) == STREAM_TRACE_SHA256
 
@@ -159,8 +166,8 @@ class TestMidStreamFailover:
         assert resumes[0].job_id == GOLDEN_FED_STREAM_JOB
 
     def test_recovered_trace_is_byte_identical_to_golden(self, disturbed):
-        _, service, _ = disturbed
-        trace = _stream_trace(service)
+        _, service, result = disturbed
+        trace = _stream_trace(service, result)
         assert trace + "\n" == FIXTURE.read_text()
         assert _sha256(trace) == STREAM_TRACE_SHA256
         # Every epoch exactly once: initial placement + one per batch.
@@ -171,7 +178,9 @@ class TestMidStreamFailover:
         first_service, first = _run(shard_faults=faults)
         second_service, second = _run(shard_faults=faults)
         assert first.trace_json() == second.trace_json()
-        assert _stream_trace(first_service) == _stream_trace(second_service)
+        assert _stream_trace(first_service, first) == _stream_trace(
+            second_service, second
+        )
 
 
 class TestCacheState:
@@ -181,7 +190,9 @@ class TestCacheState:
         for _ in range(2):  # cold caches, then the caches the first run left
             service, result = _run(shard_faults=faults)
             assert result.shard_crashes == 1
-            assert _stream_trace(service) + "\n" == FIXTURE.read_text()
+            assert _stream_trace(service, result) + "\n" == (
+                FIXTURE.read_text()
+            )
 
 
 class TestWithoutCustody:

@@ -1,11 +1,12 @@
 """Backward-compat regression: a 1-shard federation IS the job service.
 
-The federation's scale-out must not change PR 5 semantics at width 1: a
-1-shard, no-shard-fault federation replay must be *byte-identical* to a
-direct ``JobService.run_workload`` on the same workload — records,
-breaker history, totals and trace bytes.  The trace hash is additionally
-pinned as a golden fixture so silent drift in either code path fails
-loudly.
+``JobService.run_workload`` has no replay loop of its own: it runs the
+federation's loop with the service as the only shard.  A 1-shard,
+no-shard-fault federation built from cluster specs must therefore agree
+with it byte for byte — records, breaker history, totals and trace
+bytes — and the service must ignore shard faults embedded in a
+workload.  The trace hash is pinned as a golden fixture, so a change to
+the shared loop that alters the service's history fails loudly.
 
 Regenerate the fixture (only after an intentional semantic change)::
 
@@ -20,14 +21,24 @@ import pytest
 from repro.cluster.catalog import get_machine
 from repro.cluster.cluster import Cluster
 from repro.cluster.perfmodel import PerformanceModel
-from repro.faults import ShardFaultSchedule
+from repro.faults import ShardCrash, ShardFaultSchedule
 from repro.faults.checkpoint import CheckpointPolicy, RetryPolicy
+from repro.faults.schedule import CrashFault, FaultSchedule
 from repro.federation import FederationPolicy, FederationService
+from repro.obs import Observer, enabled
 from repro.service import (
     BreakerPolicy,
+    GraphSpec,
+    JobRequest,
     JobService,
     ServicePolicy,
+    Workload,
     generate_workload,
+)
+from repro.streaming import CheckpointCustody
+from repro.testing import (
+    golden_federated_stream_workload,
+    golden_federation_clusters,
 )
 
 GOLDEN_PATH = (
@@ -147,3 +158,69 @@ class TestGoldenTraceHash:
             ).hexdigest()
             == expected
         )
+
+
+class TestOneReplayLoop:
+    def test_observed_breaker_trips_counter_matches_result(self):
+        # Every job crashes machine 0 once; a one-failure threshold with a
+        # short cooldown trips that breaker again and again.
+        crashing = FaultSchedule(crashes=(CrashFault(1, machine=0),), seed=0)
+        graph = GraphSpec(vertices=300, alpha=2.1, seed=0)
+        jobs = tuple(
+            JobRequest(
+                job_id=f"j{i}", app="pagerank", graph=graph,
+                submit_s=0.5 * i, faults=crashing,
+            )
+            for i in range(4)
+        )
+        observer = Observer()
+        with enabled(observer):
+            result = JobService(
+                _cluster(),
+                breaker_policy=BreakerPolicy(
+                    failure_threshold=1, cooldown_s=0.1
+                ),
+            ).run_workload(Workload(jobs=jobs, seed=0))
+        assert result.breaker_trips > 0
+        counters = observer.metrics.counters
+        assert counters["service.breaker_trips"] == result.breaker_trips
+        roots = [s.name for s in observer.spans if s.parent_id is None]
+        assert roots == ["federation/run"]
+
+    def test_embedded_shard_faults_are_ignored(self, replays):
+        direct, _ = replays
+        plain = _workload()
+        crash = ShardCrash(time_s=0.5, shard=0, downtime_s=0.2)
+        faulted = Workload(
+            jobs=plain.jobs,
+            seed=plain.seed,
+            shard_faults=ShardFaultSchedule(crashes=(crash,)),
+        )
+        # The crash bites a federation that honours the embedded schedule...
+        honoured = FederationService(
+            [_cluster()], **_service_knobs()
+        ).run_workload(faulted)
+        assert honoured.shard_crashes == 1
+        assert honoured.service_view().trace_json() != direct.trace_json()
+        # ...but one service has no shard to crash.
+        service = JobService(_cluster(), **_service_knobs())
+        assert service.run_workload(faulted).trace_json() == (
+            direct.trace_json()
+        )
+
+    def test_custody_cleared_after_each_commit(self):
+        # As in any federation, a committed stream job leaves no custody
+        # behind, so replaying the workload again on the same service
+        # restarts the stream instead of resuming from its last snapshot.
+        custody = CheckpointCustody()
+        service = JobService(
+            golden_federation_clusters()[0],
+            checkpoints=custody,
+            stream_checkpoint=CheckpointPolicy(interval=1),
+        )
+        workload = golden_federated_stream_workload()
+        first = service.run_workload(workload)
+        assert custody._entries == {}
+        second = service.run_workload(workload)
+        assert second.records == first.records
+        assert service.stream_resumes == {}
