@@ -34,7 +34,7 @@ from repro.errors import EngineError
 from repro.graph.digraph import DiGraph
 from repro.apps.triangle_count import skeleton_degrees, undirected_simple_edges
 from repro.kernels.accounting import coloring_trace
-from repro.kernels.csr import concat_ranges
+from repro.kernels.csr import concat_ranges, sorted_distinct
 from repro.utils.rng import hash_to_unit, mix64
 
 __all__ = ["GraphColoring"]
@@ -44,7 +44,7 @@ def _csr(rows, cols, n):
     """``(indptr, indices)`` of ``cols`` grouped by ``rows``.
 
     Order within a row is arbitrary (unstable sort): every consumer
-    scatters, subtracts or takes ``np.unique``, none of which sees it.
+    scatters, subtracts or sorts, none of which sees it.
     """
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
@@ -159,7 +159,7 @@ class GraphColoring(GraphApplication):
             # reaching 0 form the next wave, in ascending vertex order.
             lows, _ = _gather(down_ptr, down, winners)
             np.subtract.at(pending, lows, 1)
-            winners = np.unique(lows[pending[lows] == 0])
+            winners = sorted_distinct(lows[pending[lows] == 0])
 
         if remaining:
             raise EngineError(

@@ -15,10 +15,8 @@ orient every undirected edge from the lower-degree endpoint to the higher
 and count the wedges closed by the oriented edge ``a -> c``.  Each
 triangle is counted exactly once, and the orientation bounds every
 out-degree by ~sqrt(2|E|), keeping the wedge expansion tractable.  The
-oriented edges are kept as sorted keys ``a * n + c``, so the closure test
-is one ``searchsorted`` per block of rows.  The per-machine *work
-accounting* follows the PowerGraph algorithm it models: each local edge
-pays the merge cost ``d(u) + d(v)``.
+per-machine *work accounting* follows the PowerGraph algorithm it models:
+each local edge pays the merge cost ``d(u) + d(v)``.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from repro.engine.vertex_program import GraphApplication
 from repro.graph.digraph import DiGraph
 from repro.kernels.accounting import cached_triangle_total
 from repro.kernels.cache import graph_memo
-from repro.kernels.csr import concat_ranges
+from repro.kernels.csr import concat_ranges, sorted_distinct
 
 __all__ = ["TriangleCount", "skeleton_degrees", "undirected_simple_edges"]
 
@@ -61,11 +59,7 @@ def undirected_simple_edges(graph: DiGraph):
         # same arrays as ``np.unique(keys, return_index=True)``'s first
         # occurrences, without its stable mergesort argsort.
         n = np.int64(graph.num_vertices)
-        keys = np.sort(u * n + v)
-        first = np.empty(keys.size, dtype=bool)
-        first[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        u, v = np.divmod(keys[first], n)
+        u, v = np.divmod(sorted_distinct(u * n + v), n)
     u.setflags(write=False)
     v.setflags(write=False)
     memo[("skeleton",)] = (u, v)
@@ -94,6 +88,13 @@ def skeleton_degrees(graph: DiGraph):
 
 class TriangleCount(GraphApplication):
     """Exact triangle counting over the undirected simple skeleton.
+
+    :meth:`count_triangles` holds one skeleton-length array: the oriented
+    edges as sorted keys ``a * n + c``, built in place, whose row pointers
+    come from ``searchsorted``.  Wedges are expanded one block of rows at
+    a time, their tails read back from the keys, and a block's closed
+    wedges are counted with two ``searchsorted`` calls against its own
+    keys.  The total does not depend on ``row_block``.
 
     Parameters
     ----------
@@ -130,34 +131,40 @@ class TriangleCount(GraphApplication):
         if u.size == 0 or n < 3:
             return 0
         deg = skeleton_degrees(graph)
+        nn = np.int64(n)
 
-        # Orient: lower (degree, id) -> higher (degree, id).
-        u_first = (deg[u] < deg[v]) | ((deg[u] == deg[v]) & (u < v))
-        a = np.where(u_first, u, v)
-        c = np.where(u_first, v, u)
-
-        # Oriented CSR: sorted keys a*n + c give rows in order and each
-        # row's columns ascending.
-        keys = np.sort(a * np.int64(n) + c)
-        heads, tails = np.divmod(keys, np.int64(n))
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(heads, minlength=n), out=indptr[1:])
+        # Orient lower (degree, id) -> higher (degree, id), as one sorted
+        # key array a*n + c: rows in order, each row's columns ascending.
+        # The skeleton has u < v, so only a strictly higher deg[u] flips.
+        keys = u * nn
+        keys += v
+        flip = deg[u] > deg[v]
+        keys[flip] = v[flip] * nn + u[flip]
+        del flip
+        keys.sort()
+        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * nn)
         out_deg = np.diff(indptr)
 
         total = 0
         for start in range(0, n, self.row_block):
             lo = indptr[start]
             hi = indptr[min(start + self.row_block, n)]
-            # Wedges a->b->c for every oriented edge a->b of the block.
-            mids = tails[lo:hi]
-            firsts = np.repeat(heads[lo:hi], out_deg[mids])
-            lasts = tails[concat_ranges(indptr[mids], indptr[mids + 1])]
-            wedges = firsts * np.int64(n) + lasts
-            # A wedge is closed when a->c is among the block's own keys.
+            # Wedge keys a*n + c for every a->b->c with a->b in the block:
+            # row b's tails, each plus its head's row base.
             block = keys[lo:hi]
-            pos = np.searchsorted(block, wedges)
-            pos[pos == block.size] = 0
-            total += int(np.count_nonzero(block[pos] == wedges))
+            heads, mids = np.divmod(block, nn)
+            wedges = keys[concat_ranges(indptr[mids], indptr[mids + 1])]
+            wedges %= nn
+            wedges += np.repeat(heads * nn, out_deg[mids])
+            wedges.sort()
+            # A wedge is closed when a->c is among the block's own keys:
+            # count, per (distinct) key, the sorted wedges equal to it.
+            total += int(
+                np.sum(
+                    np.searchsorted(wedges, block, side="right")
+                    - np.searchsorted(wedges, block, side="left")
+                )
+            )
         return total
 
     # ------------------------------------------------------------------ #

@@ -11,8 +11,10 @@ and nothing more (it is cached and shared across runs):
 
 * per-machine local edge arrays (in canonical order) — zero-copy slices
   of one flat machine-sorted :class:`~repro.kernels.csr.MachineEdgeView`,
-  the layout's only edge-length storage; per-machine canonical edge ids
-  are recomputed on demand (:attr:`DistributedGraph.edge_ids`),
+  the layout's only edge-length storage (a one-machine layout, the
+  profiling case, views the graph's own arrays and stores none);
+  per-machine canonical edge ids are recomputed on demand
+  (:attr:`DistributedGraph.edge_ids`),
 * the vertex presence matrix and master assignment,
 * per-machine hot working sets (adjacency of hub vertices, which drives
   the cache term of the performance model).
@@ -65,18 +67,25 @@ class DistributedGraph:
         src, dst = self.graph.edges()
 
         # Per-machine edge views (canonical order preserved within machine).
-        # Counting sort over the few machine buckets; provably the same
-        # permutation as the stable argsort (see kernels.csr).  Gather the
-        # endpoints once over the whole machine-sorted order and slice per
-        # machine: the slices are zero-copy views holding exactly the bytes
-        # the per-machine fancy-index would produce.  The permutation
-        # itself is dropped, so the layout keeps two edge-length arrays.
-        order, counts = stable_machine_order(assignment, self.num_machines)
-        bounds = np.zeros(self.num_machines + 1, dtype=np.int64)
-        np.cumsum(counts, out=bounds[1:])
-        self.edge_view = MachineEdgeView(
-            src=src[order], dst=dst[order], bounds=bounds
-        )
+        # One machine holds every edge in canonical order, so its view is
+        # the graph's own read-only arrays: the layout stores no edges.
+        # Otherwise a counting sort over the few machine buckets gives
+        # provably the same permutation as the stable argsort (see
+        # kernels.csr).  Gather the endpoints once over the whole
+        # machine-sorted order and slice per machine: the slices are
+        # zero-copy views holding exactly the bytes the per-machine
+        # fancy-index would produce.  The permutation itself is dropped,
+        # so the layout keeps two edge-length arrays.
+        if self.num_machines == 1:
+            bounds = np.array([0, src.size], dtype=np.int64)
+            self.edge_view = MachineEdgeView(src=src, dst=dst, bounds=bounds)
+        else:
+            order, counts = stable_machine_order(assignment, self.num_machines)
+            bounds = np.zeros(self.num_machines + 1, dtype=np.int64)
+            np.cumsum(counts, out=bounds[1:])
+            self.edge_view = MachineEdgeView(
+                src=src[order], dst=dst[order], bounds=bounds
+            )
         self.local_src = [
             self.edge_view.src[bounds[m] : bounds[m + 1]]
             for m in range(self.num_machines)

@@ -135,7 +135,10 @@ class DiGraph:
     @cached_property
     def _out_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(indptr, neighbor ids, edge ids) sorted by source vertex."""
-        order = np.argsort(self._src, kind="stable")
+        # Imported here: repro.kernels' package init imports this module.
+        from repro.kernels.csr import stable_argsort
+
+        order = stable_argsort(self._src, self._num_vertices)
         indptr = np.zeros(self._num_vertices + 1, dtype=np.int64)
         np.cumsum(self.out_degrees, out=indptr[1:])
         return indptr, self._dst[order], order
@@ -143,7 +146,9 @@ class DiGraph:
     @cached_property
     def _in_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(indptr, neighbor ids, edge ids) sorted by destination vertex."""
-        order = np.argsort(self._dst, kind="stable")
+        from repro.kernels.csr import stable_argsort
+
+        order = stable_argsort(self._dst, self._num_vertices)
         indptr = np.zeros(self._num_vertices + 1, dtype=np.int64)
         np.cumsum(self.in_degrees, out=indptr[1:])
         return indptr, self._src[order], order

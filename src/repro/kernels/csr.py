@@ -6,13 +6,14 @@ bit-identical to the reference construction it replaces (kept under
 
 :class:`MachineEdgeView` is the only edge storage a
 :class:`~repro.engine.distributed_graph.DistributedGraph` keeps: two
-machine-sorted endpoint arrays plus ``m + 1`` slice bounds.
+machine-sorted endpoint arrays plus ``m + 1`` slice bounds (for one
+machine, the graph's own arrays).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, Any, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -24,11 +25,51 @@ __all__ = [
     "CSRAdjacency",
     "MachineEdgeView",
     "concat_ranges",
+    "sorted_distinct",
+    "stable_argsort",
     "stable_machine_order",
 ]
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 #: Above this machine count the per-bucket counting sort loses to argsort.
 _COUNTING_SORT_MAX_MACHINES = 64
+
+
+def stable_argsort(keys: NDArray[np.integer[Any]], bound: int) -> NDArray[np.int64]:
+    """``np.argsort(keys, kind="stable")`` for integer keys in ``[0, bound)``.
+
+    Every composite ``keys[i] * len + i`` is distinct and orders by key,
+    then by position, so the default (unstable) sort of the composites is
+    exactly the stable order, recovered as ``composite % len``: about 5x
+    faster than numpy's stable int64 sort (a merge sort) on 284k keys.
+    When ``bound * len`` would overflow int64 the stable sort runs instead.
+    """
+    size = int(keys.size)
+    if size == 0:
+        return np.empty(0, dtype=np.int64)
+    if int(bound) * size > _INT64_MAX:
+        return np.argsort(keys, kind="stable").astype(np.int64, copy=False)
+    composite = keys.astype(np.int64)
+    composite *= size
+    composite += np.arange(size, dtype=np.int64)
+    composite.sort()
+    composite %= size
+    return composite
+
+
+def sorted_distinct(values: NDArray[np.int64]) -> NDArray[np.int64]:
+    """The distinct entries of ``values``, ascending; sorts ``values`` in place.
+
+    Equal to ``np.unique(values)``: the first entry of each run of the
+    sorted array.  ``np.unique`` imports ``numpy.ma`` on first use, about
+    15 ms of a cold process on a 2-vCPU VM.
+    """
+    values.sort()
+    first = np.empty(values.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
 
 
 def stable_machine_order(
@@ -49,9 +90,7 @@ def stable_machine_order(
     if assignment.size == 0:
         return np.empty(0, dtype=np.int64), counts
     if num_machines > _COUNTING_SORT_MAX_MACHINES:
-        return np.argsort(assignment, kind="stable").astype(
-            np.int64, copy=False
-        ), counts
+        return stable_argsort(assignment, num_machines), counts
     order = np.concatenate(
         [np.nonzero(assignment == machine)[0] for machine in range(num_machines)]
     ).astype(np.int64, copy=False)
@@ -73,7 +112,9 @@ def concat_ranges(
         return np.empty(0, dtype=np.int64)
     offsets = np.zeros(lens.size, dtype=np.int64)
     np.cumsum(lens[:-1], out=offsets[1:])
-    return np.arange(total, dtype=np.int64) + np.repeat(starts - offsets, lens)
+    out = np.repeat(starts - offsets, lens)
+    out += np.arange(total, dtype=np.int64)
+    return out
 
 
 @dataclass(frozen=True)
@@ -107,7 +148,7 @@ class CSRAdjacency:
         """
         src = np.ascontiguousarray(src, dtype=np.int64)
         dst = np.ascontiguousarray(dst, dtype=np.int64)
-        order = np.argsort(src, kind="stable").astype(np.int64)
+        order = stable_argsort(src, num_vertices)
         degrees = np.bincount(src, minlength=num_vertices).astype(np.int64)
         indptr = np.zeros(num_vertices + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])

@@ -27,6 +27,8 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.errors import ReproError
+
 __all__ = [
     "PayloadCodec",
     "FLOAT_CODEC",
@@ -69,11 +71,22 @@ def _encode_canonical(value: Any) -> bytes:
 
 
 def _decode_trace(payload: bytes) -> Any:
+    """The trace in ``payload``; any malformed payload raises ``ValueError``.
+
+    Valid JSON of the wrong shape (a list, a missing field, another
+    format version) fails inside ``from_jsonable`` with whatever error
+    the first bad access raises; it is re-raised as ``ValueError``, the
+    one failure the store quarantines as an undecodable row.
+    """
     # Imported lazily: repro.engine's package init pulls in modules that
     # themselves import the kernel caches (which import this module).
     from repro.engine.trace import ExecutionTrace
 
-    return ExecutionTrace.from_jsonable(json.loads(payload.decode("utf-8")))
+    data = json.loads(payload.decode("utf-8"))
+    try:
+        return ExecutionTrace.from_jsonable(data)
+    except (AttributeError, LookupError, TypeError, ReproError) as exc:
+        raise ValueError(f"malformed trace payload: {exc!r}") from exc
 
 
 #: Assignment payload header; bump with the layout.

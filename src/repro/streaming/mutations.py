@@ -37,6 +37,7 @@ from numpy.typing import NDArray
 
 from repro.errors import StreamError, StreamFormatError
 from repro.graph.digraph import DiGraph
+from repro.kernels.csr import sorted_distinct, stable_argsort
 
 __all__ = [
     "STREAM_FORMAT_VERSION",
@@ -435,6 +436,27 @@ class ApplyResult:
         return int(np.count_nonzero(self.live))
 
 
+def _edges_by_end(
+    ends: NDArray[np.int64], vertices: List[int], num_vertices: int
+) -> Dict[int, NDArray[np.int64]]:
+    """Ids of the edges whose ``ends`` entry is in ``vertices``, per vertex.
+
+    One boolean-mask pass over the edges plus a sort of the ids it
+    selects; each vertex's ids are ascending (canonical order).  Ids at
+    or above ``num_vertices`` have no edges and are skipped.
+    """
+    wanted = np.zeros(num_vertices, dtype=bool)
+    wanted[[v for v in vertices if v < num_vertices]] = True
+    ids = np.nonzero(wanted[ends])[0]
+    if ids.size == 0:
+        return {}
+    ids = ids[stable_argsort(ends[ids], num_vertices)]
+    keys = ends[ids]
+    cuts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    heads = keys[np.concatenate(([0], cuts))].tolist()
+    return dict(zip(heads, np.split(ids, cuts)))
+
+
 def apply_batch(
     graph: DiGraph,
     batch: MutationBatch,
@@ -444,7 +466,9 @@ def apply_batch(
 
     ``live`` carries tombstone state between batches (``None`` = all
     vertices live, the base-graph case).  Operations see the effects of
-    earlier operations in the same batch.
+    earlier operations in the same batch.  The pre-batch edges the
+    batch's removals can reach are indexed once, so a batch costs
+    O(|E| + the degrees of its removal endpoints), not O(ops × |E|).
     """
     src, dst = graph.edges()
     if live is None:
@@ -461,6 +485,15 @@ def apply_batch(
     touched: Set[int] = set()
     # Inverse op groups in forward order; reversed and flattened at the end.
     inverse_groups: List[List[Mutation]] = []
+
+    # Out-edges of every removal source and in-edges of every removed
+    # vertex: all the pre-batch edges any op of this batch can drop.
+    n = graph.num_vertices
+    doomed = [op.vertex for op in batch.ops if isinstance(op, RemoveVertex)]
+    sources = [op.src for op in batch.ops if isinstance(op, RemoveEdge)]
+    out_edges = _edges_by_end(src, doomed + sources, n)
+    in_edges = _edges_by_end(dst, doomed, n)
+    no_edges = np.empty(0, dtype=np.int64)
 
     def require_live(vertex: int, op_name: str, pair: Tuple[int, int]) -> None:
         if vertex >= live_arr.size or not live_arr[vertex]:
@@ -479,10 +512,16 @@ def apply_batch(
             v = op.vertex
             if v >= live_arr.size or not live_arr[v]:
                 raise StreamError(f"remove_vertex references unknown vertex {v}")
-            incident = np.nonzero(keep & ((src == v) | (dst == v)))[0]
-            removed: List[Tuple[int, int]] = [
-                (int(src[e]), int(dst[e])) for e in incident
-            ]
+            # Ascending, with a self loop (in both lists) once.
+            incident = sorted_distinct(
+                np.concatenate(
+                    [out_edges.get(v, no_edges), in_edges.get(v, no_edges)]
+                )
+            )
+            incident = incident[keep[incident]]
+            removed: List[Tuple[int, int]] = list(
+                zip(src[incident].tolist(), dst[incident].tolist())
+            )
             keep[incident] = False
             surviving_added: List[Tuple[int, int]] = []
             for u, w in added:
@@ -520,7 +559,10 @@ def apply_batch(
                     del added[i]
                     break
             else:
-                candidates = np.nonzero(keep & (src == u) & (dst == w))[0]
+                candidates = out_edges.get(u, no_edges)
+                candidates = candidates[
+                    keep[candidates] & (dst[candidates] == w)
+                ]
                 if candidates.size == 0:
                     raise StreamError(f"remove_edge ({u}, {w}): no such edge")
                 keep[int(candidates[-1])] = False

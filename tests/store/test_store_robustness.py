@@ -165,6 +165,41 @@ class TestUndecodableRow:
         np.testing.assert_equal(cache.get(key), value)
         assert cache.stats()["store_hits"] == 1
 
+    @pytest.mark.parametrize(
+        "bad_payload",
+        [b"[1]", b"{}", b'{"format_version": 1}'],
+        ids=["list", "empty-object", "missing-fields"],
+    )
+    def test_malformed_trace_quarantined_recomputed_and_overwritten(
+        self, store, bad_payload
+    ):
+        """Verified JSON of the wrong shape is undecodable too, whatever
+        error the first bad field access raises inside the decoder."""
+        from repro.cluster.perfmodel import WorkProfile
+        from repro.engine.trace import ExecutionTrace, MachinePhase, SuperstepTrace
+
+        trace = ExecutionTrace(app="pagerank", num_machines=1)
+        trace.append(
+            SuperstepTrace(
+                phases=[MachinePhase(work=WorkProfile(flops=2.0), comm_bytes=8.0)]
+            )
+        )
+        codec = CODECS["profile_trace"]
+        key = ("trace", 1)
+        store.put("profile_trace", repr(key), bad_payload)
+        cache = LayeredCache(maxsize=4, namespace="profile_trace", codec=codec)
+        cache.attach(store)
+
+        assert cache.get(key) is None
+        assert cache.stats()["misses"] == 1
+        assert store.quarantined() == {"profile_trace": 1}
+
+        cache.put(key, trace)
+        assert store.quarantined() == {}
+        cache.clear()
+        assert cache.get(key).canonical_json() == trace.canonical_json()
+        assert cache.stats()["store_hits"] == 1
+
     def test_pipeline_recomputes_past_undecodable_floats(self, store_path):
         graph = generate_power_law_graph(num_vertices=150, alpha=2.0, seed=9)
         cold = _projected(graph)

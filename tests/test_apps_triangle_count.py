@@ -138,8 +138,9 @@ class TestSkeletonDegrees:
 
 
 def test_numpy_is_the_only_dependency_loaded():
-    """Importing every ``repro`` module and counting one graph's
-    triangles loads no third-party module besides numpy."""
+    """Importing every ``repro`` module, counting one graph's triangles
+    and colouring it loads no third-party module besides numpy, and not
+    ``numpy.ma`` either (``np.unique`` imports it on first use)."""
     src = Path(__file__).resolve().parents[1] / "src"
     script = textwrap.dedent(
         """
@@ -151,6 +152,7 @@ def test_numpy_is_the_only_dependency_loaded():
 
         baseline = top_level()
         import repro
+        from repro.apps.coloring import GraphColoring
         from repro.apps.triangle_count import TriangleCount
         from repro.graph.digraph import DiGraph
 
@@ -158,6 +160,9 @@ def test_numpy_is_the_only_dependency_loaded():
             importlib.import_module(module.name)
         graph = DiGraph.from_edges([(0, 1), (1, 2), (2, 0)], num_vertices=3)
         assert TriangleCount().count_triangles(graph) == 1
+        colors, _ = GraphColoring().color(graph)
+        assert sorted(colors.tolist()) == [0, 1, 2]
+        assert "numpy.ma" not in sys.modules
         extra = top_level() - baseline - set(sys.stdlib_module_names)
         print(sorted(extra - {"repro"}))
         """

@@ -18,7 +18,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph.digraph import DiGraph
 from repro.kernels.cache import LRUCache, graph_fingerprint
-from repro.kernels.csr import CSRAdjacency, concat_ranges, stable_machine_order
+from repro.kernels.csr import (
+    CSRAdjacency,
+    concat_ranges,
+    sorted_distinct,
+    stable_argsort,
+    stable_machine_order,
+)
 
 # ---------------------------------------------------------------------- #
 # Strategies
@@ -134,6 +140,57 @@ class TestSortKernels:
         order, counts = stable_machine_order(assignment, m)
         assert np.array_equal(order, np.argsort(assignment, kind="stable"))
         assert np.array_equal(counts, np.bincount(assignment, minlength=m))
+
+    @given(st.lists(st.integers(0, 99), max_size=300))
+    @settings(max_examples=40, deadline=None)
+    def test_stable_machine_order_many_machines(self, values):
+        """Past the counting-sort cut-off the order comes from stable_argsort."""
+        assignment = np.array(values, dtype=np.int32)
+        order, counts = stable_machine_order(assignment, 100)
+        assert np.array_equal(order, np.argsort(assignment, kind="stable"))
+        assert np.array_equal(counts, np.bincount(assignment, minlength=100))
+
+    @given(
+        st.lists(st.integers(0, 40), max_size=200),
+        st.integers(0, 5),
+        st.sampled_from([np.int64, np.int32]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_stable_argsort_matches_argsort(self, keys, slack, dtype):
+        arr = np.array(keys, dtype=dtype)
+        bound = max(keys, default=0) + 1 + slack
+        order = stable_argsort(arr, bound)
+        assert order.dtype == np.int64
+        assert np.array_equal(order, np.argsort(arr, kind="stable"))
+
+    @pytest.mark.parametrize(
+        "keys",
+        [[], [3] * 50, [0], [5, 4, 3, 2, 1, 0], [1, 0] * 40],
+        ids=["empty", "all-equal", "single", "descending", "alternating"],
+    )
+    def test_stable_argsort_edge_cases(self, keys):
+        arr = np.array(keys, dtype=np.int64)
+        order = stable_argsort(arr, max(keys, default=0) + 1)
+        assert order.dtype == np.int64
+        assert np.array_equal(order, np.argsort(arr, kind="stable"))
+
+    @given(st.lists(st.integers(0, 2**62 - 1), max_size=100))
+    @settings(max_examples=60, deadline=None)
+    def test_stable_argsort_overflow_fallback(self, keys):
+        """``bound * len`` past int64 takes numpy's stable sort instead."""
+        arr = np.array(keys, dtype=np.int64)
+        order = stable_argsort(arr, 2**62)
+        assert order.dtype == np.int64
+        assert np.array_equal(order, np.argsort(arr, kind="stable"))
+
+    @given(st.lists(st.integers(-50, 50), max_size=200))
+    @settings(max_examples=80, deadline=None)
+    def test_sorted_distinct_matches_unique(self, values):
+        arr = np.array(values, dtype=np.int64)
+        expected = np.unique(arr)
+        got = sorted_distinct(arr)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
 
     @given(
         st.lists(
