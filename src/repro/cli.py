@@ -493,16 +493,16 @@ def cmd_process(args) -> int:
         recovery = getattr(report, "recovery", None)
         if recovery is not None:
             print(
-                f"resilience  : {recovery.num_crashes} crash(es), "
-                f"{recovery.replayed_supersteps} superstep(s) replayed, "
-                f"{recovery.num_checkpoints} checkpoint(s), "
-                f"recovery overhead {recovery.recovery_seconds * 1e3:.3f} ms"
+                f"resilience  : {recovery.crashes} crash(es), "
+                f"{recovery.replayed} superstep(s) replayed, "
+                f"{recovery.checkpoints} checkpoint(s), "
+                f"recovery overhead {recovery.overhead_seconds * 1e3:.3f} ms"
             )
-            if recovery.rebalanced:
+            rebalance = report.rebalance
+            if rebalance is not None:
                 print(
-                    f"rebalance   : at superstep "
-                    f"{recovery.rebalance_superstep} "
-                    f"(migration {recovery.migration_seconds * 1e3:.3f} ms)"
+                    f"rebalance   : at superstep {rebalance.superstep} "
+                    f"(migration {rebalance.seconds * 1e3:.3f} ms)"
                 )
         for warning in report.warnings:
             print(f"warning     : {warning}")
@@ -512,61 +512,43 @@ def cmd_process(args) -> int:
 def _process_streaming(args, cluster, graph, estimator, schedule) -> int:
     """``process --mutations``: run the app as a streaming deployment.
 
-    With ``--fault-schedule`` or ``--checkpoint-every`` the stream is
-    priced through the resilient streaming runtime: epochs checkpoint on
-    the chosen cadence, injected crashes replay from the last durable
-    snapshot, and the trace stays byte-identical to an undisturbed run
-    (the recovery bill is reported separately).
+    With ``--fault-schedule`` or ``--checkpoint-every`` the stream's
+    recovery is on: epochs checkpoint on the chosen cadence, injected
+    crashes replay from the last durable snapshot, and the trace stays
+    byte-identical to an undisturbed run (the recovery bill is reported
+    separately).  Without either the run takes no snapshots.
     """
     from repro.apps.registry import make_app
     from repro.faults.checkpoint import CheckpointPolicy, RetryPolicy
     from repro.partition import make_partitioner
     from repro.partition.metrics import weighted_imbalance
-    from repro.streaming import (
-        MutationStream,
-        ResilientStreamingSystem,
-        StreamingSystem,
-    )
+    from repro.streaming import MutationStream, ResilientStreamingSystem
     from repro.utils.tables import format_table
 
     stream = MutationStream.load(args.mutations)
     resilient = schedule is not None or args.checkpoint_every is not None
-    recovery = None
+    if args.checkpoint_every is not None:
+        interval = args.checkpoint_every
+    else:
+        interval = 1 if resilient else 0
     application = make_app(args.app)
     with _observed(args, "observability :") as run:
         with _store_attached(args):
             weights = estimator.weights(cluster, application.name, graph)
-            if resilient:
-                interval = (
-                    args.checkpoint_every
-                    if args.checkpoint_every is not None
-                    else 1
-                )
-                resilient_system = ResilientStreamingSystem(
-                    cluster,
-                    halo=args.halo,
-                    faults=schedule,
-                    checkpoint=CheckpointPolicy(interval=interval),
-                    retry=RetryPolicy(max_retries=args.max_retries),
-                )
-                outcome = resilient_system.run_resilient(
-                    application,
-                    graph,
-                    stream,
-                    make_partitioner(args.partitioner),
-                    weights=weights,
-                )
-                result = outcome.result
-                recovery = outcome.recovery
-            else:
-                system = StreamingSystem(cluster, halo=args.halo)
-                result = system.run(
-                    application,
-                    graph,
-                    stream,
-                    make_partitioner(args.partitioner),
-                    weights=weights,
-                )
+            outcome = ResilientStreamingSystem(
+                cluster,
+                halo=args.halo,
+                faults=schedule,
+                checkpoint=CheckpointPolicy(interval=interval),
+                retry=RetryPolicy(max_retries=args.max_retries),
+            ).run_resilient(
+                application,
+                graph,
+                stream,
+                make_partitioner(args.partitioner),
+                weights=weights,
+            )
+        result, recovery = outcome.result, outcome.recovery
         run.trace = result
 
         rows = []
@@ -604,11 +586,11 @@ def _process_streaming(args, cluster, graph, estimator, schedule) -> int:
         print(f"total runtime    : {result.total_runtime_seconds * 1e3:.3f} ms")
         print(f"reassigned edges : {result.total_reassigned_edges}")
         print(f"moved edges      : {result.total_moved_edges}")
-        if recovery is not None:
+        if resilient:
             print(
                 f"resilience       : {recovery.crashes} crash(es), "
-                f"{recovery.replayed_epochs} epoch(s) replayed, "
-                f"{recovery.checkpoints_taken} checkpoint(s), "
+                f"{recovery.replayed} epoch(s) replayed, "
+                f"{recovery.checkpoints} checkpoint(s), "
                 f"recovery overhead {recovery.overhead_seconds * 1e3:.3f} ms"
             )
         if args.stream_out:

@@ -29,7 +29,6 @@ from repro.engine.sync_engine import SyncEngine
 from repro.engine.runtime import GraphProcessingSystem, RunOutcome
 from repro.engine.resilient import (
     FaultRecord,
-    RecoveryStats,
     ResilientExecutionReport,
     ResilientOutcome,
     ResilientRuntime,
@@ -51,7 +50,6 @@ __all__ = [
     "GraphProcessingSystem",
     "RunOutcome",
     "FaultRecord",
-    "RecoveryStats",
     "ResilientExecutionReport",
     "ResilientOutcome",
     "ResilientRuntime",

@@ -17,8 +17,9 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.network import NetworkModel
 from repro.cluster.power import EnergyCounter
-from repro.engine.trace import PRICE_MEMO_KEY, ExecutionTrace
+from repro.engine.trace import PRICE_MEMO_KEY, ExecutionTrace, SuperstepTrace
 from repro.errors import EngineError
 from repro.kernels.cache import cluster_key
 from repro.obs import context as obs
@@ -26,6 +27,7 @@ from repro.obs import context as obs
 __all__ = [
     "MachineReport",
     "ExecutionReport",
+    "StepPricer",
     "enable_price_memo",
     "simulate_execution",
     "trace_warnings",
@@ -160,33 +162,61 @@ def simulate_execution(
     )
 
 
-def _price(
-    trace: ExecutionTrace,
-    cluster: Cluster,
-    threads_override: Optional[List[int]],
-) -> _Priced:
-    """The barrier-model walk over every superstep and machine."""
-    m = cluster.num_machines
-    busy = np.zeros(m)
-    comm = np.zeros(m)
-    wall = 0.0
-    counter = EnergyCounter()
-    # A single machine holds the whole graph: no mirrors, no barrier
-    # traffic (PowerGraph on one node skips the network entirely).
-    networked = m > 1
+class StepPricer:
+    """The barrier model, one superstep at a time, with running totals.
 
-    for step in trace.supersteps:
+    :func:`simulate_execution` walks every superstep through it once;
+    the fault-aware walk (:func:`~repro.engine.resilient.
+    simulate_resilient_execution`) walks supersteps again after a crash,
+    stretches them by a fault schedule's compute and network factors, and
+    adds idle windows for recovery.  Both price a superstep the same way:
+    the default factors are exactly 1.0, and multiplying by 1.0 leaves
+    every float unchanged.
+    """
+
+    def __init__(
+        self, cluster: Cluster, threads_override: Optional[List[int]] = None
+    ):
+        m = cluster.num_machines
+        self.cluster = cluster
+        self.threads_override = threads_override
+        self.busy = np.zeros(m)
+        self.comm = np.zeros(m)
+        self.wall = 0.0
+        self.counter = EnergyCounter()
+
+    def price(
+        self,
+        step: SuperstepTrace,
+        compute_factors: Optional[List[float]] = None,
+        network: Optional[NetworkModel] = None,
+        latency_factor: float = 1.0,
+    ) -> Tuple[np.ndarray, np.ndarray, float]:
+        """One superstep's per-slot busy and comm seconds and its wall."""
+        cluster = self.cluster
+        m = cluster.num_machines
+        network = cluster.network if network is None else network
+        latency_scale = cluster.perf.model_scale * latency_factor
+        # A single machine holds the whole graph: no mirrors, no barrier
+        # traffic (PowerGraph on one node skips the network entirely).
+        networked = m > 1
         step_busy = np.empty(m)
         step_comm = np.empty(m)
         for i, phase in enumerate(step.phases):
             spec = cluster.machines[i]
-            threads = None if threads_override is None else threads_override[i]
-            step_busy[i] = cluster.perf.execution_time(spec, phase.work, threads)
+            threads = (
+                None
+                if self.threads_override is None
+                else self.threads_override[i]
+            )
+            step_busy[i] = cluster.perf.execution_time(
+                spec, phase.work, threads
+            ) * (1.0 if compute_factors is None else compute_factors[i])
             step_comm[i] = (
-                cluster.network.transfer_time(
+                network.transfer_time(
                     phase.comm_bytes,
                     rounds=step.sync_rounds,
-                    latency_scale=cluster.perf.model_scale,
+                    latency_scale=latency_scale,
                 )
                 if networked
                 else 0.0
@@ -195,6 +225,61 @@ def _price(
         # computation; a machine stalls on the network only when its
         # communication exceeds its computation.
         step_wall = float(np.max(np.maximum(step_busy, step_comm)))
+        return step_busy, step_comm, step_wall
+
+    def charge(
+        self, step_busy: np.ndarray, step_comm: np.ndarray, step_wall: float
+    ) -> None:
+        """Add one priced superstep to the totals and its energy."""
+        self.wall += step_wall
+        self.busy += step_busy
+        self.comm += step_comm
+        for i, spec in enumerate(self.cluster.machines):
+            threads = spec.compute_threads if self.threads_override is None \
+                else self.threads_override[i]
+            self.counter.record(
+                spec, float(step_busy[i]), step_wall, threads=threads, slot=i
+            )
+
+    def idle(self, seconds: float) -> None:
+        """Every machine idles at a barrier for a recovery window."""
+        if seconds <= 0.0:
+            return
+        self.wall += seconds
+        for i, spec in enumerate(self.cluster.machines):
+            self.counter.record(spec, 0.0, seconds, threads=0, slot=i)
+
+    def totals(self) -> _Priced:
+        """Runtime, energy and per-machine reports of everything charged."""
+        # Every sample carries its cluster slot, so per-slot totals do not
+        # depend on how many samples a superstep happened to record
+        # (recovery replays and checkpoint windows break any fixed
+        # samples-per-step ordering invariant).
+        slot_energy = np.zeros(self.cluster.num_machines)
+        for sample in self.counter.samples:
+            slot_energy[sample.slot] += sample.joules
+        reports = tuple(
+            MachineReport(
+                machine=spec.name,
+                busy_seconds=float(self.busy[i]),
+                comm_seconds=float(self.comm[i]),
+                wall_seconds=self.wall,
+                energy_joules=float(slot_energy[i]),
+            )
+            for i, spec in enumerate(self.cluster.machines)
+        )
+        return self.wall, float(self.counter.total_joules), reports
+
+
+def _price(
+    trace: ExecutionTrace,
+    cluster: Cluster,
+    threads_override: Optional[List[int]],
+) -> _Priced:
+    """The barrier-model walk over every superstep and machine."""
+    pricer = StepPricer(cluster, threads_override)
+    for step in trace.supersteps:
+        step_busy, step_comm, step_wall = pricer.price(step)
         if obs.is_enabled():
             # Barrier slack: how long the fastest machine idles waiting
             # for the straggler (the paper's imbalance cost, Figs. 9-10).
@@ -204,43 +289,12 @@ def _price(
                 step_wall - float(finish.min()),
                 app=trace.app,
             )
-        wall += step_wall
-        busy += step_busy
-        comm += step_comm
-        for i, spec in enumerate(cluster.machines):
-            threads = spec.compute_threads if threads_override is None \
-                else threads_override[i]
-            counter.record(
-                spec, float(step_busy[i]), step_wall, threads=threads, slot=i
-            )
-
-    # Every sample carries its cluster slot, so per-slot totals do not
-    # depend on how many samples a superstep happened to record (recovery
-    # replays and checkpoint windows break any fixed samples-per-step
-    # ordering invariant).
-    slot_energy = np.zeros(m)
-    for sample in counter.samples:
-        slot_energy[sample.slot] += sample.joules
-
-    reports = []
-    for i, spec in enumerate(cluster.machines):
-        reports.append(
-            MachineReport(
-                machine=spec.name,
-                busy_seconds=float(busy[i]),
-                comm_seconds=float(comm[i]),
-                wall_seconds=wall,
-                energy_joules=float(slot_energy[i]),
-            )
-        )
-
+        pricer.charge(step_busy, step_comm, step_wall)
+    priced = pricer.totals()
     if obs.is_enabled():
-        obs.gauge_set("pricing.runtime_seconds", wall, app=trace.app)
-        obs.gauge_set(
-            "pricing.energy_joules", float(counter.total_joules), app=trace.app
-        )
-
-    return wall, float(counter.total_joules), tuple(reports)
+        obs.gauge_set("pricing.runtime_seconds", priced[0], app=trace.app)
+        obs.gauge_set("pricing.energy_joules", priced[1], app=trace.app)
+    return priced
 
 
 def trace_warnings(trace: ExecutionTrace) -> Tuple[str, ...]:

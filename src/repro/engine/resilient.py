@@ -41,17 +41,16 @@ Key modelling choices (see DESIGN.md "Fault model & resilience"):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.power import EnergyCounter
 from repro.engine.distributed_graph import DistributedGraph
 from repro.engine.report import (
     ExecutionReport,
-    MachineReport,
+    StepPricer,
     simulate_execution,
     trace_warnings,
 )
@@ -59,7 +58,12 @@ from repro.engine.runtime import execute_partition
 from repro.engine.trace import ExecutionTrace
 from repro.engine.vertex_program import GraphApplication
 from repro.errors import EngineError, FaultError, RecoveryError
-from repro.faults.checkpoint import CheckpointPolicy, RetryPolicy
+from repro.faults.checkpoint import (
+    CheckpointPolicy,
+    RecoveryBill,
+    RetryBudget,
+    RetryPolicy,
+)
 from repro.faults.schedule import FaultSchedule
 from repro.faults.supervisor import Supervisor
 from repro.graph.digraph import DiGraph
@@ -69,7 +73,6 @@ from repro.utils.rng import make_rng
 
 __all__ = [
     "FaultRecord",
-    "RecoveryStats",
     "ResilientExecutionReport",
     "ResilientOutcome",
     "ResilientRuntime",
@@ -97,37 +100,16 @@ class FaultRecord:
 
 
 @dataclass(frozen=True)
-class RecoveryStats:
-    """What resilience cost over one priced run."""
-
-    num_crashes: int = 0
-    lost_attempts: int = 0
-    replayed_supersteps: int = 0
-    num_checkpoints: int = 0
-    checkpoint_seconds: float = 0.0
-    backoff_seconds: float = 0.0
-    restart_seconds: float = 0.0
-    rebalanced: bool = False
-    rebalance_superstep: Optional[int] = None
-    migration_seconds: float = 0.0
-
-    @property
-    def recovery_seconds(self) -> float:
-        """Wall-clock spent on resilience rather than the algorithm."""
-        return (
-            self.checkpoint_seconds
-            + self.backoff_seconds
-            + self.restart_seconds
-            + self.migration_seconds
-        )
-
-
-@dataclass(frozen=True)
 class ResilientExecutionReport(ExecutionReport):
     """A priced report plus the resilience bill and event log."""
 
-    recovery: RecoveryStats = RecoveryStats()
+    recovery: RecoveryBill = field(default_factory=RecoveryBill)
     events: Tuple[FaultRecord, ...] = ()
+
+    @property
+    def rebalance(self) -> Optional[FaultRecord]:
+        """The mid-run re-balance event, ``None`` when there was none."""
+        return next((e for e in self.events if e.kind == "rebalance"), None)
 
 
 #: A rebalancer maps (superstep, straggler factors) to a re-partitioned
@@ -195,7 +177,6 @@ def simulate_resilient_execution(
     schedule.validate_for(m)
     checkpoint = checkpoint if checkpoint is not None else CheckpointPolicy()
     retry = retry if retry is not None else RetryPolicy()
-    rng = make_rng(seed if seed is not None else schedule.seed)
 
     price_span = obs.span(
         "resilience/price",
@@ -205,29 +186,27 @@ def simulate_resilient_execution(
         events=schedule.num_events,
     )
 
-    busy = np.zeros(m)
-    comm = np.zeros(m)
-    wall = 0.0
-    counter = EnergyCounter()
-    networked = m > 1
+    pricer = StepPricer(cluster, threads_override)
     base_network = cluster.network
+    budget = RetryBudget(
+        retry, make_rng(seed if seed is not None else schedule.seed)
+    )
 
-    # Crash sites: (superstep, slot) -> remaining fires; attempts counts
-    # restarts consumed per site against the retry budget.
+    # Crash sites: (superstep, slot) -> remaining fires.
     sites: Dict[Tuple[int, int], int] = {}
     for c in schedule.crashes:
         key = (c.superstep, c.machine)
         sites[key] = sites.get(key, 0) + c.repeats
-    attempts: Dict[Tuple[int, int], int] = {}
 
     events: List[FaultRecord] = []
-    num_crashes = lost_attempts = replayed = num_checkpoints = 0
-    checkpoint_s = backoff_s = restart_s = migration_s = 0.0
+    bill = RecoveryBill()
     rebalanced = False
-    rebalance_step: Optional[int] = None
 
     active_trace = trace
     last_checkpoint = 0
+    #: Supersteps completed at least once; completing one below it again
+    #: is replay.
+    frontier = 0
     s = 0
     while s < active_trace.num_supersteps:
         step = active_trace.supersteps[s]
@@ -240,45 +219,28 @@ def simulate_resilient_execution(
                 bandwidth_gbs=base_network.bandwidth_gbs / bw_factor,
             )
         )
-        step_busy = np.empty(m)
-        step_comm = np.empty(m)
-        for i, phase in enumerate(step.phases):
-            spec = cluster.machines[i]
-            threads = None if threads_override is None else threads_override[i]
-            step_busy[i] = cluster.perf.execution_time(
-                spec, phase.work, threads
-            ) * schedule.compute_factor(s, i)
-            step_comm[i] = (
-                network.transfer_time(
-                    phase.comm_bytes,
-                    rounds=step.sync_rounds,
-                    latency_scale=cluster.perf.model_scale * lat_factor,
-                )
-                if networked
-                else 0.0
-            )
-        step_wall = float(np.max(np.maximum(step_busy, step_comm)))
+        step_busy, step_comm, step_wall = pricer.price(
+            step,
+            compute_factors=[schedule.compute_factor(s, i) for i in range(m)],
+            network=network,
+            latency_factor=lat_factor,
+        )
+        # A crashed attempt's work happened (and burned energy) even
+        # though it is lost, so every attempt is charged.
+        pricer.charge(step_busy, step_comm, step_wall)
 
         crashed = [
             key for key in ((s, i) for i in range(m))
             if sites.get(key, 0) > 0
         ]
         if crashed:
-            # The attempt's work happened (and burned energy) but is lost;
-            # recovery pays backoff + restart, then replays from the last
+            # Recovery pays backoff + restart, then replays from the last
             # checkpoint.
-            wall += step_wall
-            busy += step_busy
-            comm += step_comm
-            _record_step_energy(
-                counter, cluster, step_busy, step_wall, threads_override
-            )
-            pause = 0.0
+            backoff = 0.0
             for key in crashed:
                 sites[key] -= 1
-                attempts[key] = attempts.get(key, 0) + 1
-                num_crashes += 1
-                if attempts[key] > retry.max_retries:
+                attempt = budget.restart(key)
+                if budget.exhausted(attempt):
                     events.append(
                         FaultRecord(
                             kind="run-failed",
@@ -297,39 +259,40 @@ def simulate_resilient_execution(
                     )
                     price_span.close()
                     raise RecoveryError(
-                        f"machine {key[1]} crashed {attempts[key]} times at "
+                        f"machine {key[1]} crashed {attempt} times at "
                         f"superstep {s}; retry budget of {retry.max_retries} "
                         "exhausted"
                     )
-                pause = max(pause, retry.backoff_seconds(attempts[key], rng))
-            pause += checkpoint.restart_seconds
-            _record_idle_energy(counter, cluster, pause)
-            wall += pause
-            backoff_s += pause - checkpoint.restart_seconds
-            restart_s += checkpoint.restart_seconds
-            lost_attempts += 1
-            replayed += s - last_checkpoint
+                backoff = max(backoff, budget.pause(attempt))
+            pause = backoff + checkpoint.restart_seconds
+            pricer.idle(pause)
+            bill.crashes += len(crashed)
+            bill.replayed += s - last_checkpoint + 1
+            bill.lost_seconds += step_wall
+            bill.restart_seconds += checkpoint.restart_seconds
+            bill.backoff_seconds += backoff
+            machines = tuple(sorted(k[1] for k in crashed))
             events.append(
                 FaultRecord(
                     kind="crash",
                     superstep=s,
                     seconds=pause,
-                    detail=f"machines {sorted(k[1] for k in crashed)} lost "
+                    detail=f"machines {list(machines)} lost "
                     f"superstep {s}; replay from {last_checkpoint}",
-                    machines=tuple(sorted(k[1] for k in crashed)),
+                    machines=machines,
                 )
             )
             if obs.is_enabled():
                 obs.counter_add("resilience.crashes", float(len(crashed)))
                 obs.counter_add(
                     "resilience.replayed_supersteps",
-                    float(s - last_checkpoint),
+                    float(s - last_checkpoint + 1),
                 )
                 obs.histogram_record("resilience.recovery_pause_seconds", pause)
                 obs.event(
                     "resilience/crash",
                     superstep=s,
-                    machines=sorted(k[1] for k in crashed),
+                    machines=list(machines),
                     replay_from=last_checkpoint,
                     pause_seconds=pause,
                 )
@@ -337,12 +300,10 @@ def simulate_resilient_execution(
             continue
 
         # Superstep completed.
-        wall += step_wall
-        busy += step_busy
-        comm += step_comm
-        _record_step_energy(
-            counter, cluster, step_busy, step_wall, threads_override
-        )
+        if s < frontier:
+            bill.replay_seconds += step_wall
+        else:
+            frontier = s + 1
 
         if supervisor is not None and not rebalanced:
             supervisor.observe(s, step_busy)
@@ -361,11 +322,9 @@ def simulate_resilient_execution(
                             "rebalanced trace ends before the rebalance "
                             f"superstep {s}"
                         )
-                    _record_idle_energy(counter, cluster, cost)
-                    wall += cost
-                    migration_s += cost
+                    pricer.idle(cost)
+                    bill.migration_seconds += cost
                     rebalanced = True
-                    rebalance_step = s
                     active_trace = new_trace
                     # Migration materialises a fresh consistent snapshot.
                     last_checkpoint = s + 1
@@ -395,10 +354,9 @@ def simulate_resilient_execution(
                 phase.work.working_set_mb * _MB for phase in step.phases
             )
             dt = checkpoint.checkpoint_seconds(state_bytes)
-            _record_idle_energy(counter, cluster, dt)
-            wall += dt
-            checkpoint_s += dt
-            num_checkpoints += 1
+            pricer.idle(dt)
+            bill.checkpoints += 1
+            bill.checkpoint_seconds += dt
             last_checkpoint = s + 1
             events.append(
                 FaultRecord(kind="checkpoint", superstep=s, seconds=dt)
@@ -411,70 +369,27 @@ def simulate_resilient_execution(
                 )
         s += 1
 
+    wall, energy, reports = pricer.totals()
     if obs.is_enabled():
         price_span.set(
             wall_seconds=wall,
-            crashes=num_crashes,
-            checkpoints=num_checkpoints,
+            crashes=bill.crashes,
+            checkpoints=bill.checkpoints,
             rebalanced=rebalanced,
         )
     price_span.close()
 
-    slot_energy = np.zeros(m)
-    for sample in counter.samples:
-        slot_energy[sample.slot] += sample.joules
-    reports = [
-        MachineReport(
-            machine=spec.name,
-            busy_seconds=float(busy[i]),
-            comm_seconds=float(comm[i]),
-            wall_seconds=wall,
-            energy_joules=float(slot_energy[i]),
-        )
-        for i, spec in enumerate(cluster.machines)
-    ]
     return ResilientExecutionReport(
         app=active_trace.app,
         runtime_seconds=wall,
-        energy_joules=float(counter.total_joules),
-        machines=reports,
+        energy_joules=energy,
+        machines=list(reports),
         num_supersteps=active_trace.num_supersteps,
         result=dict(active_trace.result),
         warnings=trace_warnings(active_trace),
-        recovery=RecoveryStats(
-            num_crashes=num_crashes,
-            lost_attempts=lost_attempts,
-            replayed_supersteps=replayed,
-            num_checkpoints=num_checkpoints,
-            checkpoint_seconds=checkpoint_s,
-            backoff_seconds=backoff_s,
-            restart_seconds=restart_s,
-            rebalanced=rebalanced,
-            rebalance_superstep=rebalance_step,
-            migration_seconds=migration_s,
-        ),
+        recovery=bill,
         events=tuple(events),
     )
-
-
-def _record_step_energy(counter, cluster, step_busy, step_wall, threads_override):
-    for i, spec in enumerate(cluster.machines):
-        threads = (
-            spec.compute_threads
-            if threads_override is None
-            else threads_override[i]
-        )
-        counter.record(
-            spec, float(step_busy[i]), step_wall, threads=threads, slot=i
-        )
-
-
-def _record_idle_energy(counter, cluster, seconds):
-    """All machines idle at a barrier for a recovery/overhead window."""
-    if seconds <= 0.0:
-        return
-    for i, spec in enumerate(cluster.machines):
-        counter.record(spec, 0.0, seconds, threads=0, slot=i)
 
 
 # --------------------------------------------------------------------- #

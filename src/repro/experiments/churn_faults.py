@@ -198,9 +198,9 @@ def run_churn_faults(
         result.rows_list.append(
             ChurnFaultRow(
                 interval=interval,
-                checkpoints_taken=outcome.recovery.checkpoints_taken,
+                checkpoints_taken=outcome.recovery.checkpoints,
                 crashes=outcome.recovery.crashes,
-                replayed_epochs=outcome.recovery.replayed_epochs,
+                replayed_epochs=outcome.recovery.replayed,
                 checkpoint_seconds=outcome.recovery.checkpoint_seconds,
                 replay_seconds=(
                     outcome.recovery.lost_seconds

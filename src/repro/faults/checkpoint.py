@@ -1,4 +1,4 @@
-"""Checkpoint/restart cost model and bounded-retry policy.
+"""Checkpoint/restart cost model, bounded retries and the recovery bill.
 
 Synchronous engines recover from fail-stop crashes by replaying from the
 last globally consistent snapshot — the classic Chandy-Lamport-at-the-
@@ -13,21 +13,30 @@ recovery bill:
   it backs off between attempts (exponential with seeded jitter, the
   standard dogpile-avoidance shape).
 
-Both are plain data consumed by the resilient pricing path
-(:mod:`repro.engine.resilient`); neither touches execution state, because
-in this simulator the algorithm's values are deterministic and only
-*time and energy* need recovering.
+Two pieces every recovering loop shares:
+
+* :class:`RetryBudget` — restarts counted per site against one
+  :class:`RetryPolicy`, each pause drawn from the caller's seeded rng.
+  The static pricing walk, the streaming epoch loop, the job service's
+  attempts and the summary store's locked writes all retry through it.
+* :class:`RecoveryBill` — what recovery cost one run, with its total
+  defined once.
+
+Neither touches execution state, because in this simulator the
+algorithm's values are deterministic and only *time and energy* need
+recovering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Dict, Hashable, Optional
 
 import numpy as np
 
 from repro.errors import FaultError
 
-__all__ = ["CheckpointPolicy", "RetryPolicy"]
+__all__ = ["CheckpointPolicy", "RecoveryBill", "RetryBudget", "RetryPolicy"]
 
 _GIGA = 1e9
 
@@ -135,3 +144,113 @@ class RetryPolicy:
         if self.jitter == 0.0:
             return base
         return base * (1.0 + float(rng.uniform(0.0, self.jitter)))
+
+
+class RetryBudget:
+    """Restarts consumed per site against one :class:`RetryPolicy`.
+
+    A *site* is whatever keeps failing: a (superstep, slot) on the static
+    walk, an epoch in a stream, a job in the service, one write in the
+    summary store.  Each pause is drawn through
+    :meth:`RetryPolicy.backoff_seconds` from the caller's seeded ``rng``,
+    so a replay that restarts in the same order draws the same pauses.
+    """
+
+    def __init__(self, policy: RetryPolicy, rng: np.random.Generator):
+        self.policy = policy
+        self._rng = rng
+        self._restarts: Dict[Optional[Hashable], int] = {}
+
+    def restart(self, site: Optional[Hashable] = None) -> int:
+        """Count one more restart at ``site``; return its 1-based number."""
+        attempt = self._restarts.get(site, 0) + 1
+        self._restarts[site] = attempt
+        return attempt
+
+    def exhausted(self, attempt: int) -> bool:
+        """Whether restart number ``attempt`` is over the budget."""
+        return attempt > self.policy.max_retries
+
+    def pause(self, attempt: int) -> float:
+        """The seeded backoff before restart number ``attempt``."""
+        return self.policy.backoff_seconds(attempt, self._rng)
+
+
+@dataclass
+class RecoveryBill:
+    """What fault tolerance cost one run, on top of its productive pass.
+
+    The static pricing walk bills per superstep
+    (:func:`~repro.engine.resilient.simulate_resilient_execution`) and the
+    streaming epoch loop per epoch
+    (:class:`~repro.streaming.runner.StreamingSystem`); ``unit`` names
+    which, and both fill the bill in place as they walk.  Every
+    ``*_seconds`` field is wall-clock time spent on something other than
+    the first pass over each unit, so under crash-only faults a
+    disturbed run's runtime is its undisturbed runtime plus
+    :attr:`overhead_seconds`.
+
+    Attributes
+    ----------
+    crashes:
+        Machine crashes recovered.
+    replayed:
+        Units executed again after rollbacks: the completed units since
+        the last snapshot, plus each crashed unit's retry.
+    checkpoints:
+        Snapshots taken.
+    lost_seconds:
+        Work of the attempts that crashed (it ran, then was thrown away).
+    replay_seconds:
+        Completed units executed a second time after a rollback.
+    restart_seconds, backoff_seconds:
+        Bringing crashed machines back, and the seeded pause before it.
+    checkpoint_seconds:
+        Snapshot barriers.
+    migration_seconds:
+        Moving edges for a mid-run re-balance (static walk only).
+    resumed_from_batch:
+        Batch cursor a stream resumed from, ``None`` for a fresh run.
+    """
+
+    crashes: int = 0
+    replayed: int = 0
+    checkpoints: int = 0
+    lost_seconds: float = 0.0
+    replay_seconds: float = 0.0
+    restart_seconds: float = 0.0
+    backoff_seconds: float = 0.0
+    checkpoint_seconds: float = 0.0
+    migration_seconds: float = 0.0
+    resumed_from_batch: Optional[int] = None
+    unit: str = "superstep"
+
+    @property
+    def overhead_seconds(self) -> float:
+        """The bill's total: every second not spent on the first pass."""
+        return (
+            self.lost_seconds
+            + self.replay_seconds
+            + self.restart_seconds
+            + self.backoff_seconds
+            + self.checkpoint_seconds
+            + self.migration_seconds
+        )
+
+    def to_jsonable(self) -> Dict[str, Any]:
+        """Plain-dict form; a stream's bill has no migration entry."""
+        doc: Dict[str, Any] = {
+            "crashes": self.crashes,
+            f"replayed_{self.unit}s": self.replayed,
+            "checkpoints_taken": self.checkpoints,
+            "lost_seconds": self.lost_seconds,
+            "replay_seconds": self.replay_seconds,
+            "restart_seconds": self.restart_seconds,
+            "backoff_seconds": self.backoff_seconds,
+            "checkpoint_seconds": self.checkpoint_seconds,
+        }
+        if self.unit == "superstep":
+            doc["migration_seconds"] = self.migration_seconds
+        doc["overhead_seconds"] = self.overhead_seconds
+        doc["resumed_from_batch"] = self.resumed_from_batch
+        return doc

@@ -41,7 +41,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -53,7 +54,7 @@ from repro.engine.resilient import (
     ResilientRuntime,
 )
 from repro.errors import FaultError, RecoveryError, ServiceError, StreamError
-from repro.faults.checkpoint import CheckpointPolicy, RetryPolicy
+from repro.faults.checkpoint import CheckpointPolicy, RetryBudget, RetryPolicy
 from repro.graph.digraph import DiGraph
 from repro.obs import context as obs
 from repro.partition.weights import uniform_weights
@@ -95,6 +96,11 @@ def _locate_reason(reason: str, job_index: Optional[int]) -> str:
         return f"jobs[{job_index}]: {reason}"
     return reason
 
+#: Backoff shape between service-level attempts.
+_ATTEMPT_BACKOFF = RetryPolicy(
+    backoff_base_s=0.002, backoff_factor=2.0, full_jitter=True
+)
+
 #: Iteration knob per application, for degraded (shed) runs.  Apps absent
 #: here have no budget to cut, so shedding leaves them whole.
 _ITER_KNOBS: Dict[str, Tuple[str, int]] = {
@@ -124,10 +130,8 @@ class ServicePolicy:
         Iteration budget a shed job runs under (applies to apps with an
         iteration knob; see ``_ITER_KNOBS``).
     max_attempts:
-        Service-level run attempts per job (1 = no retry).
-    retry:
-        Backoff shape between service-level attempts.  Defaults to full
-        jitter, which decorrelates retry storms across tenants.
+        Service-level run attempts per job (1 = no retry); :attr:`retry`
+        turns it into the job's retry budget.
     """
 
     max_queue_depth: int = 8
@@ -136,10 +140,6 @@ class ServicePolicy:
     shed_priority_max: int = 0
     shed_iteration_cap: int = 10
     max_attempts: int = 2
-    retry: RetryPolicy = RetryPolicy(
-        max_retries=3, backoff_base_s=0.002, backoff_factor=2.0,
-        full_jitter=True,
-    )
 
     def __post_init__(self) -> None:
         if self.max_queue_depth < 1:
@@ -167,6 +167,15 @@ class ServicePolicy:
             raise ServiceError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
+
+    @cached_property
+    def retry(self) -> RetryPolicy:
+        """The attempt budget: ``max_attempts - 1`` restarts per job.
+
+        Pauses between attempts use full jitter, which decorrelates
+        retry storms across tenants.
+        """
+        return replace(_ATTEMPT_BACKOFF, max_retries=self.max_attempts - 1)
 
 
 @dataclass(frozen=True)
@@ -249,6 +258,66 @@ def _percentile(sorted_values: List[float], q: float) -> float:
     if not sorted_values:
         return 0.0
     return float(np.percentile(np.asarray(sorted_values, dtype=np.float64), q))
+
+
+def _record(
+    job: JobRequest, status: str, start_s: float, **fields: Any
+) -> JobRecord:
+    """One job's record; ``fields`` are the facts its outcome sets."""
+    return JobRecord(
+        job_id=job.job_id,
+        app=job.app,
+        status=status,
+        priority=job.priority,
+        submit_s=job.submit_s,
+        start_s=start_s,
+        **fields,
+    )
+
+
+def _settle(
+    job: JobRequest,
+    start_s: float,
+    run_start_s: float,
+    seconds: float,
+    energy: float,
+    deadline: Optional[float],
+    what: str,
+    **fields: Any,
+) -> JobRecord:
+    """The record of a priced run of ``seconds`` from ``run_start_s``.
+
+    A run that finishes by its deadline completes and is charged in
+    full.  One that overruns it is cancelled *at* the deadline and
+    charged exactly the simulated share consumed up to it, energy pro
+    rata; ``what`` names the run in the reason.
+    """
+    finish = run_start_s + seconds
+    if deadline is not None and finish > deadline:
+        run_share = max(0.0, deadline - run_start_s)
+        fraction = run_share / seconds if seconds > 0.0 else 0.0
+        return _record(
+            job,
+            STATUS_DEADLINE_EXCEEDED,
+            start_s,
+            end_s=deadline,
+            charged_seconds=run_share,
+            charged_energy_joules=energy * fraction,
+            reason=(
+                f"{what} overran deadline: finish {finish:.6f}s > "
+                f"deadline {deadline:.6f}s"
+            ),
+            **fields,
+        )
+    return _record(
+        job,
+        STATUS_COMPLETED,
+        start_s,
+        end_s=finish,
+        charged_seconds=seconds,
+        charged_energy_joules=energy,
+        **fields,
+    )
 
 
 class JobService:
@@ -433,7 +502,7 @@ class JobService:
                     crashes += len(ev.machines)
                 elif ev.kind in ("rebalance", "run-failed"):
                     failed.update(ev.machines)
-            rebalanced = report.recovery.rebalanced
+            rebalanced = report.rebalance is not None
             self.board.record_failures(
                 tuple(sorted(failed)), now_s, "crash/straggler events"
             )
@@ -468,13 +537,10 @@ class JobService:
                 span.set(status=STATUS_DEADLINE_EXCEEDED)
                 if obs.is_enabled():
                     obs.counter_add("service.deadline_exceeded", 1.0)
-                return JobRecord(
-                    job_id=job.job_id,
-                    app=job.app,
-                    status=STATUS_DEADLINE_EXCEEDED,
-                    priority=job.priority,
-                    submit_s=job.submit_s,
-                    start_s=start_s,
+                return _record(
+                    job,
+                    STATUS_DEADLINE_EXCEEDED,
+                    start_s,
                     end_s=start_s,
                     reason=(
                         f"projected finish {start_s + projected:.6f}s "
@@ -534,95 +600,75 @@ class JobService:
     ) -> JobRecord:
         """Price one mutation-stream job: epochs of compute plus repairs.
 
-        Fault-free streams price in one pass and the tenant is charged
-        the summed epoch makespans.  With crash faults attached (format
-        v4) or a checkpoint custody wired in, the stream runs through the
-        :class:`~repro.streaming.recovery.ResilientStreamingSystem`: the
-        trace stays byte-identical to an undisturbed run, and the
-        recovery bill (lost work, replay, restarts, backoff, snapshot
-        costs) is charged *on top of* the productive runtime.  If custody
-        already holds a durable snapshot for this job id — a federation
-        failover — the run resumes mid-stream from the last checkpoint.
-        Crashes recovered inside the stream never feed the breaker board:
-        epoch recovery is sub-attempt granularity, and blaming machine
-        slots for it would perturb later jobs' weights.
+        The stream runs through the one epoch loop of
+        :class:`~repro.streaming.runner.ResilientStreamingSystem`.  With
+        crash faults attached (format v4) or a checkpoint custody wired
+        in, its recovery is on: the trace stays byte-identical to an
+        undisturbed run, and the recovery bill (lost work, replay,
+        restarts, backoff, snapshot costs) is charged *on top of* the
+        productive runtime.  Otherwise it takes no snapshots and the bill
+        is empty.  If custody already holds a durable snapshot for this
+        job id — a federation failover — the run resumes mid-stream from
+        the last checkpoint.  Crashes recovered inside the stream never
+        feed the breaker board: epoch recovery is sub-attempt
+        granularity, and blaming machine slots for it would perturb later
+        jobs' weights.
         """
         from repro.partition import make_partitioner
-        from repro.streaming.recovery import ResilientStreamingSystem
-        from repro.streaming.runner import StreamingResult, StreamingSystem
+        from repro.streaming.runner import ResilientStreamingSystem
 
         assert job.graph.mutations is not None
         recover = job.faults is not None or self.checkpoints is not None
-        crashes = 0
-        overhead = 0.0
-        backoff_s = 0.0
-        result: StreamingResult
-        if recover:
-            system = ResilientStreamingSystem(
-                self.cluster,
-                halo=self.stream_halo,
-                faults=job.faults,
-                checkpoint=self.stream_checkpoint,
-                retry=self.engine_retry,
-                seed=_stream_job_seed(self._stream_seed, job.job_id),
-                custody=self.checkpoints,
-                job_id=job.job_id,
-            )
-            resume = (
-                self.checkpoints.latest(job.job_id)
-                if self.checkpoints is not None
-                else None
-            )
-            try:
-                outcome = system.run_resilient(
-                    application,
-                    graph,
-                    job.graph.mutations,
-                    make_partitioner(job.partitioner),
-                    weights=weights,
-                    resume_from=resume,
-                )
-            except RecoveryError as exc:
-                if obs.is_enabled():
-                    obs.counter_add("service.stream_failures", 1.0)
-                return JobRecord(
-                    job_id=job.job_id,
-                    app=job.app,
-                    status=STATUS_FAILED,
-                    priority=job.priority,
-                    submit_s=job.submit_s,
-                    start_s=start_s,
-                    end_s=start_s,
-                    attempts=1,
-                    degraded=degraded,
-                    reason=f"stream recovery exhausted: {exc}",
-                )
-            result = outcome.result
-            crashes = outcome.recovery.crashes
-            overhead = outcome.recovery.overhead_seconds
-            backoff_s = outcome.recovery.backoff_seconds
-            if outcome.recovery.resumed_from_batch is not None:
-                self.stream_resumes[job.job_id] = (
-                    outcome.recovery.resumed_from_batch
-                )
-                if obs.is_enabled():
-                    obs.counter_add("service.stream_resumed", 1.0)
-            if crashes and obs.is_enabled():
-                obs.counter_add("service.stream_crashes", float(crashes))
-        else:
-            plain = StreamingSystem(self.cluster, halo=self.stream_halo)
-            result = plain.run(
+        system = ResilientStreamingSystem(
+            self.cluster,
+            halo=self.stream_halo,
+            faults=job.faults,
+            checkpoint=(
+                self.stream_checkpoint
+                if recover
+                else CheckpointPolicy(interval=0)
+            ),
+            retry=self.engine_retry,
+            seed=_stream_job_seed(self._stream_seed, job.job_id),
+            custody=self.checkpoints,
+            job_id=job.job_id,
+        )
+        resume = (
+            self.checkpoints.latest(job.job_id)
+            if self.checkpoints is not None
+            else None
+        )
+        try:
+            outcome = system.run_resilient(
                 application,
                 graph,
                 job.graph.mutations,
                 make_partitioner(job.partitioner),
                 weights=weights,
+                resume_from=resume,
             )
+        except RecoveryError as exc:
+            if obs.is_enabled():
+                obs.counter_add("service.stream_failures", 1.0)
+            return _record(
+                job,
+                STATUS_FAILED,
+                start_s,
+                end_s=start_s,
+                attempts=1,
+                degraded=degraded,
+                reason=f"stream recovery exhausted: {exc}",
+            )
+        result, bill = outcome.result, outcome.recovery
+        if bill.resumed_from_batch is not None:
+            self.stream_resumes[job.job_id] = bill.resumed_from_batch
+            if obs.is_enabled():
+                obs.counter_add("service.stream_resumed", 1.0)
+        if bill.crashes and obs.is_enabled():
+            obs.counter_add("service.stream_crashes", float(bill.crashes))
         self.stream_traces[job.job_id] = result.trace_json()
-        runtime_seconds = result.total_runtime_seconds
         energy = float(sum(e.report.energy_joules for e in result.epochs))
-        supersteps = sum(e.report.num_supersteps for e in result.epochs)
-        total_seconds = runtime_seconds + overhead
+        total_seconds = result.total_runtime_seconds + bill.overhead_seconds
         # Healthy run: every machine slot contributed to every epoch.
         self._feed_breakers(None, (), False, start_s + total_seconds)
         if obs.is_enabled():
@@ -634,47 +680,19 @@ class JobService:
             obs.counter_add(
                 "service.stream_moved_edges", float(result.total_moved_edges)
             )
-        finish = start_s + total_seconds
-        if deadline is not None and finish > deadline:
-            run_share = max(0.0, deadline - start_s)
-            fraction = (
-                run_share / total_seconds if total_seconds > 0.0 else 0.0
-            )
-            return JobRecord(
-                job_id=job.job_id,
-                app=job.app,
-                status=STATUS_DEADLINE_EXCEEDED,
-                priority=job.priority,
-                submit_s=job.submit_s,
-                start_s=start_s,
-                end_s=deadline,
-                charged_seconds=run_share,
-                charged_energy_joules=energy * fraction,
-                attempts=1,
-                retries_backoff_s=backoff_s,
-                degraded=degraded,
-                supersteps=supersteps,
-                crashes=crashes,
-                reason=(
-                    f"stream overran deadline: finish {finish:.6f}s > "
-                    f"deadline {deadline:.6f}s"
-                ),
-            )
-        return JobRecord(
-            job_id=job.job_id,
-            app=job.app,
-            status=STATUS_COMPLETED,
-            priority=job.priority,
-            submit_s=job.submit_s,
-            start_s=start_s,
-            end_s=finish,
-            charged_seconds=total_seconds,
-            charged_energy_joules=energy,
+        return _settle(
+            job,
+            start_s,
+            start_s,
+            total_seconds,
+            energy,
+            deadline,
+            "stream",
             attempts=1,
-            retries_backoff_s=backoff_s,
+            retries_backoff_s=bill.backoff_seconds,
             degraded=degraded,
-            supersteps=supersteps,
-            crashes=crashes,
+            supersteps=sum(e.report.num_supersteps for e in result.epochs),
+            crashes=bill.crashes,
         )
 
     def _attempt_loop(
@@ -689,11 +707,12 @@ class JobService:
     ) -> JobRecord:
         policy = self.policy
         m = self.cluster.num_machines
+        budget = RetryBudget(policy.retry, self._rng)
         backoff_total = 0.0
         crashes = 0
         rebalanced = False
-        last_error = ""
-        for attempt in range(1, policy.max_attempts + 1):
+        attempt = 1
+        while True:
             schedule = job.schedule_for(m, attempt)
             schedule_machines: Tuple[int, ...] = ()
             if schedule is not None:
@@ -712,21 +731,18 @@ class JobService:
             try:
                 outcome = runtime.run(application, graph, weights=weights)
             except RecoveryError as exc:
-                last_error = str(exc)
                 n_crashes, _ = self._feed_breakers(
                     None, schedule_machines, True, attempt_start
                 )
                 crashes += n_crashes
                 if obs.is_enabled():
                     obs.counter_add("service.attempt_failures", 1.0)
-                if attempt == policy.max_attempts:
-                    return JobRecord(
-                        job_id=job.job_id,
-                        app=job.app,
-                        status=STATUS_FAILED,
-                        priority=job.priority,
-                        submit_s=job.submit_s,
-                        start_s=start_s,
+                restart = budget.restart()
+                if budget.exhausted(restart):
+                    return _record(
+                        job,
+                        STATUS_FAILED,
+                        start_s,
                         end_s=attempt_start,
                         attempts=attempt,
                         retries_backoff_s=backoff_total,
@@ -735,22 +751,18 @@ class JobService:
                         rebalanced=rebalanced,
                         reason=(
                             f"all {policy.max_attempts} attempts failed; "
-                            f"last: {last_error}"
+                            f"last: {exc}"
                         ),
                     )
-                pause = policy.retry.backoff_seconds(attempt, self._rng)
-                backoff_total += pause
+                backoff_total += budget.pause(restart)
                 if (
                     deadline is not None
                     and start_s + backoff_total >= deadline
                 ):
-                    return JobRecord(
-                        job_id=job.job_id,
-                        app=job.app,
-                        status=STATUS_DEADLINE_EXCEEDED,
-                        priority=job.priority,
-                        submit_s=job.submit_s,
-                        start_s=start_s,
+                    return _record(
+                        job,
+                        STATUS_DEADLINE_EXCEEDED,
+                        start_s,
                         end_s=deadline,
                         attempts=attempt,
                         retries_backoff_s=max(0.0, deadline - start_s),
@@ -759,6 +771,7 @@ class JobService:
                         rebalanced=rebalanced,
                         reason="deadline passed during retry backoff",
                     )
+                attempt = restart + 1
                 continue
 
             report = outcome.report
@@ -768,47 +781,14 @@ class JobService:
             )
             crashes += n_crashes
             rebalanced = rebalanced or reb
-            finish = attempt_start + report.runtime_seconds
-            if deadline is not None and finish > deadline:
-                # Overran mid-run: cancel at the deadline, charge exactly
-                # the simulated share consumed up to it.
-                run_share = max(0.0, deadline - attempt_start)
-                fraction = (
-                    run_share / report.runtime_seconds
-                    if report.runtime_seconds > 0.0
-                    else 0.0
-                )
-                return JobRecord(
-                    job_id=job.job_id,
-                    app=job.app,
-                    status=STATUS_DEADLINE_EXCEEDED,
-                    priority=job.priority,
-                    submit_s=job.submit_s,
-                    start_s=start_s,
-                    end_s=deadline,
-                    charged_seconds=run_share,
-                    charged_energy_joules=report.energy_joules * fraction,
-                    attempts=attempt,
-                    retries_backoff_s=backoff_total,
-                    degraded=degraded,
-                    supersteps=report.num_supersteps,
-                    crashes=crashes,
-                    rebalanced=rebalanced,
-                    reason=(
-                        f"run overran deadline: finish {finish:.6f}s > "
-                        f"deadline {deadline:.6f}s"
-                    ),
-                )
-            return JobRecord(
-                job_id=job.job_id,
-                app=job.app,
-                status=STATUS_COMPLETED,
-                priority=job.priority,
-                submit_s=job.submit_s,
-                start_s=start_s,
-                end_s=finish,
-                charged_seconds=report.runtime_seconds,
-                charged_energy_joules=report.energy_joules,
+            return _settle(
+                job,
+                start_s,
+                attempt_start,
+                report.runtime_seconds,
+                report.energy_joules,
+                deadline,
+                "run",
                 attempts=attempt,
                 retries_backoff_s=backoff_total,
                 degraded=degraded,
@@ -816,7 +796,6 @@ class JobService:
                 crashes=crashes,
                 rebalanced=rebalanced,
             )
-        raise AssertionError("unreachable: attempt loop always returns")
 
     # ------------------------------------------------------------------ #
     # The replay loop

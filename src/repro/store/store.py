@@ -53,6 +53,7 @@ from repro.errors import (
     StoreLockedError,
     StoreSchemaError,
 )
+from repro.faults.checkpoint import RetryBudget, RetryPolicy
 from repro.utils.rng import make_rng
 
 if TYPE_CHECKING:
@@ -73,8 +74,8 @@ _BUSY_TIMEOUT_MS = 5_000
 #: Extra write attempts after the first one finds the store locked.
 _RETRY_ATTEMPTS = 3
 
-#: Full-jitter backoff base: attempt ``n`` sleeps uniform in
-#: ``[0, _RETRY_BASE_S * 2**n)`` seconds before retrying.
+#: Full-jitter backoff base: retry ``n`` (1-based) sleeps uniform in
+#: ``[0, _RETRY_BASE_S * 2**(n-1))`` seconds first.
 _RETRY_BASE_S = 0.05
 
 _SCHEMA = """
@@ -135,6 +136,11 @@ class SummaryStore:
         self.busy_timeout_ms = busy_timeout_ms
         self.retry_attempts = retry_attempts
         self.retry_base_s = retry_base_s
+        self._retry_policy = RetryPolicy(
+            max_retries=retry_attempts,
+            backoff_base_s=retry_base_s,
+            full_jitter=True,
+        )
         self._retry_rng = make_rng(retry_seed)
         #: Injection point so the held-lock tests can release the lock
         #: between attempts instead of actually sleeping.
@@ -366,33 +372,30 @@ class SummaryStore:
         """Run statements in one IMMEDIATE transaction, typed on failure.
 
         A locked store is not immediately fatal: the transaction is
-        retried up to ``retry_attempts`` more times, sleeping a
-        full-jitter backoff before each retry — attempt ``n`` draws
-        uniform from ``[0, retry_base_s * 2**n)`` seconds off the
-        store's seeded rng, so two contending writers de-synchronise
+        retried up to ``retry_attempts`` more times through a
+        :class:`~repro.faults.checkpoint.RetryBudget`, sleeping a
+        full-jitter backoff before each retry — retry ``n`` (1-based)
+        draws uniform from ``[0, retry_base_s * 2**(n-1))`` seconds off
+        the store's seeded rng, so two contending writers de-synchronise
         yet every delay is reproducible given ``retry_seed``.  Only
         when the budget is exhausted does
         :class:`~repro.errors.StoreLockedError` propagate.
         """
-        for attempt in range(self.retry_attempts + 1):
+        budget = RetryBudget(self._retry_policy, self._retry_rng)
+        while True:
             try:
                 self._write_once(statements)
                 return
             except StoreLockedError as exc:
-                if attempt == self.retry_attempts:
+                retry = budget.restart()
+                if budget.exhausted(retry):
                     raise StoreLockedError(
                         f"summary store {self.path!r} is still locked "
-                        f"after {attempt + 1} attempt(s) (busy timeout "
+                        f"after {retry} attempt(s) (busy timeout "
                         f"{self.busy_timeout_ms} ms each, full-jitter "
                         f"backoff base {self.retry_base_s} s)"
                     ) from exc
-                self._sleep(
-                    float(
-                        self._retry_rng.uniform(
-                            0.0, self.retry_base_s * (2.0 ** attempt)
-                        )
-                    )
-                )
+                self._sleep(budget.pause(retry))
 
     def _write_once(
         self, statements: Tuple[Tuple[str, Tuple[Any, ...]], ...]

@@ -10,10 +10,12 @@ Public surface of the streaming subsystem:
   which repairs an existing assignment instead of re-running the strategy
   from scratch;
 * :mod:`repro.streaming.runner` — :class:`StreamingSystem`, executing an
-  application across mutation epochs on the simulated clock;
-* :mod:`repro.streaming.recovery` — :class:`StreamCheckpoint`,
-  :class:`CheckpointCustody` and :class:`ResilientStreamingSystem`:
-  checkpointed, crash-tolerant streaming with byte-identical traces.
+  application across mutation epochs on the simulated clock in one
+  epoch loop, and :class:`ResilientStreamingSystem`, the same loop with
+  checkpoints, crash replay and resume turned on;
+* :mod:`repro.streaming.recovery` — :class:`StreamCheckpoint` and
+  :class:`CheckpointCustody`: the snapshots that keep a recovered
+  stream's trace byte-identical.
 """
 
 from repro.streaming.generators import STREAM_PATTERNS, generate_stream
@@ -35,18 +37,17 @@ from repro.streaming.recovery import (
     CHECKPOINT_NAMESPACE,
     STREAM_CHECKPOINT_FORMAT_VERSION,
     CheckpointCustody,
-    ResilientStreamingSystem,
     RestoredEpoch,
     StreamCheckpoint,
-    StreamRecoveryReport,
-    StreamRunOutcome,
     replay_consumed_batches,
 )
 from repro.streaming.runner import (
     EpochLike,
     EpochOutcome,
+    ResilientStreamingSystem,
     StreamingResult,
     StreamingSystem,
+    StreamRunOutcome,
 )
 
 __all__ = [
@@ -74,7 +75,6 @@ __all__ = [
     "StreamCheckpoint",
     "RestoredEpoch",
     "CheckpointCustody",
-    "StreamRecoveryReport",
     "StreamRunOutcome",
     "ResilientStreamingSystem",
     "replay_consumed_batches",

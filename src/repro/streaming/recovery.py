@@ -1,9 +1,7 @@
 """Fault-tolerant streaming: checkpoints, crash replay and resume.
 
-PR 9's :class:`~repro.streaming.runner.StreamingSystem` refuses fault
-schedules: a crash mid-stream would have destroyed the incremental
-partitioner's carried state and with it the byte-identical replay
-contract.  This module closes that gap with three pieces:
+A crash mid-stream destroys the incremental partitioner's carried
+state; this module holds what survives it:
 
 * :class:`StreamCheckpoint` — a versioned, canonical-JSON,
   sha256-fingerprinted snapshot of everything a streaming run needs to
@@ -20,17 +18,21 @@ contract.  This module closes that gap with three pieces:
   snapshot through :mod:`repro.store` under the ``stream_checkpoint``
   namespace, inheriting the store's per-row sha256 verification and
   quarantine-and-recompute contract.
-* :class:`ResilientStreamingSystem` — the runner.  Crash faults from the
-  PR 1 :class:`~repro.faults.FaultSchedule` strike *epochs* (the
-  streaming analogue of a superstep barrier): a crash destroys the
-  in-progress epoch plus every completed epoch since the last durable
-  checkpoint, and the run replays them under the bounded
-  :class:`~repro.faults.RetryPolicy` with seeded backoff.  Because the
-  epochs are deterministic, replayed work re-produces identical bytes —
-  so recovery is priced into a separate :class:`StreamRecoveryReport`
-  and the :class:`~repro.streaming.runner.StreamingResult` trace stays
-  byte-identical to an undisturbed run.  That invariant is what the
-  federation failover path and the PR 10 bench gate pin.
+* :func:`replay_consumed_batches` — the structural half of a resume.
+
+The epoch loop that takes the snapshots, recovers from crashes and
+resumes lives in :class:`~repro.streaming.runner.StreamingSystem`
+(:class:`~repro.streaming.runner.ResilientStreamingSystem` turns its
+recovery on).  Crash faults strike *epochs* (the streaming analogue of
+a superstep barrier): a crash destroys the in-progress epoch plus every
+completed epoch since the last durable checkpoint, and the run replays
+them under the bounded :class:`~repro.faults.RetryPolicy` with seeded
+backoff.  Because the epochs are deterministic, replayed work
+re-produces identical bytes — so recovery is priced into a separate
+:class:`~repro.faults.checkpoint.RecoveryBill` and the
+:class:`~repro.streaming.runner.StreamingResult` trace stays
+byte-identical to an undisturbed run.  That invariant is what the
+federation failover path and the bench gate pin.
 """
 
 from __future__ import annotations
@@ -48,31 +50,9 @@ from typing import (
     Tuple,
 )
 
-import numpy as np
-from numpy.typing import ArrayLike
-
-from repro.cluster.cluster import Cluster
-from repro.core.online import OnlineCCRMonitor
-from repro.engine.vertex_program import GraphApplication
-from repro.errors import (
-    RecoveryError,
-    StreamCheckpointError,
-    StreamError,
-)
-from repro.faults.checkpoint import CheckpointPolicy, RetryPolicy
-from repro.faults.schedule import FaultSchedule
+from repro.errors import StreamCheckpointError
 from repro.graph.digraph import DiGraph
-from repro.kernels.cache import graph_fingerprint
-from repro.obs import context as obs
-from repro.partition.base import Partitioner, PartitionResult
-from repro.streaming.incremental import IncrementalPartitioner
 from repro.streaming.mutations import MutationStream, apply_batch
-from repro.streaming.runner import (
-    EpochLike,
-    StreamingResult,
-    StreamingSystem,
-)
-from repro.utils.rng import make_rng
 
 if TYPE_CHECKING:
     from repro.store.store import SummaryStore
@@ -83,9 +63,6 @@ __all__ = [
     "StreamCheckpoint",
     "RestoredEpoch",
     "CheckpointCustody",
-    "StreamRecoveryReport",
-    "StreamRunOutcome",
-    "ResilientStreamingSystem",
     "replay_consumed_batches",
 ]
 
@@ -493,63 +470,6 @@ class CheckpointCustody:
 
 
 # ---------------------------------------------------------------------- #
-# Recovery accounting
-# ---------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class StreamRecoveryReport:
-    """What fault tolerance cost one streaming run (the tenant's bill).
-
-    Everything here is *overhead on top of* the productive runtime in the
-    streaming trace; the trace itself carries no recovery artifacts, so a
-    disturbed run's trace stays byte-identical to an undisturbed one.
-    """
-
-    crashes: int
-    replayed_epochs: int
-    checkpoints_taken: int
-    lost_seconds: float
-    replay_seconds: float
-    restart_seconds: float
-    backoff_seconds: float
-    checkpoint_seconds: float
-    resumed_from_batch: Optional[int] = None
-
-    @property
-    def overhead_seconds(self) -> float:
-        return (
-            self.lost_seconds
-            + self.replay_seconds
-            + self.restart_seconds
-            + self.backoff_seconds
-            + self.checkpoint_seconds
-        )
-
-    def to_jsonable(self) -> Dict[str, Any]:
-        return {
-            "crashes": self.crashes,
-            "replayed_epochs": self.replayed_epochs,
-            "checkpoints_taken": self.checkpoints_taken,
-            "lost_seconds": self.lost_seconds,
-            "replay_seconds": self.replay_seconds,
-            "restart_seconds": self.restart_seconds,
-            "backoff_seconds": self.backoff_seconds,
-            "checkpoint_seconds": self.checkpoint_seconds,
-            "overhead_seconds": self.overhead_seconds,
-            "resumed_from_batch": self.resumed_from_batch,
-        }
-
-
-@dataclass(frozen=True)
-class StreamRunOutcome:
-    """A resilient streaming run: the pure result plus the recovery bill."""
-
-    result: StreamingResult
-    recovery: StreamRecoveryReport
-
-
-# ---------------------------------------------------------------------- #
 # Structural batch replay
 # ---------------------------------------------------------------------- #
 
@@ -575,376 +495,3 @@ def replay_consumed_batches(
         delta = apply_batch(current, stream.batches[index], live=live)
         current, live = delta.graph, delta.live
     return current, live
-
-
-# ---------------------------------------------------------------------- #
-# The resilient runner
-# ---------------------------------------------------------------------- #
-
-
-class ResilientStreamingSystem(StreamingSystem):
-    """A :class:`StreamingSystem` that survives seeded crash faults.
-
-    Parameters
-    ----------
-    cluster, halo, monitor:
-        As for :class:`~repro.streaming.runner.StreamingSystem`.
-    faults:
-        Optional crash-only :class:`~repro.faults.FaultSchedule`; a
-        :class:`~repro.faults.CrashFault`'s ``superstep`` indexes the
-        *epoch* it strikes (the streaming barrier), and ``repeats`` makes
-        the same epoch fail again on replay.  Slowdown and network
-        faults need the per-superstep pricing walk and are rejected.
-    checkpoint:
-        Snapshot cadence + cost model; ``interval=0`` disables snapshots
-        (a crash then replays from the beginning).  The policy's
-        ``restart_seconds`` prices every restart either way.
-    retry:
-        Bounded-restart policy per crash site (epoch); exhausting it
-        raises :class:`~repro.errors.RecoveryError`.
-    seed:
-        Seeds the backoff jitter RNG (deterministic recovery bill).
-    custody, job_id:
-        Optional shared :class:`CheckpointCustody` sink — the federation
-        wires one per replay so shard failover can resume mid-stream.
-    """
-
-    def __init__(
-        self,
-        cluster: Cluster,
-        halo: int = 1,
-        monitor: Optional[OnlineCCRMonitor] = None,
-        faults: Optional[FaultSchedule] = None,
-        checkpoint: Optional[CheckpointPolicy] = None,
-        retry: Optional[RetryPolicy] = None,
-        seed: int = 0,
-        custody: Optional[CheckpointCustody] = None,
-        job_id: Optional[str] = None,
-    ):
-        super().__init__(cluster, halo=halo, monitor=monitor)
-        self.faults = faults
-        self.checkpoint = (
-            checkpoint if checkpoint is not None else CheckpointPolicy()
-        )
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.seed = int(seed)
-        self.custody = custody
-        self.job_id = job_id
-        if self.faults is not None:
-            if self.faults.slowdowns or self.faults.network_faults:
-                raise StreamError(
-                    "streaming fault schedules support crash faults only; "
-                    "slowdown/network faults need the per-superstep "
-                    "pricing walk of the static resilient runtime"
-                )
-            self.faults.validate_for(cluster.num_machines)
-
-    # ------------------------------------------------------------------ #
-
-    def _validate_resume(
-        self,
-        checkpoint: StreamCheckpoint,
-        app: GraphApplication,
-        graph: DiGraph,
-        stream: MutationStream,
-        partitioner: Partitioner,
-    ) -> None:
-        expected = {
-            "app": (checkpoint.app, app.name),
-            "algorithm": (checkpoint.algorithm, partitioner.name),
-            "halo": (checkpoint.halo, self.halo),
-            "num_machines": (
-                checkpoint.num_machines, self.cluster.num_machines
-            ),
-            "graph_fingerprint": (
-                checkpoint.graph_fingerprint, graph_fingerprint(graph)
-            ),
-            "stream_fingerprint": (
-                checkpoint.stream_fingerprint, stream.fingerprint()
-            ),
-        }
-        for name, (recorded, actual) in sorted(expected.items()):
-            if recorded != actual:
-                raise StreamCheckpointError(
-                    f"checkpoint {name} mismatch: snapshot has "
-                    f"{recorded!r}, the resuming run has {actual!r}"
-                )
-        if checkpoint.batch_cursor > stream.num_batches:
-            raise StreamCheckpointError(
-                f"checkpoint cursor {checkpoint.batch_cursor} beyond the "
-                f"stream's {stream.num_batches} batch(es)"
-            )
-
-    def _capture(
-        self,
-        app: GraphApplication,
-        partitioner: Partitioner,
-        graph_fp: str,
-        stream_fp: str,
-        cursor: int,
-        clock_s: float,
-        records: List[Mapping[str, Any]],
-        encoded: Tuple[str, ...],
-        result: PartitionResult,
-    ) -> StreamCheckpoint:
-        monitor_state = (
-            self.monitor.state_dict() if self.monitor is not None else None
-        )
-        snapshot = StreamCheckpoint(
-            app=app.name,
-            algorithm=partitioner.name,
-            partition_algorithm=result.algorithm,
-            halo=self.halo,
-            num_machines=result.num_machines,
-            graph_fingerprint=graph_fp,
-            stream_fingerprint=stream_fp,
-            batch_cursor=cursor,
-            clock_s=clock_s,
-            epoch_records=tuple(records),
-            assignment=tuple(result.assignment.tolist()),
-            weights=tuple(float(w) for w in result.weights),
-            monitor=monitor_state,
-        )
-        # Reuse the previous snapshot's encodings of the earlier epochs.
-        object.__setattr__(snapshot, "_record_json", encoded)
-        return snapshot
-
-    # ------------------------------------------------------------------ #
-
-    def run_resilient(
-        self,
-        app: GraphApplication,
-        graph: DiGraph,
-        stream: MutationStream,
-        partitioner: Partitioner,
-        weights: Optional[ArrayLike] = None,
-        resume_from: Optional[StreamCheckpoint] = None,
-    ) -> StreamRunOutcome:
-        """Run the stream under faults; return the result and the bill.
-
-        The returned result's trace is byte-identical to an undisturbed
-        :meth:`~repro.streaming.runner.StreamingSystem.run` of the same
-        inputs — crashes cost time (in the recovery report), never bytes.
-        With ``resume_from``, consumed batches are replayed structurally,
-        the partitioner/monitor state is restored, and only the remaining
-        epochs execute; the completed prefix is stitched from the
-        checkpoint's records.
-        """
-        if self.monitor is not None and weights is not None:
-            raise StreamError(
-                "pass either explicit weights or a monitor, not both"
-            )
-        stream.validate_for(graph.num_vertices)
-        graph_fp = graph_fingerprint(graph)
-        stream_fp = stream.fingerprint()
-        incremental = IncrementalPartitioner(partitioner, halo=self.halo)
-        rng = make_rng(self.seed)
-        policy = self.checkpoint
-        retry = self.retry
-
-        crashes = 0
-        replayed_epochs = 0
-        checkpoints_taken = 0
-        lost_s = 0.0
-        replay_s = 0.0
-        restart_s = 0.0
-        backoff_s = 0.0
-        checkpoint_s = 0.0
-        attempts: Dict[int, int] = {}
-        epochs: List[EpochLike] = []
-        #: Records of ``epochs[:len(records)]`` and their canonical JSON,
-        #: each built once and shared by every later snapshot.
-        records: List[Mapping[str, Any]] = []
-        encoded: Tuple[str, ...] = ()
-        epoch_runtimes: List[float] = []
-        clock = 0.0
-        #: Epoch index of the last durable snapshot (-1 = none: replay
-        #: from scratch).
-        last_durable = -1
-
-        def overhead() -> float:
-            return lost_s + replay_s + restart_s + backoff_s + checkpoint_s
-
-        def handle_crashes(epoch: int) -> None:
-            nonlocal crashes, replayed_epochs, lost_s, replay_s
-            nonlocal restart_s, backoff_s
-            if self.faults is None:
-                return
-            runtime = epoch_runtimes[epoch]
-            for crash in self.faults.crashes_at(epoch):
-                for _ in range(crash.repeats):
-                    attempt = attempts.get(epoch, 0) + 1
-                    attempts[epoch] = attempt
-                    if attempt > retry.max_retries:
-                        raise RecoveryError(
-                            f"stream epoch {epoch} crashed {attempt} "
-                            f"time(s), exceeding the retry budget of "
-                            f"{retry.max_retries}"
-                        )
-                    crashes += 1
-                    # The in-progress epoch's work is destroyed, plus
-                    # every completed epoch since the last durable
-                    # snapshot must re-execute (deterministically, so
-                    # the replay changes time, never bytes).
-                    lost_s += runtime
-                    span = range(last_durable + 1, epoch)
-                    replay_s += sum(epoch_runtimes[i] for i in span)
-                    replayed_epochs += len(span) + 1
-                    restart_s += policy.restart_seconds
-                    backoff_s += retry.backoff_seconds(attempt, rng)
-                    if obs.is_enabled():
-                        obs.counter_add("stream.crashes", 1.0)
-                        obs.event(
-                            "stream/crash",
-                            epoch=epoch,
-                            machine=crash.machine,
-                            attempt=attempt,
-                            replay_from=last_durable + 1,
-                        )
-
-        def maybe_checkpoint(epoch: int) -> None:
-            nonlocal checkpoints_taken, checkpoint_s, last_durable, encoded
-            if not policy.enabled or not policy.is_checkpoint_step(epoch):
-                return
-            records.extend(e.to_record() for e in epochs[len(records):])
-            snapshot = self._capture(
-                app, partitioner, graph_fp, stream_fp,
-                cursor=epoch, clock_s=clock, records=records,
-                encoded=encoded, result=incremental.result,
-            )
-            cost = policy.checkpoint_seconds(float(snapshot.state_bytes()))
-            encoded = snapshot.record_json()
-            checkpoints_taken += 1
-            checkpoint_s += cost
-            last_durable = epoch
-            if self.custody is not None and self.job_id is not None:
-                self.custody.record(
-                    self.job_id, snapshot, durable_at_s=clock + overhead()
-                )
-            if obs.is_enabled():
-                obs.counter_add("stream.checkpoints", 1.0)
-                obs.event(
-                    "stream/checkpoint",
-                    epoch=epoch,
-                    cursor=epoch,
-                    cost_s=cost,
-                    fingerprint=snapshot.fingerprint()[:12],
-                )
-
-        resumed_from: Optional[int] = None
-        with obs.span(
-            "stream/resilient_run",
-            app=app.name,
-            algorithm=partitioner.name,
-            halo=self.halo,
-            batches=stream.num_batches,
-        ):
-            if resume_from is not None:
-                checkpoint = resume_from
-                self._validate_resume(
-                    checkpoint, app, graph, stream, partitioner
-                )
-                current, live = replay_consumed_batches(
-                    graph, stream, checkpoint.batch_cursor
-                )
-                assignment = np.asarray(
-                    checkpoint.assignment, dtype=np.int32
-                )
-                if assignment.shape != (current.num_edges,):
-                    raise StreamCheckpointError(
-                        f"checkpoint assignment covers "
-                        f"{assignment.shape[0]} edges but the replayed "
-                        f"graph has {current.num_edges}"
-                    )
-                restored = PartitionResult(
-                    graph=current,
-                    assignment=assignment,
-                    num_machines=checkpoint.num_machines,
-                    algorithm=checkpoint.partition_algorithm,
-                    weights=np.asarray(
-                        checkpoint.weights, dtype=np.float64
-                    ),
-                )
-                incremental.restore(restored, checkpoint.batch_cursor)
-                if checkpoint.monitor is not None:
-                    if self.monitor is None:
-                        raise StreamCheckpointError(
-                            "checkpoint carries monitor state but the "
-                            "resuming run has no monitor attached"
-                        )
-                    self.monitor.load_state(dict(checkpoint.monitor))
-                epochs.extend(checkpoint.restored_epochs())
-                records.extend(checkpoint.epoch_records)
-                encoded = checkpoint.record_json()
-                epoch_runtimes.extend(
-                    e.report.runtime_seconds for e in epochs
-                )
-                clock = checkpoint.clock_s
-                last_durable = checkpoint.batch_cursor
-                resumed_from = checkpoint.batch_cursor
-                start_index = checkpoint.batch_cursor
-                if obs.is_enabled():
-                    obs.counter_add("stream.resumes", 1.0)
-                    obs.event(
-                        "stream/resume",
-                        cursor=checkpoint.batch_cursor,
-                        fingerprint=checkpoint.fingerprint()[:12],
-                    )
-            else:
-                w = (
-                    self._monitor_weights(app.name)
-                    if self.monitor is not None
-                    else weights
-                )
-                partition = incremental.start(
-                    graph, self.cluster.num_machines, weights=w
-                )
-                outcome = self._execute_epoch(0, app, partition, update=None)
-                epochs.append(outcome)
-                epoch_runtimes.append(outcome.report.runtime_seconds)
-                clock += outcome.report.runtime_seconds
-                handle_crashes(0)
-                maybe_checkpoint(0)
-                current, live = graph, None
-                start_index = 0
-
-            for index in range(start_index, stream.num_batches):
-                batch = stream.batches[index]
-                with obs.span(
-                    "stream/batch", batch=index, ops=batch.num_ops
-                ):
-                    delta = apply_batch(current, batch, live=live)
-                    batch_weights = (
-                        self._monitor_weights(app.name)
-                        if self.monitor is not None
-                        else None
-                    )
-                    update = incremental.apply(delta, weights=batch_weights)
-                current, live = delta.graph, delta.live
-                outcome = self._execute_epoch(
-                    index + 1, app, update.result, update
-                )
-                epochs.append(outcome)
-                epoch_runtimes.append(outcome.report.runtime_seconds)
-                clock += outcome.report.runtime_seconds
-                handle_crashes(index + 1)
-                maybe_checkpoint(index + 1)
-
-        result = StreamingResult(
-            app=app.name,
-            algorithm=partitioner.name,
-            halo=self.halo,
-            epochs=tuple(epochs),
-        )
-        recovery = StreamRecoveryReport(
-            crashes=crashes,
-            replayed_epochs=replayed_epochs,
-            checkpoints_taken=checkpoints_taken,
-            lost_seconds=lost_s,
-            replay_seconds=replay_s,
-            restart_seconds=restart_s,
-            backoff_seconds=backoff_s,
-            checkpoint_seconds=checkpoint_s,
-            resumed_from_batch=resumed_from,
-        )
-        return StreamRunOutcome(result=result, recovery=recovery)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Protocol, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Protocol, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -42,19 +42,35 @@ from repro.engine.report import ExecutionReport, simulate_execution
 from repro.engine.runtime import execute_partition
 from repro.engine.trace import ExecutionTrace
 from repro.engine.vertex_program import GraphApplication
-from repro.errors import StreamError
+from repro.errors import RecoveryError, StreamCheckpointError, StreamError
+from repro.faults.checkpoint import (
+    CheckpointPolicy,
+    RecoveryBill,
+    RetryBudget,
+    RetryPolicy,
+)
+from repro.faults.schedule import FaultSchedule
 from repro.graph.digraph import DiGraph
+from repro.kernels.cache import graph_fingerprint
 from repro.obs import context as obs
 from repro.partition.base import Partitioner, PartitionResult
 from repro.partition.metrics import weighted_imbalance
 from repro.streaming.incremental import IncrementalPartitioner, StreamUpdate
 from repro.streaming.mutations import MutationStream, apply_batch
+from repro.streaming.recovery import (
+    CheckpointCustody,
+    StreamCheckpoint,
+    replay_consumed_batches,
+)
+from repro.utils.rng import make_rng
 
 __all__ = [
     "EpochLike",
     "EpochOutcome",
+    "ResilientStreamingSystem",
     "StreamingResult",
     "StreamingSystem",
+    "StreamRunOutcome",
 ]
 
 #: Bump when the streaming-trace layout changes; readers reject others.
@@ -223,6 +239,14 @@ class StreamingResult:
         )
 
 
+@dataclass(frozen=True)
+class StreamRunOutcome:
+    """A streaming run: the pure result plus the recovery bill."""
+
+    result: StreamingResult
+    recovery: RecoveryBill
+
+
 class StreamingSystem:
     """Simulated streaming deployment of one graph application.
 
@@ -237,7 +261,21 @@ class StreamingSystem:
         weights (initially and per batch) and is re-observed before every
         batch, so degradations reported between batches steer subsequent
         re-placements.
+
+    One epoch loop serves every run.  Its crash, snapshot and resume
+    hooks act only on the recovery settings below, which a plain system
+    leaves off and :class:`ResilientStreamingSystem` sets.
     """
+
+    #: Crash-only schedule whose ``superstep`` indexes the epoch it strikes.
+    faults: Optional[FaultSchedule] = None
+    #: Snapshot cadence and cost; interval 0 takes no snapshots.
+    checkpoint: CheckpointPolicy = CheckpointPolicy(interval=0)
+    retry: RetryPolicy = RetryPolicy()
+    #: Seeds the backoff jitter rng.
+    seed: int = 0
+    custody: Optional[CheckpointCustody] = None
+    job_id: Optional[str] = None
 
     def __init__(
         self,
@@ -272,14 +310,133 @@ class StreamingSystem:
         ``weights`` sets the epoch-0 targets when no monitor is attached;
         with a monitor, the monitor's pool wins (explicit weights are
         rejected to keep the provenance of every placement unambiguous).
+        On a plain system the loop's recovery hooks do nothing: no
+        crashes, no snapshots, no fingerprints.
         """
+        return self.run_resilient(app, graph, stream, partitioner, weights).result
+
+    def run_resilient(
+        self,
+        app: GraphApplication,
+        graph: DiGraph,
+        stream: MutationStream,
+        partitioner: Partitioner,
+        weights: Optional[ArrayLike] = None,
+        resume_from: Optional[StreamCheckpoint] = None,
+    ) -> StreamRunOutcome:
+        """Run the stream under the recovery settings; return result and bill.
+
+        The returned result's trace is byte-identical to an undisturbed
+        :meth:`run` of the same inputs — crashes cost time (in the
+        recovery bill), never bytes.  With ``resume_from``, consumed
+        batches are replayed structurally, the partitioner/monitor state
+        is restored, and only the remaining epochs execute; the completed
+        prefix is stitched from the checkpoint's records.  This is the
+        one epoch loop; its crash, snapshot and resume hooks act only on
+        the recovery settings.
+        """
+        faults, checkpoint = self.faults, self.checkpoint
         if self.monitor is not None and weights is not None:
             raise StreamError(
                 "pass either explicit weights or a monitor, not both"
             )
         stream.validate_for(graph.num_vertices)
         incremental = IncrementalPartitioner(partitioner, halo=self.halo)
-        w = self._monitor_weights(app.name) if self.monitor is not None else weights
+        budget = RetryBudget(self.retry, make_rng(self.seed))
+
+        bill = RecoveryBill(unit="epoch")
+        epochs: List[EpochLike] = []
+        #: Records of ``epochs[:len(records)]`` and their canonical JSON,
+        #: each built once and shared by every later snapshot.
+        records: List[Mapping[str, Any]] = []
+        encoded: Tuple[str, ...] = ()
+        clock = 0.0
+        #: Epoch index of the last durable snapshot (-1 = none: replay
+        #: from scratch).
+        last_durable = -1
+        #: Content identities of the base graph and the stream, computed
+        #: only when a snapshot or a resume needs them.
+        identity: List[str] = []
+
+        def fingerprints() -> List[str]:
+            if not identity:
+                identity.extend((graph_fingerprint(graph), stream.fingerprint()))
+            return identity
+
+        def handle_crashes(epoch: int) -> None:
+            if faults is None:
+                return
+            runtime = epochs[epoch].report.runtime_seconds
+            for crash in faults.crashes_at(epoch):
+                for _ in range(crash.repeats):
+                    attempt = budget.restart(epoch)
+                    if budget.exhausted(attempt):
+                        raise RecoveryError(
+                            f"stream epoch {epoch} crashed {attempt} "
+                            f"time(s), exceeding the retry budget of "
+                            f"{self.retry.max_retries}"
+                        )
+                    # The in-progress epoch's work is destroyed, plus
+                    # every completed epoch since the last durable
+                    # snapshot must re-execute (deterministically, so
+                    # the replay changes time, never bytes).
+                    span = range(last_durable + 1, epoch)
+                    bill.crashes += 1
+                    bill.lost_seconds += runtime
+                    bill.replay_seconds += sum(
+                        epochs[i].report.runtime_seconds for i in span
+                    )
+                    bill.replayed += len(span) + 1
+                    bill.restart_seconds += checkpoint.restart_seconds
+                    bill.backoff_seconds += budget.pause(attempt)
+                    if obs.is_enabled():
+                        obs.counter_add("stream.crashes", 1.0)
+                        obs.event(
+                            "stream/crash",
+                            epoch=epoch,
+                            machine=crash.machine,
+                            attempt=attempt,
+                            replay_from=last_durable + 1,
+                        )
+
+        def maybe_checkpoint(epoch: int) -> None:
+            nonlocal last_durable, encoded
+            if not checkpoint.is_checkpoint_step(epoch):
+                return
+            records.extend(e.to_record() for e in epochs[len(records):])
+            snapshot = self._capture(
+                app, partitioner, *fingerprints(),
+                cursor=epoch, clock_s=clock, records=records,
+                encoded=encoded, result=incremental.result,
+            )
+            cost = checkpoint.checkpoint_seconds(float(snapshot.state_bytes()))
+            encoded = snapshot.record_json()
+            bill.checkpoints += 1
+            bill.checkpoint_seconds += cost
+            last_durable = epoch
+            if self.custody is not None and self.job_id is not None:
+                self.custody.record(
+                    self.job_id,
+                    snapshot,
+                    durable_at_s=clock + bill.overhead_seconds,
+                )
+            if obs.is_enabled():
+                obs.counter_add("stream.checkpoints", 1.0)
+                obs.event(
+                    "stream/checkpoint",
+                    epoch=epoch,
+                    cursor=epoch,
+                    cost_s=cost,
+                    fingerprint=snapshot.fingerprint()[:12],
+                )
+
+        def complete(outcome: EpochOutcome) -> None:
+            nonlocal clock
+            epochs.append(outcome)
+            clock += outcome.report.runtime_seconds
+            handle_crashes(outcome.epoch)
+            maybe_checkpoint(outcome.epoch)
+
         with obs.span(
             "stream/run",
             app=app.name,
@@ -287,15 +444,33 @@ class StreamingSystem:
             halo=self.halo,
             batches=stream.num_batches,
         ):
-            partition = incremental.start(
-                graph, self.cluster.num_machines, weights=w
-            )
-            epochs: List[EpochOutcome] = [
-                self._execute_epoch(0, app, partition, update=None)
-            ]
-            live = None
-            current = graph
-            for index, batch in enumerate(stream.batches):
+            if resume_from is not None:
+                current, live = self._resume(
+                    resume_from, app, graph, stream, partitioner,
+                    incremental, fingerprints(),
+                )
+                epochs.extend(resume_from.restored_epochs())
+                records.extend(resume_from.epoch_records)
+                encoded = resume_from.record_json()
+                clock = resume_from.clock_s
+                last_durable = resume_from.batch_cursor
+                bill.resumed_from_batch = resume_from.batch_cursor
+                start_index = resume_from.batch_cursor
+            else:
+                w = (
+                    self._monitor_weights(app.name)
+                    if self.monitor is not None
+                    else weights
+                )
+                partition = incremental.start(
+                    graph, self.cluster.num_machines, weights=w
+                )
+                complete(self._execute_epoch(0, app, partition, update=None))
+                current, live = graph, None
+                start_index = 0
+
+            for index in range(start_index, stream.num_batches):
+                batch = stream.batches[index]
                 with obs.span(
                     "stream/batch", batch=index, ops=batch.num_ops
                 ):
@@ -307,15 +482,126 @@ class StreamingSystem:
                     )
                     update = incremental.apply(delta, weights=batch_weights)
                 current, live = delta.graph, delta.live
-                epochs.append(
+                complete(
                     self._execute_epoch(index + 1, app, update.result, update)
                 )
-        return StreamingResult(
+
+        result = StreamingResult(
             app=app.name,
             algorithm=partitioner.name,
             halo=self.halo,
             epochs=tuple(epochs),
         )
+        return StreamRunOutcome(result=result, recovery=bill)
+
+    def _resume(
+        self,
+        checkpoint: StreamCheckpoint,
+        app: GraphApplication,
+        graph: DiGraph,
+        stream: MutationStream,
+        partitioner: Partitioner,
+        incremental: IncrementalPartitioner,
+        fingerprints: List[str],
+    ) -> Tuple[DiGraph, Optional[Any]]:
+        """Validate a snapshot and restore the loop's carried state.
+
+        Returns the ``(graph, live)`` pair ready for the snapshot's batch
+        cursor.
+        """
+        expected = {
+            "app": (checkpoint.app, app.name),
+            "algorithm": (checkpoint.algorithm, partitioner.name),
+            "halo": (checkpoint.halo, self.halo),
+            "num_machines": (
+                checkpoint.num_machines, self.cluster.num_machines
+            ),
+            "graph_fingerprint": (
+                checkpoint.graph_fingerprint, fingerprints[0]
+            ),
+            "stream_fingerprint": (
+                checkpoint.stream_fingerprint, fingerprints[1]
+            ),
+        }
+        for name, (recorded, actual) in sorted(expected.items()):
+            if recorded != actual:
+                raise StreamCheckpointError(
+                    f"checkpoint {name} mismatch: snapshot has "
+                    f"{recorded!r}, the resuming run has {actual!r}"
+                )
+        if checkpoint.batch_cursor > stream.num_batches:
+            raise StreamCheckpointError(
+                f"checkpoint cursor {checkpoint.batch_cursor} beyond the "
+                f"stream's {stream.num_batches} batch(es)"
+            )
+        current, live = replay_consumed_batches(
+            graph, stream, checkpoint.batch_cursor
+        )
+        assignment = np.asarray(checkpoint.assignment, dtype=np.int32)
+        if assignment.shape != (current.num_edges,):
+            raise StreamCheckpointError(
+                f"checkpoint assignment covers {assignment.shape[0]} edges "
+                f"but the replayed graph has {current.num_edges}"
+            )
+        incremental.restore(
+            PartitionResult(
+                graph=current,
+                assignment=assignment,
+                num_machines=checkpoint.num_machines,
+                algorithm=checkpoint.partition_algorithm,
+                weights=np.asarray(checkpoint.weights, dtype=np.float64),
+            ),
+            checkpoint.batch_cursor,
+        )
+        if checkpoint.monitor is not None:
+            if self.monitor is None:
+                raise StreamCheckpointError(
+                    "checkpoint carries monitor state but the resuming "
+                    "run has no monitor attached"
+                )
+            self.monitor.load_state(dict(checkpoint.monitor))
+        if obs.is_enabled():
+            obs.counter_add("stream.resumes", 1.0)
+            obs.event(
+                "stream/resume",
+                cursor=checkpoint.batch_cursor,
+                fingerprint=checkpoint.fingerprint()[:12],
+            )
+        return current, live
+
+    def _capture(
+        self,
+        app: GraphApplication,
+        partitioner: Partitioner,
+        graph_fp: str,
+        stream_fp: str,
+        cursor: int,
+        clock_s: float,
+        records: List[Mapping[str, Any]],
+        encoded: Tuple[str, ...],
+        result: PartitionResult,
+    ) -> StreamCheckpoint:
+        monitor_state = (
+            self.monitor.state_dict() if self.monitor is not None else None
+        )
+        snapshot = StreamCheckpoint(
+            app=app.name,
+            algorithm=partitioner.name,
+            partition_algorithm=result.algorithm,
+            halo=self.halo,
+            num_machines=result.num_machines,
+            graph_fingerprint=graph_fp,
+            stream_fingerprint=stream_fp,
+            batch_cursor=cursor,
+            clock_s=clock_s,
+            epoch_records=tuple(records),
+            assignment=tuple(result.assignment.tolist()),
+            weights=tuple(float(w) for w in result.weights),
+            monitor=monitor_state,
+        )
+        # Reuse the previous snapshot's encodings of the earlier epochs.
+        object.__setattr__(snapshot, "_record_json", encoded)
+        return snapshot
 
     def _execute_epoch(
         self,
@@ -349,3 +635,62 @@ class StreamingSystem:
             report=report,
             update=update,
         )
+
+
+class ResilientStreamingSystem(StreamingSystem):
+    """A :class:`StreamingSystem` with its recovery settings on.
+
+    Parameters
+    ----------
+    cluster, halo, monitor:
+        As for :class:`StreamingSystem`.
+    faults:
+        Optional crash-only :class:`~repro.faults.FaultSchedule`; a
+        :class:`~repro.faults.CrashFault`'s ``superstep`` indexes the
+        *epoch* it strikes (the streaming barrier), and ``repeats`` makes
+        the same epoch fail again on replay.  Slowdown and network
+        faults need the per-superstep pricing walk and are rejected.
+    checkpoint:
+        Snapshot cadence + cost model; ``interval=0`` disables snapshots
+        (a crash then replays from the beginning).  The policy's
+        ``restart_seconds`` prices every restart either way.
+    retry:
+        Bounded-restart policy per crash site (epoch); exhausting it
+        raises :class:`~repro.errors.RecoveryError`.
+    seed:
+        Seeds the backoff jitter RNG (deterministic recovery bill).
+    custody, job_id:
+        Optional shared :class:`~repro.streaming.recovery.
+        CheckpointCustody` sink — the federation wires one per replay so
+        shard failover can resume mid-stream.
+    """
+
+    def __init__(
+        self,
+        cluster: Cluster,
+        halo: int = 1,
+        monitor: Optional[OnlineCCRMonitor] = None,
+        faults: Optional[FaultSchedule] = None,
+        checkpoint: Optional[CheckpointPolicy] = None,
+        retry: Optional[RetryPolicy] = None,
+        seed: int = 0,
+        custody: Optional[CheckpointCustody] = None,
+        job_id: Optional[str] = None,
+    ):
+        super().__init__(cluster, halo=halo, monitor=monitor)
+        if faults is not None:
+            if faults.slowdowns or faults.network_faults:
+                raise StreamError(
+                    "streaming fault schedules support crash faults only; "
+                    "slowdown/network faults need the per-superstep "
+                    "pricing walk of the static resilient runtime"
+                )
+            faults.validate_for(cluster.num_machines)
+        self.faults = faults
+        self.checkpoint = (
+            checkpoint if checkpoint is not None else CheckpointPolicy()
+        )
+        self.retry = retry if retry is not None else RetryPolicy()
+        self.seed = int(seed)
+        self.custody = custody
+        self.job_id = job_id

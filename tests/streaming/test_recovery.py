@@ -260,9 +260,9 @@ class TestResilientRun:
     def test_fault_free_run_bills_only_snapshots(self, graph, stream):
         outcome = _run(graph, stream)
         assert outcome.recovery.crashes == 0
-        assert outcome.recovery.replayed_epochs == 0
+        assert outcome.recovery.replayed == 0
         # interval=1: one snapshot per epoch (initial + one per batch).
-        assert outcome.recovery.checkpoints_taken == stream.num_batches + 1
+        assert outcome.recovery.checkpoints == stream.num_batches + 1
         assert outcome.recovery.checkpoint_seconds > 0.0
         assert outcome.recovery.overhead_seconds == pytest.approx(
             outcome.recovery.checkpoint_seconds
@@ -285,7 +285,7 @@ class TestResilientRun:
         assert recovery.crashes == 1
         # interval=2 snapshots after epochs 1 and 3; the crash at epoch 2
         # replays only the destroyed epoch itself.
-        assert recovery.replayed_epochs == 1
+        assert recovery.replayed == 1
         assert recovery.lost_seconds > 0.0
         assert recovery.replay_seconds == 0.0
         assert recovery.restart_seconds == pytest.approx(
@@ -317,8 +317,8 @@ class TestResilientRun:
         )
         # No durable snapshot exists: epochs 0 and 1 replay plus the
         # destroyed epoch 2.
-        assert outcome.recovery.checkpoints_taken == 0
-        assert outcome.recovery.replayed_epochs == 3
+        assert outcome.recovery.checkpoints == 0
+        assert outcome.recovery.replayed == 3
         assert outcome.recovery.replay_seconds > 0.0
         assert outcome.result.trace_json() == _plain_trace(graph, stream)
 
@@ -363,6 +363,46 @@ class TestResilientRun:
             _run(graph, stream, resume_from=with_monitor)
 
 
+class TestFingerprintsOnDemand:
+    """Content fingerprints are computed only to capture or resume."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        from repro.streaming import MutationStream, runner
+
+        calls = []
+        graph_fp, stream_fp = runner.graph_fingerprint, MutationStream.fingerprint
+        monkeypatch.setattr(
+            runner,
+            "graph_fingerprint",
+            lambda g: calls.append("graph") or graph_fp(g),
+        )
+        monkeypatch.setattr(
+            MutationStream,
+            "fingerprint",
+            lambda self: calls.append("stream") or stream_fp(self),
+        )
+        return calls
+
+    def test_undisturbed_run_computes_none(self, graph, stream, monkeypatch):
+        calls = self._count(monkeypatch)
+        _plain_trace(graph, stream)
+        assert calls == []
+
+    def test_run_without_snapshots_computes_none(
+        self, graph, stream, monkeypatch
+    ):
+        calls = self._count(monkeypatch)
+        _run(graph, stream, checkpoint=CheckpointPolicy(interval=0))
+        assert calls == []
+
+    def test_snapshots_compute_each_once(self, graph, stream, monkeypatch):
+        calls = self._count(monkeypatch)
+        outcome = _run(graph, stream, checkpoint=CheckpointPolicy(interval=1))
+        assert outcome.recovery.checkpoints == stream.num_batches + 1
+        assert calls == ["graph", "stream"]
+
+
 class TestSnapshotCost:
     """Snapshots reuse each epoch's record instead of rebuilding them all."""
 
@@ -383,7 +423,7 @@ class TestSnapshotCost:
     ):
         built = self._count_records(monkeypatch)
         outcome = _run(graph, stream, checkpoint=CheckpointPolicy(interval=1))
-        assert outcome.recovery.checkpoints_taken == stream.num_batches + 1
+        assert outcome.recovery.checkpoints == stream.num_batches + 1
         assert built == list(range(stream.num_batches + 1))
 
     def test_resume_builds_only_the_live_epochs(

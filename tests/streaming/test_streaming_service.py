@@ -1,14 +1,18 @@
 """Streaming jobs through the service: format v3 gate, admission, pricing."""
 
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 from repro.cluster.catalog import get_machine
 from repro.cluster.cluster import Cluster
 from repro.cluster.perfmodel import PerformanceModel
 from repro.errors import WorkloadFormatError
+from repro.faults.checkpoint import CheckpointPolicy
+from repro.faults.schedule import CrashFault, FaultSchedule
 from repro.powerlaw.generator import generate_power_law_graph
 from repro.service import (
     STATUS_COMPLETED,
@@ -27,6 +31,7 @@ from repro.streaming import (
     MutationBatch,
     MutationStream,
     RemoveVertex,
+    StreamingSystem,
     generate_stream,
 )
 
@@ -238,6 +243,63 @@ class TestStreamingJobs:
         # The streaming job runs 4 epochs' worth of supersteps.
         by_id = {r.job_id: r for r in result.records}
         assert by_id["s0"].supersteps > by_id["p0"].supersteps
+
+
+def _pair() -> Cluster:
+    return Cluster(
+        [get_machine("m4.2xlarge"), get_machine("c4.2xlarge")],
+        perf=PerformanceModel(model_scale=0.01),
+    )
+
+
+def _charge(job, interval):
+    """(job record, the stream's outcome) of one single-job replay."""
+    outcomes = []
+    run_resilient = StreamingSystem.run_resilient
+
+    def spy(self, *args, **kwargs):
+        outcomes.append(run_resilient(self, *args, **kwargs))
+        return outcomes[-1]
+
+    service = JobService(
+        _pair(), stream_checkpoint=CheckpointPolicy(interval=interval)
+    )
+    with mock.patch.object(StreamingSystem, "run_resilient", spy):
+        record = service.run_workload(Workload(jobs=(job,))).records[0]
+    (outcome,) = outcomes
+    return record, outcome
+
+
+class TestStreamBillConservation:
+    """A stream job is charged its undisturbed runtime plus its bill."""
+
+    @pytest.fixture(scope="class")
+    def undisturbed(self):
+        record, outcome = _charge(streaming_job(), interval=1)
+        assert outcome.recovery.overhead_seconds == 0.0
+        return record.charged_seconds
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        epoch=st.integers(0, 3),
+        repeats=st.integers(1, 2),
+        interval=st.integers(0, 3),
+    )
+    def test_charged_is_runtime_plus_overhead(
+        self, undisturbed, epoch, repeats, interval
+    ):
+        faults = FaultSchedule(
+            crashes=(CrashFault(superstep=epoch, machine=0, repeats=repeats),)
+        )
+        record, outcome = _charge(streaming_job(faults=faults), interval)
+        bill = outcome.recovery
+        assert record.status == STATUS_COMPLETED
+        assert record.crashes == bill.crashes == repeats
+        assert outcome.result.total_runtime_seconds == undisturbed
+        assert record.charged_seconds == pytest.approx(
+            undisturbed + bill.overhead_seconds, rel=1e-12
+        )
+        assert record.retries_backoff_s == bill.backoff_seconds
 
 
 class TestServeCli:

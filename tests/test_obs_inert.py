@@ -108,8 +108,8 @@ class TestObsInertUnderFaults:
         assert lit.report.runtime_seconds == dark.report.runtime_seconds
         assert lit.report.energy_joules == dark.report.energy_joules
         assert (
-            lit.report.recovery.replayed_supersteps
-            == dark.report.recovery.replayed_supersteps
+            lit.report.recovery.replayed
+            == dark.report.recovery.replayed
         )
         # If the supervisor fired, the spliced continuation must match too.
         assert (lit.rebalanced_trace is None) == (

@@ -163,6 +163,17 @@ class TestRetriesAndFailure:
         assert record.charged_seconds == 0.0
         assert record.retries_backoff_s > 0.0
 
+    def test_max_attempts_is_the_one_attempt_budget(self, pair):
+        assert ServicePolicy(max_attempts=3).retry.max_retries == 2
+        hopeless = FaultSchedule(
+            crashes=(CrashFault(1, machine=0, repeats=10),), seed=0
+        )
+        workload = Workload(jobs=(job("a", faults=hopeless),), seed=0)
+        service = self.make_service(pair, max_attempts=3)
+        record = service.run_workload(workload).records[0]
+        assert record.attempts == 3
+        assert record.reason.startswith("all 3 attempts failed; last: ")
+
     def test_backoff_is_seeded_and_reproducible(self, pair):
         hopeless = FaultSchedule(
             crashes=(CrashFault(1, machine=0, repeats=10),), seed=0
