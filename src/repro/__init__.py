@@ -65,7 +65,6 @@ from repro.engine import (
     ExecutionReport,
     GraphProcessingSystem,
     ResilientExecutionReport,
-    ResilientRuntime,
     simulate_execution,
     simulate_resilient_execution,
 )
@@ -133,7 +132,6 @@ __all__ = [
     "ExecutionReport",
     "GraphProcessingSystem",
     "ResilientExecutionReport",
-    "ResilientRuntime",
     "simulate_execution",
     "simulate_resilient_execution",
     # faults

@@ -9,7 +9,7 @@ code:
   CCR pool (the one-time offline step of Fig. 7a).
 * ``process``   — the Fig. 7b flow: run an application on a graph over a
   described cluster, under a chosen capability policy.  With
-  ``--fault-schedule`` the run is priced through the resilient runtime:
+  ``--fault-schedule`` the same run is priced under that schedule:
   crashes recover from checkpoints, persistent stragglers trigger a
   mid-run re-balance.  With ``--obs-dir`` the run records spans, metrics,
   the execution trace and the invocation config into a run directory.
@@ -34,7 +34,7 @@ code:
   write it as a replayable workload JSON file.
 * ``serve``     — replay a workload file through the multi-tenant job
   service: admission control, deadlines, retries, circuit breakers and
-  load shedding over the resilient runtime (DESIGN.md §12).  With
+  load shedding over fault-aware runs (DESIGN.md §12).  With
   ``--shards N`` the replay runs across N scheduler shards behind a
   consistent-hash ring with failover, work stealing, journaled crash
   recovery and shard-fault injection (DESIGN.md §13).  With
@@ -431,10 +431,11 @@ def cmd_profile(args) -> int:
 
 
 def cmd_process(args) -> int:
-    from repro.core.flow import ProxyGuidedSystem
-    from repro.engine.resilient import ResilientRuntime
+    from repro.apps.registry import make_app
+    from repro.engine.runtime import GraphProcessingSystem
     from repro.faults.checkpoint import CheckpointPolicy, RetryPolicy
     from repro.faults.schedule import FaultSchedule
+    from repro.partition import make_partitioner
 
     cluster = _build_cluster(args.cluster, args.scale)
     graph = _load_graph(args)
@@ -447,24 +448,21 @@ def cmd_process(args) -> int:
 
     with _observed(args, "observability :") as run:
         with _store_attached(args):
-            if schedule is not None:
-                runtime = ResilientRuntime(
-                    cluster,
-                    estimator=estimator,
-                    partitioner=args.partitioner,
-                    schedule=schedule,
-                    checkpoint=CheckpointPolicy(
-                        interval=args.checkpoint_interval
-                    ),
-                    retry=RetryPolicy(max_retries=args.max_retries),
-                    rebalance=not args.no_rebalance,
-                )
-                outcome = runtime.run(args.app, graph)
-            else:
-                system = ProxyGuidedSystem(cluster, estimator=estimator)
-                outcome = system.process(
-                    args.app, graph, partitioner=args.partitioner
-                )
+            application = make_app(args.app)
+            weights = estimator.weights(cluster, application.name, graph)
+            system = GraphProcessingSystem(
+                cluster,
+                faults=schedule,
+                checkpoint=CheckpointPolicy(interval=args.checkpoint_interval),
+                retry=RetryPolicy(max_retries=args.max_retries),
+                rebalance=not args.no_rebalance,
+            )
+            outcome = system.run(
+                application,
+                graph,
+                make_partitioner(args.partitioner),
+                weights=weights,
+            )
         run.trace = outcome.trace
         report = outcome.report
 
@@ -1302,8 +1300,8 @@ def build_parser() -> argparse.ArgumentParser:
                       "is exhausted without convergence")
     proc.add_argument("--fault-schedule",
                       help="JSON fault scenario to inject (see the "
-                      "`faults` command); prices the run through the "
-                      "resilient runtime")
+                      "`faults` command); prices the run under it, "
+                      "with checkpoint recovery and re-balancing")
     proc.add_argument("--mutations",
                       help="mutation stream JSON (see the `stream` "
                       "command); runs the app as a streaming deployment "

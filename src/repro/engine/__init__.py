@@ -14,10 +14,12 @@ Key pieces:
 * :class:`AppCostModel` -- per-application operation costs.
 * :class:`ExecutionTrace` / :func:`simulate_execution` -- machine-agnostic
   capture, cluster-specific pricing.
-* :class:`GraphProcessingSystem` -- the end-to-end Fig. 7b flow.
-* :func:`simulate_resilient_execution` / :class:`ResilientRuntime` --
-  fault-aware pricing and the crash/straggler-surviving control loop
-  (see :mod:`repro.faults` for the fault models themselves).
+* :class:`GraphProcessingSystem` -- the end-to-end Fig. 7b flow; a
+  fault schedule, recovery policies and straggler re-balancing are
+  settings of it, off by default.
+* :func:`simulate_resilient_execution` -- fault-aware pricing, which
+  every run goes through (see :mod:`repro.faults` for the fault models
+  themselves).
 """
 
 from repro.engine.accounting import AppCostModel
@@ -30,8 +32,6 @@ from repro.engine.runtime import GraphProcessingSystem, RunOutcome
 from repro.engine.resilient import (
     FaultRecord,
     ResilientExecutionReport,
-    ResilientOutcome,
-    ResilientRuntime,
     simulate_resilient_execution,
 )
 
@@ -51,7 +51,5 @@ __all__ = [
     "RunOutcome",
     "FaultRecord",
     "ResilientExecutionReport",
-    "ResilientOutcome",
-    "ResilientRuntime",
     "simulate_resilient_execution",
 ]

@@ -1,30 +1,26 @@
-"""Fault-aware pricing and the resilient runtime.
+"""Fault-aware pricing.
 
 :func:`simulate_execution` prices a trace on a cluster that never fails.
 This module prices the same trace on a cluster that *does*: machines
 crash and must replay from checkpoints, machines degrade and stretch
-every barrier after them, the interconnect throttles.  Two layers:
+every barrier after them, the interconnect throttles.
 
-* :func:`simulate_resilient_execution` — the pricing walk.  It consumes a
-  :class:`~repro.faults.FaultSchedule` and charges exactly what a
-  synchronous engine would pay: slowed supersteps stretch to the degraded
-  straggler, a crash loses the attempt and pays backoff + restart +
-  replay from the last checkpoint, checkpoints tax fault-free supersteps
-  at the policy's interval.  Recovery is bounded — a crash site that
-  keeps failing past the :class:`~repro.faults.RetryPolicy` budget raises
-  :class:`~repro.errors.RecoveryError`.
-* :class:`ResilientRuntime` — the control loop.  It runs an application
-  end-to-end, watches per-superstep timings through a
-  :class:`~repro.faults.Supervisor`, and on a persistent-straggler
-  verdict re-partitions the graph onto degradation-discounted weights and
-  migrates mid-run — the "graceful degradation" answer to the fault
-  model.  Observed slowdowns are also fed back into an
-  :class:`~repro.core.online.OnlineCCRMonitor` so later runs start from
-  the degraded capability.
+:func:`simulate_resilient_execution` consumes a
+:class:`~repro.faults.FaultSchedule` and charges exactly what a
+synchronous engine would pay: slowed supersteps stretch to the degraded
+straggler, a crash loses the attempt and pays backoff + restart + replay
+from the last checkpoint, checkpoints tax fault-free supersteps at the
+policy's interval.  Recovery is bounded — a crash site that keeps
+failing past the :class:`~repro.faults.RetryPolicy` budget raises
+:class:`~repro.errors.RecoveryError`.  An optional
+:class:`~repro.faults.Supervisor` watches the per-superstep timings; on
+a persistent-straggler verdict an optional rebalancer supplies a
+re-partitioned continuation trace, which the walk splices in.
+:class:`~repro.engine.runtime.GraphProcessingSystem` builds both from
+its recovery settings, so every static run prices through this walk.
 
-Everything is opt-in: with no faults to inject and no supervisor verdict
-possible, the pricing path delegates to :func:`simulate_execution` and the
-report is identical to the static simulator's, field for field.
+With no faults to inject the walk delegates to :func:`simulate_execution`
+and the report is the static simulator's, field for field.
 
 Key modelling choices (see DESIGN.md "Fault model & resilience"):
 
@@ -42,21 +38,16 @@ Key modelling choices (see DESIGN.md "Fault model & resilience"):
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple, Union
-
-import numpy as np
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
-from repro.engine.distributed_graph import DistributedGraph
 from repro.engine.report import (
     ExecutionReport,
     StepPricer,
     simulate_execution,
     trace_warnings,
 )
-from repro.engine.runtime import execute_partition
 from repro.engine.trace import ExecutionTrace
-from repro.engine.vertex_program import GraphApplication
 from repro.errors import EngineError, FaultError, RecoveryError
 from repro.faults.checkpoint import (
     CheckpointPolicy,
@@ -66,29 +57,23 @@ from repro.faults.checkpoint import (
 )
 from repro.faults.schedule import FaultSchedule
 from repro.faults.supervisor import Supervisor
-from repro.graph.digraph import DiGraph
 from repro.obs import context as obs
-from repro.partition.base import Partitioner, PartitionResult
 from repro.utils.rng import make_rng
 
 __all__ = [
     "FaultRecord",
     "ResilientExecutionReport",
-    "ResilientOutcome",
-    "ResilientRuntime",
     "simulate_resilient_execution",
 ]
 
 _MB = 1e6
-#: Bytes migrated per re-assigned edge (two int64 endpoints).
-_EDGE_BYTES = 16.0
 
 
 @dataclass(frozen=True)
 class FaultRecord:
     """One entry of the priced run's event log."""
 
-    kind: str  # "crash" | "checkpoint" | "rebalance" | "run-failed"
+    kind: str  # "crash" | "checkpoint" | "rebalance"
     superstep: int
     seconds: float
     detail: str = ""
@@ -150,7 +135,8 @@ def simulate_resilient_execution(
         Exceeding it raises :class:`~repro.errors.RecoveryError`.
     supervisor:
         Optional straggler detector, fed observed per-slot compute times
-        each completed superstep.
+        the first time each superstep completes (replays are not fed
+        again).
     rebalancer:
         Called once when the supervisor fires; may return a continuation
         trace (same machine count) and its migration cost.
@@ -241,16 +227,6 @@ def simulate_resilient_execution(
                 sites[key] -= 1
                 attempt = budget.restart(key)
                 if budget.exhausted(attempt):
-                    events.append(
-                        FaultRecord(
-                            kind="run-failed",
-                            superstep=s,
-                            seconds=0.0,
-                            detail=f"machine {key[1]} exhausted "
-                            f"{retry.max_retries} retries",
-                            machines=(key[1],),
-                        )
-                    )
                     obs.event(
                         "resilience/run-failed",
                         superstep=s,
@@ -299,13 +275,15 @@ def simulate_resilient_execution(
             s = last_checkpoint
             continue
 
-        # Superstep completed.
-        if s < frontier:
-            bill.replay_seconds += step_wall
-        else:
+        # Superstep completed.  A replay repeats timings the supervisor
+        # has already seen, so only a first completion feeds it.
+        first = s >= frontier
+        if first:
             frontier = s + 1
+        else:
+            bill.replay_seconds += step_wall
 
-        if supervisor is not None and not rebalanced:
+        if first and supervisor is not None and not rebalanced:
             supervisor.observe(s, step_busy)
             if supervisor.triggered and rebalancer is not None:
                 plan = rebalancer(s, dict(supervisor.report.factors))
@@ -390,186 +368,3 @@ def simulate_resilient_execution(
         recovery=bill,
         events=tuple(events),
     )
-
-
-# --------------------------------------------------------------------- #
-# Runtime
-# --------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class ResilientOutcome:
-    """Everything produced by one resilient end-to-end run."""
-
-    partition: PartitionResult
-    dgraph: DistributedGraph
-    trace: ExecutionTrace
-    report: ExecutionReport
-    #: Present only when the supervisor triggered a mid-run re-balance.
-    rebalanced_partition: Optional[PartitionResult] = None
-    rebalanced_trace: Optional[ExecutionTrace] = None
-
-
-class ResilientRuntime:
-    """End-to-end graph processing that survives injected faults.
-
-    The resilient sibling of
-    :class:`~repro.engine.runtime.GraphProcessingSystem`: partition →
-    execute → price under a fault schedule, with a supervisor watching the
-    barrier timings.  On a persistent-straggler verdict it re-partitions
-    the graph onto degradation-discounted weights, splices the
-    re-balanced execution into the priced run, and (when given a monitor)
-    reports the degraded capability to the online CCR store so subsequent
-    runs start from the new reality.
-
-    Parameters
-    ----------
-    cluster:
-        Machines to run on (slot-aligned with partitions).
-    estimator:
-        Capability estimator for the initial weights; ``None`` = uniform
-        (cheapest; pass a CCR estimator for paper-guided initial shares).
-    partitioner:
-        Partitioning algorithm name or instance.
-    schedule:
-        Fault scenario to inject; ``None``/empty prices exactly like the
-        static path.
-    checkpoint, retry:
-        Recovery policies (defaults are sensible; see
-        :mod:`repro.faults.checkpoint`).
-    supervisor:
-        Straggler detector; ``None`` installs a fresh default
-        :class:`~repro.faults.Supervisor` per run.  Pass ``False``-y via
-        ``rebalance=False`` instead to disable re-balancing.
-    monitor:
-        Optional :class:`~repro.core.online.OnlineCCRMonitor` that
-        receives degradation reports when the supervisor fires.
-    rebalance:
-        Master switch for mid-run re-partitioning.
-    """
-
-    def __init__(
-        self,
-        cluster: Cluster,
-        estimator=None,
-        partitioner: Union[str, Partitioner] = "hybrid",
-        schedule: Optional[FaultSchedule] = None,
-        checkpoint: Optional[CheckpointPolicy] = None,
-        retry: Optional[RetryPolicy] = None,
-        supervisor: Optional[Supervisor] = None,
-        monitor=None,
-        rebalance: bool = True,
-        seed: Optional[int] = None,
-    ):
-        from repro.partition import make_partitioner
-
-        self.cluster = cluster
-        self.estimator = estimator
-        self.partitioner = (
-            partitioner
-            if isinstance(partitioner, Partitioner)
-            else make_partitioner(partitioner)
-        )
-        self.schedule = schedule
-        self.checkpoint = checkpoint
-        self.retry = retry
-        self._supervisor_template = supervisor
-        self.monitor = monitor
-        self.rebalance = rebalance
-        self.seed = seed
-
-    # ------------------------------------------------------------------ #
-
-    def _weights(self, app_name: str, graph: DiGraph) -> np.ndarray:
-        if self.estimator is not None:
-            return np.asarray(
-                self.estimator.weights(self.cluster, app_name, graph),
-                dtype=np.float64,
-            )
-        from repro.partition.weights import uniform_weights
-
-        return uniform_weights(self.cluster)
-
-    def run(
-        self,
-        app: Union[str, GraphApplication],
-        graph: DiGraph,
-        weights: Optional[np.ndarray] = None,
-    ) -> ResilientOutcome:
-        """Partition, execute, and price one run under the fault model."""
-        from repro.apps.registry import make_app
-
-        application = make_app(app) if isinstance(app, str) else app
-        w = (
-            np.asarray(weights, dtype=np.float64)
-            if weights is not None
-            else self._weights(application.name, graph)
-        )
-        partition = self.partitioner.partition(
-            graph, self.cluster.num_machines, weights=w
-        )
-        dgraph, trace = execute_partition(application, partition)
-
-        faulted = self.schedule is not None and not self.schedule.is_empty
-        supervisor = None
-        rebalancer = None
-        spliced: Dict[str, object] = {}
-        if faulted and self.rebalance:
-            supervisor = (
-                self._supervisor_template
-                if self._supervisor_template is not None
-                else Supervisor()
-            )
-
-            def rebalancer(superstep, factors):
-                with obs.span(
-                    "resilient/rebalance",
-                    superstep=superstep,
-                    stragglers=sorted(factors),
-                ):
-                    new_w = supervisor.degraded_weights(w)
-                    if self.monitor is not None:
-                        supervisor.apply_to_monitor(self.monitor, self.cluster)
-                    new_partition = self.partitioner.partition(
-                        graph, self.cluster.num_machines, weights=new_w
-                    )
-                    _, new_trace = execute_partition(application, new_partition)
-                    cost = self._migration_seconds(partition, new_partition)
-                    spliced["partition"] = new_partition
-                    spliced["trace"] = new_trace
-                    return new_trace, cost
-
-        report = simulate_resilient_execution(
-            trace,
-            self.cluster,
-            schedule=self.schedule,
-            checkpoint=self.checkpoint,
-            retry=self.retry,
-            supervisor=supervisor,
-            rebalancer=rebalancer,
-            seed=self.seed,
-        )
-        return ResilientOutcome(
-            partition=partition,
-            dgraph=dgraph,
-            trace=trace,
-            report=report,
-            rebalanced_partition=spliced.get("partition"),
-            rebalanced_trace=spliced.get("trace"),
-        )
-
-    def _migration_seconds(
-        self, old: PartitionResult, new: PartitionResult
-    ) -> float:
-        """One-off cost of moving re-assigned edges between machines.
-
-        Every edge whose slot changed crosses the network once; the moves
-        happen in parallel across machine pairs, so the charge is the
-        total volume over the cluster's aggregate exchange bandwidth.
-        """
-        moved = int(np.count_nonzero(old.assignment != new.assignment))
-        total_bytes = moved * _EDGE_BYTES
-        aggregate_gbs = self.cluster.network.bandwidth_gbs * max(
-            1, self.cluster.num_machines
-        )
-        return total_bytes / (aggregate_gbs * 1e9)

@@ -5,26 +5,33 @@ modified PowerGraph does: load graph → pick weights → partition → finalize
 (build the distributed graph) → execute → report.  The CCR lookup step of
 Fig. 7b lives one level up, in :mod:`repro.core.flow`, which selects the
 weight vector before calling into here.
+
+A fault schedule is one more setting of the same system: every run is
+priced by :func:`~repro.engine.resilient.simulate_resilient_execution`,
+which is the static simulator when there is nothing to inject.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.engine.distributed_graph import DistributedGraph
-from repro.engine.report import (
-    ExecutionReport,
-    enable_price_memo,
-    simulate_execution,
-)
+from repro.engine.report import ExecutionReport, enable_price_memo
+# Kept importable here: the benchmark tracer wraps ``simulate_execution``
+# in every module that holds it, and its own test checks this module.
+from repro.engine.report import simulate_execution  # noqa: F401
+from repro.engine.resilient import simulate_resilient_execution
 from repro.engine.trace import ExecutionTrace
 from repro.engine.vertex_program import GraphApplication
 from repro.errors import EngineError
+from repro.faults.checkpoint import CheckpointPolicy, RetryPolicy
+from repro.faults.schedule import FaultSchedule
+from repro.faults.supervisor import Supervisor
 from repro.graph.digraph import DiGraph
 from repro.kernels.cache import (
     app_key,
@@ -32,7 +39,9 @@ from repro.kernels.cache import (
     graph_fingerprint,
     trace_cache,
 )
+from repro.obs import context as obs
 from repro.partition.base import Partitioner, PartitionResult
+from repro.partition.weights import uniform_weights
 
 __all__ = ["RunOutcome", "GraphProcessingSystem", "execute_partition"]
 
@@ -74,6 +83,10 @@ def execute_partition(
     return dgraph, trace
 
 
+#: Bytes migrated per re-assigned edge (two int64 endpoints).
+_EDGE_BYTES = 16.0
+
+
 @dataclass(frozen=True)
 class RunOutcome:
     """Everything produced by one end-to-end run."""
@@ -87,15 +100,48 @@ class RunOutcome:
 class GraphProcessingSystem:
     """Simulated distributed graph-processing framework.
 
+    The recovery settings are all off by default; with no ``faults`` a
+    run is priced exactly like
+    :func:`~repro.engine.report.simulate_execution`.
+
     Parameters
     ----------
     cluster:
         The machines the framework runs on; partition count equals machine
         count, slot ``i`` of every partitioning lands on ``machines[i]``.
+    faults:
+        Fault scenario to inject into every run (``None``/empty = none).
+    checkpoint, retry:
+        Recovery policies under faults (defaults: see
+        :mod:`repro.faults.checkpoint`).
+    monitor:
+        Optional :class:`~repro.core.online.OnlineCCRMonitor` told about
+        the degraded capability when a run re-balances.
+    rebalance:
+        Under faults, answer a persistent-straggler verdict of a fresh
+        :class:`~repro.faults.Supervisor` by re-partitioning onto
+        degradation-discounted weights mid-run.
+    seed:
+        RNG stream for recovery backoff jitter (default: the schedule's).
     """
 
-    def __init__(self, cluster: Cluster):
+    def __init__(
+        self,
+        cluster: Cluster,
+        faults: Optional[FaultSchedule] = None,
+        checkpoint: Optional[CheckpointPolicy] = None,
+        retry: Optional[RetryPolicy] = None,
+        monitor=None,
+        rebalance: bool = False,
+        seed: Optional[int] = None,
+    ):
         self.cluster = cluster
+        self.faults = faults
+        self.checkpoint = checkpoint
+        self.retry = retry
+        self.monitor = monitor
+        self.rebalance = rebalance
+        self.seed = seed
 
     def run(
         self,
@@ -113,7 +159,8 @@ class GraphProcessingSystem:
         graph:
             Input graph.
         partitioner:
-            Partitioning algorithm instance.
+            Partitioning algorithm instance (a re-balance re-partitions
+            with it too).
         weights:
             Per-machine weight vector (``None`` = uniform; thread-count and
             CCR vectors plug in here).
@@ -122,10 +169,56 @@ class GraphProcessingSystem:
             graph, self.cluster.num_machines, weights=weights
         )
         dgraph, trace = execute_partition(app, partition)
-        report = simulate_execution(trace, self.cluster)
+        supervisor = None
+        rebalancer = None
+        faulted = self.faults is not None and not self.faults.is_empty
+        if faulted and self.rebalance:
+            supervisor = Supervisor()
+            base = uniform_weights(self.cluster) if weights is None else weights
+
+            def rebalancer(superstep, factors):
+                with obs.span(
+                    "resilient/rebalance",
+                    superstep=superstep,
+                    stragglers=sorted(factors),
+                ):
+                    new_weights = supervisor.degraded_weights(base)
+                    if self.monitor is not None:
+                        supervisor.apply_to_monitor(self.monitor, self.cluster)
+                    moved = partitioner.partition(
+                        graph, self.cluster.num_machines, weights=new_weights
+                    )
+                    _, new_trace = execute_partition(app, moved)
+                    return new_trace, self._migration_seconds(partition, moved)
+
+        report = simulate_resilient_execution(
+            trace,
+            self.cluster,
+            schedule=self.faults,
+            checkpoint=self.checkpoint,
+            retry=self.retry,
+            supervisor=supervisor,
+            rebalancer=rebalancer,
+            seed=self.seed,
+        )
         return RunOutcome(
             partition=partition, dgraph=dgraph, trace=trace, report=report
         )
+
+    def _migration_seconds(
+        self, old: PartitionResult, new: PartitionResult
+    ) -> float:
+        """One-off cost of moving re-assigned edges between machines.
+
+        Every edge whose slot changed crosses the network once; the moves
+        happen in parallel across machine pairs, so the charge is the
+        total volume over the cluster's aggregate exchange bandwidth.
+        """
+        moved = int(np.count_nonzero(old.assignment != new.assignment))
+        aggregate_gbs = self.cluster.network.bandwidth_gbs * max(
+            1, self.cluster.num_machines
+        )
+        return moved * _EDGE_BYTES / (aggregate_gbs * 1e9)
 
     def run_single_machine(
         self, app: GraphApplication, graph: DiGraph, machine_index: int = 0
@@ -143,8 +236,6 @@ class GraphProcessingSystem:
                 f"machine_index {machine_index} out of range "
                 f"[0, {self.cluster.num_machines})"
             )
-        from repro.partition.base import PartitionResult
-
         assignment = np.zeros(graph.num_edges, dtype=np.int32)
         single = PartitionResult(
             graph=graph,

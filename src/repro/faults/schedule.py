@@ -363,6 +363,10 @@ class FaultSchedule:
             raise FaultError(f"malformed fault schedule JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise FaultError("fault schedule JSON must be an object")
+        known = {"seed", "crashes", "slowdowns", "network_faults"}
+        unknown = sorted(set(payload) - known)
+        if unknown:
+            raise FaultError(f"unknown fault schedule fields {unknown}")
         try:
             return cls(
                 crashes=tuple(

@@ -19,8 +19,12 @@ the paper's load-balancing thesis is most exposed to.
 * a slot whose estimate exceeds ``threshold`` for ``patience``
   consecutive supersteps is declared a straggler.
 
-The actuation half lives in :class:`repro.engine.resilient.ResilientRuntime`,
-which re-partitions onto degradation-discounted weights, and in
+:func:`~repro.engine.resilient.simulate_resilient_execution` feeds it
+each superstep's timings the first time that superstep completes.  The
+actuation half lives in
+:class:`~repro.engine.runtime.GraphProcessingSystem`, which builds a
+fresh supervisor per faulted run and re-partitions onto
+degradation-discounted weights when it fires, and in
 :meth:`Supervisor.apply_to_monitor`, which feeds the observed factors back
 into the :class:`~repro.core.online.OnlineCCRMonitor` so future runs see
 the degraded capability as a changed CCR.

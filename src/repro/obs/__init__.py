@@ -4,7 +4,7 @@ Three layers, all opt-in:
 
 * **Spans** (:mod:`repro.obs.span`) — structured intervals on a simulated
   clock, emitted by the partitioners, the proxy profiler, the sync engine
-  (per superstep: gather/apply/sync) and the resilient runtime.
+  (per superstep: gather/apply/sync) and the fault-aware pricing walk.
 * **Metrics** (:mod:`repro.obs.metrics`) — counters, gauges and
   histograms (edge ops, sync bytes, replication factor, straggler slack
   per barrier, CCR estimation error) with JSON export.

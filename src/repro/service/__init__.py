@@ -1,4 +1,4 @@
-"""Deterministic multi-tenant job service over the resilient runtime.
+"""Deterministic multi-tenant job service over fault-aware runs.
 
 The serving layer of the reproduction: a stream of graph jobs (app ×
 graph × priority × deadline) scheduled onto one heterogeneous cluster on

@@ -2,7 +2,7 @@
 
 The classic three-state breaker (closed → open → half-open), run on the
 *simulated* clock.  Each machine slot in the service's cluster carries a
-breaker fed by the resilient runtime's fault events: crashes and
+breaker fed by the priced runs' fault events: crashes and
 straggler-triggered rebalances count as failures, a clean run through the
 machine counts as a success.
 

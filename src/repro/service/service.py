@@ -2,8 +2,9 @@
 
 One simulated cluster, one stream of job requests, one server: jobs are
 admitted (or rejected) the instant they arrive, wait in a priority queue
-while the cluster is busy, and run one at a time through the
-:class:`~repro.engine.resilient.ResilientRuntime`.  Everything happens on
+while the cluster is busy, and run one at a time through a
+:class:`~repro.engine.runtime.GraphProcessingSystem` carrying the job's
+fault schedule for that attempt.  Everything happens on
 the *simulated* clock — arrival gaps, queueing delay, priced runtimes,
 retry backoffs and breaker cooldowns all add in the same unit — so a
 workload file plus a seed pins the entire service history byte for byte.
@@ -49,14 +50,13 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.cluster.cluster import Cluster
-from repro.engine.resilient import (
-    ResilientExecutionReport,
-    ResilientRuntime,
-)
+from repro.engine.resilient import ResilientExecutionReport
+from repro.engine.runtime import GraphProcessingSystem
 from repro.errors import FaultError, RecoveryError, ServiceError, StreamError
 from repro.faults.checkpoint import CheckpointPolicy, RetryBudget, RetryPolicy
 from repro.graph.digraph import DiGraph
 from repro.obs import context as obs
+from repro.partition import make_partitioner
 from repro.partition.weights import uniform_weights
 from repro.service.breaker import BreakerBoard, BreakerEvent, BreakerPolicy
 from repro.service.estimate import projected_seconds
@@ -335,7 +335,8 @@ class JobService:
         Optional capability estimator for base partition weights
         (``None`` = uniform; breakers multiply on top either way).
     checkpoint, engine_retry:
-        Recovery policies handed to the resilient runtime per attempt.
+        Recovery policies of each attempt's
+        :class:`~repro.engine.runtime.GraphProcessingSystem`.
     stream_checkpoint:
         Snapshot cadence for *streaming* jobs (epochs between durable
         stream checkpoints).  ``None`` falls back to ``checkpoint`` —
@@ -500,7 +501,7 @@ class JobService:
                 if ev.kind == "crash":
                     failed.update(ev.machines)
                     crashes += len(ev.machines)
-                elif ev.kind in ("rebalance", "run-failed"):
+                elif ev.kind == "rebalance":
                     failed.update(ev.machines)
             rebalanced = report.rebalance is not None
             self.board.record_failures(
@@ -614,7 +615,6 @@ class JobService:
         granularity, and blaming machine slots for it would perturb later
         jobs' weights.
         """
-        from repro.partition import make_partitioner
         from repro.streaming.runner import ResilientStreamingSystem
 
         assert job.graph.mutations is not None
@@ -719,17 +719,22 @@ class JobService:
                 schedule_machines = tuple(
                     sorted({c.machine for c in schedule.crashes})
                 )
-            runtime = ResilientRuntime(
+            system = GraphProcessingSystem(
                 self.cluster,
-                partitioner=job.partitioner,
-                schedule=schedule,
+                faults=schedule,
                 checkpoint=self.checkpoint,
                 retry=self.engine_retry,
                 monitor=self.monitor,
+                rebalance=True,
             )
             attempt_start = start_s + backoff_total
             try:
-                outcome = runtime.run(application, graph, weights=weights)
+                outcome = system.run(
+                    application,
+                    graph,
+                    make_partitioner(job.partitioner),
+                    weights=weights,
+                )
             except RecoveryError as exc:
                 n_crashes, _ = self._feed_breakers(
                     None, schedule_machines, True, attempt_start

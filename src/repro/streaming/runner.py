@@ -683,7 +683,7 @@ class ResilientStreamingSystem(StreamingSystem):
                 raise StreamError(
                     "streaming fault schedules support crash faults only; "
                     "slowdown/network faults need the per-superstep "
-                    "pricing walk of the static resilient runtime"
+                    "pricing walk of a static run"
                 )
             faults.validate_for(cluster.num_machines)
         self.faults = faults

@@ -1,7 +1,7 @@
 """Resilience: what faults cost, and what the supervisor buys.
 
 Not a figure of the paper — the paper assumes a fault-free cluster.
-These tables quantify the resilient runtime added on top of it:
+These tables quantify the recovery settings added on top of it:
 
 * recovery overhead vs crash count: each crash replays at most one
   checkpoint interval, so the overhead curve is monotone in the number of
@@ -18,7 +18,7 @@ from repro.apps import make_app
 from repro.cluster.catalog import get_machine
 from repro.cluster.cluster import Cluster
 from repro.cluster.perfmodel import PerformanceModel
-from repro.engine.resilient import ResilientRuntime, simulate_resilient_execution
+from repro.engine.resilient import simulate_resilient_execution
 from repro.engine.runtime import GraphProcessingSystem
 from repro.faults.checkpoint import CheckpointPolicy
 from repro.faults.schedule import CrashFault, FaultSchedule, SlowdownFault
@@ -97,10 +97,9 @@ def slowdown_reports():
     # No checkpoint tax: isolate the pure load-balancing effect.
     ckpt = CheckpointPolicy(interval=0, restart_seconds=0.0)
     ride, rebal = (
-        ResilientRuntime(
-            cluster, partitioner="hybrid", schedule=schedule,
-            checkpoint=ckpt, rebalance=rebalance,
-        ).run("pagerank", graph).report
+        GraphProcessingSystem(
+            cluster, faults=schedule, checkpoint=ckpt, rebalance=rebalance,
+        ).run(make_app("pagerank"), graph, make_partitioner("hybrid")).report
         for rebalance in (False, True)
     )
     emit(

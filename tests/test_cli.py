@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import pathlib
 
 import pytest
 
@@ -130,6 +131,56 @@ class TestProcess:
             assert "Traceback" not in err, argv[0]
 
 
+_GOLDEN_PROCESS = (
+    pathlib.Path(__file__).parent / "golden" / "process_stdout.json"
+)
+
+#: One crash on machine 1 at superstep 2, before the slowdown starts.
+_ONE_CRASH = {"seed": 7, "crashes": [{"superstep": 2, "machine": 1}]}
+#: The same crash plus a permanent 4x slowdown on machine 0 from
+#: superstep 4, which the supervisor answers with a re-balance.
+_CRASH_AND_SLOWDOWN = dict(
+    _ONE_CRASH,
+    slowdowns=[{"superstep": 4, "machine": 0, "factor": 4.0,
+                "duration": None}],
+)
+
+#: id -> (fault schedule or None, extra flags).
+PROCESS_GOLDEN_CONFIGS = {
+    "no-schedule": (None, []),
+    "one-crash": (_ONE_CRASH, []),
+    "crash-slowdown-rebalance": (_CRASH_AND_SLOWDOWN, []),
+    "crash-slowdown-no-rebalance": (_CRASH_AND_SLOWDOWN, ["--no-rebalance"]),
+    "crash-slowdown-threads": (_CRASH_AND_SLOWDOWN, ["--policy", "threads"]),
+}
+
+
+def process_golden_stdout(config_id, tmp_path, capsys):
+    """``repro process``'s stdout for one pinned configuration."""
+    schedule, extra = PROCESS_GOLDEN_CONFIGS[config_id]
+    argv = ["process", "--cluster",
+            "m4.2xlarge,m4.2xlarge,c4.2xlarge,c4.2xlarge",
+            "--app", "pagerank", "--dataset", "wiki", "--scale", "0.002",
+            *extra]
+    if schedule is not None:
+        path = tmp_path / f"{config_id}.json"
+        path.write_text(json.dumps(schedule))
+        argv += ["--fault-schedule", str(path)]
+    capsys.readouterr()
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+class TestProcessGolden:
+    """``repro process`` prints the same bytes with and without a fault
+    schedule, re-balance on or off, under two weight policies."""
+
+    @pytest.mark.parametrize("config_id", sorted(PROCESS_GOLDEN_CONFIGS))
+    def test_stdout_matches_fixture(self, config_id, tmp_path, capsys):
+        expected = json.loads(_GOLDEN_PROCESS.read_text())[config_id]
+        assert process_golden_stdout(config_id, tmp_path, capsys) == expected
+
+
 def _exit_code(argv):
     """main()'s return value, or the status of argparse's SystemExit."""
     try:
@@ -157,6 +208,9 @@ class TestErrorContract:
         ))
         (tmp / "str-seed-faults.json").write_text(json.dumps(
             {"seed": "a", "crashes": [{"superstep": 1, "machine": 0}]}
+        ))
+        (tmp / "misspelt-faults.json").write_text(json.dumps(
+            {"crashs": [{"superstep": 1, "machine": 0}]}
         ))
         (tmp / "frac-step-faults.json").write_text(json.dumps(
             {"crashes": [{"superstep": 1.5, "machine": 0}]}
@@ -208,6 +262,11 @@ class TestErrorContract:
                 ["process", *RUN, "--dataset", "wiki",
                  "--fault-schedule", "{tmp}/str-seed-faults.json"],
                 2, "err", "error:", "seed", id="string-fault-schedule-seed"),
+            pytest.param(
+                ["process", *RUN, "--dataset", "wiki",
+                 "--fault-schedule", "{tmp}/misspelt-faults.json"],
+                2, "err", "error:", "crashs",
+                id="unknown-fault-schedule-field"),
             pytest.param(
                 ["process", *RUN, "--dataset", "wiki",
                  "--fault-schedule", "{tmp}/frac-step-faults.json"],

@@ -1,4 +1,5 @@
-"""Tests for repro.engine.resilient (fault-aware pricing + runtime).
+"""Tests for repro.engine.resilient (fault-aware pricing) and the
+recovery settings of GraphProcessingSystem.
 
 The contract under test, in order of importance:
 
@@ -21,13 +22,13 @@ from repro.cluster.perfmodel import PerformanceModel
 from repro.engine.report import ExecutionReport
 from repro.engine.resilient import (
     ResilientExecutionReport,
-    ResilientRuntime,
     simulate_resilient_execution,
 )
 from repro.engine.runtime import GraphProcessingSystem
 from repro.engine.distributed_graph import DistributedGraph
 from repro.errors import ConvergenceError, FaultError, RecoveryError
 from repro.faults.checkpoint import CheckpointPolicy, RetryPolicy
+from repro.faults.supervisor import Supervisor
 from repro.faults.schedule import (
     CrashFault,
     FaultSchedule,
@@ -92,9 +93,9 @@ class TestOptIn:
         assert_reports_identical(report, baseline.report)
 
     def test_runtime_fault_free_identical(self, baseline, cluster, graph):
-        outcome = ResilientRuntime(cluster, partitioner="hybrid").run(
-            "pagerank", graph
-        )
+        outcome = GraphProcessingSystem(
+            cluster, faults=FaultSchedule(), rebalance=True
+        ).run(PageRank(), graph, make_partitioner("hybrid"))
         assert_reports_identical(outcome.report, baseline.report)
 
     def test_faulted_run_returns_resilient_report(self, baseline, cluster):
@@ -230,15 +231,17 @@ class TestRebalance:
     )
     CKPT = CheckpointPolicy(interval=0, restart_seconds=0.0)
 
+    def run(self, cluster, graph, **settings):
+        settings.setdefault("faults", self.SCHED)
+        settings.setdefault("checkpoint", self.CKPT)
+        settings.setdefault("rebalance", True)
+        return GraphProcessingSystem(cluster, **settings).run(
+            PageRank(), graph, make_partitioner("hybrid")
+        )
+
     def test_rebalance_beats_no_rebalance(self, cluster, graph):
-        with_rb = ResilientRuntime(
-            cluster, partitioner="hybrid", schedule=self.SCHED,
-            checkpoint=self.CKPT,
-        ).run("pagerank", graph)
-        without_rb = ResilientRuntime(
-            cluster, partitioner="hybrid", schedule=self.SCHED,
-            checkpoint=self.CKPT, rebalance=False,
-        ).run("pagerank", graph)
+        with_rb = self.run(cluster, graph)
+        without_rb = self.run(cluster, graph, rebalance=False)
         assert with_rb.report.rebalance is not None
         assert without_rb.report.rebalance is None
         assert (
@@ -246,12 +249,14 @@ class TestRebalance:
             < without_rb.report.runtime_seconds
         )
 
+    def test_rebalance_is_off_by_default(self, cluster, graph):
+        system = GraphProcessingSystem(cluster, faults=self.SCHED)
+        outcome = system.run(PageRank(), graph, make_partitioner("hybrid"))
+        assert outcome.report.rebalance is None
+
     def test_rebalanced_results_still_correct(self, cluster, graph, baseline):
-        outcome = ResilientRuntime(
-            cluster, partitioner="hybrid", schedule=self.SCHED,
-            checkpoint=self.CKPT,
-        ).run("pagerank", graph)
-        assert outcome.rebalanced_partition is not None
+        outcome = self.run(cluster, graph)
+        assert outcome.report.rebalance is not None
         assert np.allclose(
             outcome.report.result["ranks"], baseline.report.result["ranks"]
         )
@@ -268,11 +273,55 @@ class TestRebalance:
             apps=("pagerank",),
         )
         monitor.observe(cluster)
-        ResilientRuntime(
-            cluster, partitioner="hybrid", schedule=self.SCHED,
-            checkpoint=self.CKPT, monitor=monitor,
-        ).run("pagerank", graph)
+        self.run(cluster, graph, monitor=monitor)
         assert monitor.degradation("m4.2xlarge") > 1.0
+
+    def test_each_run_gets_a_fresh_supervisor(self, cluster, graph):
+        """A second run of one system re-calibrates from scratch, so it
+        re-balances at the same superstep as the first."""
+        system = GraphProcessingSystem(
+            cluster, faults=self.SCHED, checkpoint=self.CKPT, rebalance=True
+        )
+        steps = [
+            system.run(
+                PageRank(), graph, make_partitioner("hybrid")
+            ).report.rebalance.superstep
+            for _ in range(2)
+        ]
+        assert steps == [6, 6]
+
+
+class TestSupervisorReplay:
+    """Replayed supersteps repeat timings the supervisor already saw, so
+    a crash rollback must not move the re-balance verdict."""
+
+    SLOW = SlowdownFault(4, machine=0, factor=4.0, duration=None)
+
+    @pytest.mark.parametrize(
+        "crashes", [(), (CrashFault(6, machine=2),)], ids=["clean", "crash"]
+    )
+    def test_crash_replay_does_not_hasten_rebalance(
+        self, baseline, cluster, crashes
+    ):
+        spliced = []
+
+        def rebalancer(superstep, factors):
+            spliced.append(superstep)
+            return baseline.trace, 0.0
+
+        report = simulate_resilient_execution(
+            baseline.trace,
+            cluster,
+            schedule=FaultSchedule(
+                crashes=crashes, slowdowns=(self.SLOW,), seed=5
+            ),
+            checkpoint=CheckpointPolicy(interval=5),
+            supervisor=Supervisor(),
+            rebalancer=rebalancer,
+        )
+        assert report.recovery.crashes == len(crashes)
+        assert report.rebalance.superstep == 6
+        assert spliced == [6]
 
 
 class TestStrictConvergence:

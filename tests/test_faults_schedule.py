@@ -209,6 +209,13 @@ class TestPersistence:
         with pytest.raises(FaultError):
             FaultSchedule.from_json('{"crashes": [{"bogus_field": 1}]}')
 
+    def test_unknown_top_level_field_rejected(self):
+        """A misspelt field must not load as an empty schedule."""
+        with pytest.raises(FaultError, match=r"unknown .*\['crashs'\]"):
+            FaultSchedule.from_json(
+                '{"crashs": [{"superstep": 1, "machine": 0}]}'
+            )
+
     def test_non_object_json_rejected(self):
         with pytest.raises(FaultError, match="object"):
             FaultSchedule.from_json("[1, 2, 3]")

@@ -19,13 +19,15 @@ from repro.cluster.catalog import get_machine
 from repro.cluster.cluster import Cluster
 from repro.cluster.perfmodel import PerformanceModel
 from repro.graph.digraph import DiGraph
-from repro.engine.resilient import ResilientRuntime
+from repro.apps import make_app
+from repro.engine.runtime import GraphProcessingSystem
 from repro.kernels.cache import (
     cache_stats,
     clear_all_caches,
     estimate_cache,
     profile_trace_cache,
 )
+from repro.partition import make_partitioner
 from repro.powerlaw.generator import generate_power_law_graph
 from repro.service import GraphSpec, JobRequest, JobService, Workload
 from repro.service.estimate import projected_seconds
@@ -102,14 +104,15 @@ class TestTraceCacheGate:
     def test_observed_runtime_hits_trace_cache(self):
         cluster = make_cluster(0.01)
         graph = make_graph()
-        runtime = ResilientRuntime(cluster, partitioner="hybrid")
-        cold = runtime.run("pagerank", graph)
+        system = GraphProcessingSystem(cluster)
+        app, partitioner = make_app("pagerank"), make_partitioner("hybrid")
+        cold = system.run(app, graph, partitioner)
         stats = cache_stats()["trace"]
         assert (stats["hits"], stats["misses"]) == (0, 1)
 
         observer = obs.Observer()
         with obs.enabled(observer):
-            observed = runtime.run("pagerank", graph)
+            observed = system.run(app, graph, partitioner)
         assert observed.trace is cold.trace
         assert cache_stats()["trace"]["hits"] == stats["hits"] + 1
         assert cache_stats()["trace"]["misses"] == stats["misses"]
@@ -122,7 +125,7 @@ class TestTraceCacheGate:
         clear_all_caches()
         observer = obs.Observer()
         with obs.enabled(observer):
-            fresh = runtime.run("pagerank", graph)
+            fresh = system.run(app, graph, partitioner)
         assert observer.tracer.named("engine/run")
         assert fresh.trace.canonical_json() == cold.trace.canonical_json()
 

@@ -4,23 +4,31 @@ The obs subsystem's contract: enabling an observer must not change a
 single byte of what the simulation computes.  These tests run identical
 workloads dark and instrumented and compare canonical trace JSON, app
 results, priced reports — including under a fault schedule with crashes,
-slowdowns and a mid-run re-balance through :class:`ResilientRuntime`.
+slowdowns and a mid-run re-balance, both through a faulted
+:class:`GraphProcessingSystem` and through
+:func:`simulate_resilient_execution` with a tuned supervisor.
 
 Observed runs use the kernel caches like any other run, so a test that
 asserts spans clears the caches first: work served from a cache is not
 re-executed, and so is not traced.
 """
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
+from repro.apps import make_app
 from repro.cluster.cluster import Cluster
 from repro.cluster.machine import MachineSpec
 from repro.engine.report import simulate_execution
-from repro.engine.resilient import ResilientRuntime
+from repro.engine.resilient import simulate_resilient_execution
+from repro.engine.runtime import GraphProcessingSystem, execute_partition
 from repro.faults import CrashFault, FaultSchedule, SlowdownFault, Supervisor
 from repro.kernels.cache import clear_all_caches
 from repro.obs import Observer, enabled
+from repro.partition import make_partitioner
 from repro.testing import GOLDEN_APPS, golden_cluster, golden_graph, golden_run
 
 
@@ -82,44 +90,79 @@ class TestObsInertUnderFaults:
             seed=11,
         )
 
-    def _run(self, graph):
-        runtime = ResilientRuntime(
-            self._cluster(),
-            partitioner="hybrid",
+    def _run(self, graph, runner="system"):
+        """``(trace, report)`` of one faulted pagerank run.
+
+        ``system`` runs a faulted :class:`GraphProcessingSystem` (default
+        supervisor); ``supervisor`` prices through
+        :func:`simulate_resilient_execution` with a more eager one.
+        """
+        cluster = self._cluster()
+        app = make_app("pagerank")
+        partitioner = make_partitioner("hybrid")
+        if runner == "system":
+            outcome = GraphProcessingSystem(
+                cluster, faults=self._schedule(), rebalance=True, seed=5
+            ).run(app, graph, partitioner)
+            return outcome.trace, outcome.report
+        base = GraphProcessingSystem(cluster).run(app, graph, partitioner)
+        supervisor = Supervisor(threshold=1.5, patience=2)
+
+        def rebalancer(superstep, factors):
+            moved = partitioner.partition(
+                graph,
+                cluster.num_machines,
+                weights=supervisor.degraded_weights(base.partition.weights),
+            )
+            return execute_partition(app, moved)[1], 0.0
+
+        report = simulate_resilient_execution(
+            base.trace,
+            cluster,
             schedule=self._schedule(),
-            supervisor=Supervisor(threshold=1.5, patience=2),
+            supervisor=supervisor,
+            rebalancer=rebalancer,
             seed=5,
         )
-        return runtime.run("pagerank", graph)
+        return base.trace, report
+
+    @staticmethod
+    def _report_bytes(report) -> str:
+        return json.dumps(
+            dataclasses.asdict(report),
+            sort_keys=True,
+            default=lambda o: o.tolist() if hasattr(o, "tolist") else repr(o),
+        )
 
     def test_faulted_run_byte_identical(self, graph):
-        dark = self._run(graph)
+        self._assert_inert(graph, "system")
+
+    def test_tuned_supervisor_run_byte_identical(self, graph):
+        self._assert_inert(graph, "supervisor")
+
+    def _assert_inert(self, graph, runner):
+        dark_trace, dark = self._run(graph, runner)
 
         clear_all_caches()
         observer = Observer()
         with enabled(observer):
-            lit = self._run(graph)
+            lit_trace, lit = self._run(graph, runner)
 
         names = {s.name for s in observer.spans}
         assert "resilience/price" in names
         assert "resilience/crash" in names
 
-        assert lit.trace.canonical_json() == dark.trace.canonical_json()
-        assert lit.report.runtime_seconds == dark.report.runtime_seconds
-        assert lit.report.energy_joules == dark.report.energy_joules
-        assert (
-            lit.report.recovery.replayed
-            == dark.report.recovery.replayed
+        assert lit_trace.canonical_json() == dark_trace.canonical_json()
+        assert lit.runtime_seconds == dark.runtime_seconds
+        assert lit.energy_joules == dark.energy_joules
+        assert lit.recovery.replayed == dark.recovery.replayed
+        # The supervisor fired, and the spliced continuation matches too.
+        assert lit.rebalance is not None and dark.rebalance is not None
+        fault_free = simulate_execution(dark_trace, self._cluster())
+        assert np.allclose(
+            lit.result["ranks"], fault_free.result["ranks"]
         )
-        # If the supervisor fired, the spliced continuation must match too.
-        assert (lit.rebalanced_trace is None) == (
-            dark.rebalanced_trace is None
-        )
-        if lit.rebalanced_trace is not None:
-            assert (
-                lit.rebalanced_trace.canonical_json()
-                == dark.rebalanced_trace.canonical_json()
-            )
+        assert self._report_bytes(lit) == self._report_bytes(dark)
 
     def test_repeated_instrumented_runs_identical_spans(self, graph):
         """Spans use the simulated clock, so runs reproduce exactly."""
