@@ -17,10 +17,10 @@ code:
   batches land between supersteps on the simulated clock and the
   incremental partitioner repairs the placement per batch (DESIGN.md
   §16).  Combining ``--mutations`` with ``--fault-schedule`` (crash
-  faults only) and/or ``--checkpoint-every`` prices the stream through
-  the resilient streaming runtime: epochs checkpoint on a durable
-  cadence and injected crashes replay from the last snapshot without
-  perturbing the trace bytes (DESIGN.md §17).
+  faults only) and/or ``--checkpoint-every`` turns on the stream's
+  recovery settings in the same epoch loop: epochs checkpoint on a
+  durable cadence and injected crashes replay from the last snapshot
+  without perturbing the trace bytes (DESIGN.md §17).
 * ``stream``    — generate a seeded churn/growth/burst mutation stream
   for a graph and save it as versioned JSON (replay with
   ``process --mutations``), or describe an existing stream file.
@@ -105,6 +105,17 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type: integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -514,13 +525,15 @@ def _process_streaming(args, cluster, graph, estimator, schedule) -> int:
     recovery is on: epochs checkpoint on the chosen cadence, injected
     crashes replay from the last durable snapshot, and the trace stays
     byte-identical to an undisturbed run (the recovery bill is reported
-    separately).  Without either the run takes no snapshots.
+    separately).  Without either the run takes no snapshots.  With
+    ``--strict`` an epoch that exhausts its superstep budget fails the
+    run, naming the epoch.
     """
     from repro.apps.registry import make_app
     from repro.faults.checkpoint import CheckpointPolicy, RetryPolicy
     from repro.partition import make_partitioner
     from repro.partition.metrics import weighted_imbalance
-    from repro.streaming import MutationStream, ResilientStreamingSystem
+    from repro.streaming import MutationStream, StreamingSystem
     from repro.utils.tables import format_table
 
     stream = MutationStream.load(args.mutations)
@@ -533,7 +546,7 @@ def _process_streaming(args, cluster, graph, estimator, schedule) -> int:
     with _observed(args, "observability :") as run:
         with _store_attached(args):
             weights = estimator.weights(cluster, application.name, graph)
-            outcome = ResilientStreamingSystem(
+            outcome = StreamingSystem(
                 cluster,
                 halo=args.halo,
                 faults=schedule,
@@ -548,6 +561,17 @@ def _process_streaming(args, cluster, graph, estimator, schedule) -> int:
             )
         result, recovery = outcome.result, outcome.recovery
         run.trace = result
+
+        if args.strict:
+            for e in result.epochs:
+                if e.trace.result.get("converged") is False:
+                    from repro.errors import ConvergenceError
+
+                    raise ConvergenceError(
+                        f"{result.app} did not converge within "
+                        f"{e.report.num_supersteps} supersteps in stream "
+                        f"epoch {e.epoch}"
+                    )
 
         rows = []
         for e in result.epochs:
@@ -1306,9 +1330,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="mutation stream JSON (see the `stream` "
                       "command); runs the app as a streaming deployment "
                       "with incremental re-partitioning per batch")
-    proc.add_argument("--halo", type=_positive_int, default=1,
+    proc.add_argument("--halo", type=_nonnegative_int, default=1,
                       help="boundary-expansion radius of the incremental "
-                      "partitioner (with --mutations)")
+                      "partitioner (with --mutations; 0 repairs only the "
+                      "touched vertices; default 1)")
     proc.add_argument("--stream-out",
                       help="write the byte-reproducible streaming trace "
                       "JSON here (with --mutations)")

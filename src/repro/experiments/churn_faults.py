@@ -37,7 +37,6 @@ from repro.partition.metrics import weighted_imbalance
 from repro.powerlaw.generator import generate_power_law_graph
 from repro.streaming import (
     MutationStream,
-    ResilientStreamingSystem,
     StreamingSystem,
     generate_stream,
 )
@@ -181,7 +180,7 @@ def run_churn_faults(
 
     result = ChurnFaultResult()
     for interval in intervals:
-        system = ResilientStreamingSystem(
+        system = StreamingSystem(
             cluster,
             halo=halo,
             faults=schedule,

@@ -602,7 +602,7 @@ class JobService:
         """Price one mutation-stream job: epochs of compute plus repairs.
 
         The stream runs through the one epoch loop of
-        :class:`~repro.streaming.runner.ResilientStreamingSystem`.  With
+        :class:`~repro.streaming.runner.StreamingSystem`.  With
         crash faults attached (format v4) or a checkpoint custody wired
         in, its recovery is on: the trace stays byte-identical to an
         undisturbed run, and the recovery bill (lost work, replay,
@@ -615,28 +615,21 @@ class JobService:
         granularity, and blaming machine slots for it would perturb later
         jobs' weights.
         """
-        from repro.streaming.runner import ResilientStreamingSystem
+        from repro.streaming.runner import StreamingSystem
 
         assert job.graph.mutations is not None
-        recover = job.faults is not None or self.checkpoints is not None
-        system = ResilientStreamingSystem(
+        checkpoint = None
+        if job.faults is not None or self.checkpoints is not None:
+            checkpoint = self.stream_checkpoint or CheckpointPolicy()
+        system = StreamingSystem(
             self.cluster,
             halo=self.stream_halo,
             faults=job.faults,
-            checkpoint=(
-                self.stream_checkpoint
-                if recover
-                else CheckpointPolicy(interval=0)
-            ),
+            checkpoint=checkpoint,
             retry=self.engine_retry,
             seed=_stream_job_seed(self._stream_seed, job.job_id),
             custody=self.checkpoints,
             job_id=job.job_id,
-        )
-        resume = (
-            self.checkpoints.latest(job.job_id)
-            if self.checkpoints is not None
-            else None
         )
         try:
             outcome = system.run_resilient(
@@ -645,7 +638,6 @@ class JobService:
                 job.graph.mutations,
                 make_partitioner(job.partitioner),
                 weights=weights,
-                resume_from=resume,
             )
         except RecoveryError as exc:
             if obs.is_enabled():

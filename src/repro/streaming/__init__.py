@@ -11,8 +11,9 @@ Public surface of the streaming subsystem:
   from scratch;
 * :mod:`repro.streaming.runner` — :class:`StreamingSystem`, executing an
   application across mutation epochs on the simulated clock in one
-  epoch loop, and :class:`ResilientStreamingSystem`, the same loop with
-  checkpoints, crash replay and resume turned on;
+  epoch loop; its constructor's recovery settings turn on checkpoints
+  and crash replay, and a run resumes from the snapshot its custody
+  holds for its job id;
 * :mod:`repro.streaming.recovery` — :class:`StreamCheckpoint` and
   :class:`CheckpointCustody`: the snapshots that keep a recovered
   stream's trace byte-identical.

@@ -21,9 +21,10 @@ state; this module holds what survives it:
 * :func:`replay_consumed_batches` — the structural half of a resume.
 
 The epoch loop that takes the snapshots, recovers from crashes and
-resumes lives in :class:`~repro.streaming.runner.StreamingSystem`
-(:class:`~repro.streaming.runner.ResilientStreamingSystem` turns its
-recovery on).  Crash faults strike *epochs* (the streaming analogue of
+resumes lives in :class:`~repro.streaming.runner.StreamingSystem`,
+whose constructor takes the recovery settings; a run resumes when its
+custody already holds a snapshot for its job id.  Crash faults strike
+*epochs* (the streaming analogue of
 a superstep barrier): a crash destroys the in-progress epoch plus every
 completed epoch since the last durable checkpoint, and the run replays
 them under the bounded :class:`~repro.faults.RetryPolicy` with seeded
@@ -106,7 +107,7 @@ class _RestoredUpdate:
 class RestoredEpoch:
     """An epoch stitched back from a checkpoint's serialized record.
 
-    Satisfies :class:`~repro.streaming.runner.EpochLike`: it serializes
+    One half of :data:`~repro.streaming.runner.EpochLike`: it serializes
     to exactly the record the live epoch produced (so the stitched trace
     is byte-identical) and exposes the accounting scalars the service
     and :class:`~repro.streaming.runner.StreamingResult` totals read.

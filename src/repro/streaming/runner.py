@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Protocol, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -59,6 +59,7 @@ from repro.streaming.incremental import IncrementalPartitioner, StreamUpdate
 from repro.streaming.mutations import MutationStream, apply_batch
 from repro.streaming.recovery import (
     CheckpointCustody,
+    RestoredEpoch,
     StreamCheckpoint,
     replay_consumed_batches,
 )
@@ -67,7 +68,6 @@ from repro.utils.rng import make_rng
 __all__ = [
     "EpochLike",
     "EpochOutcome",
-    "ResilientStreamingSystem",
     "StreamingResult",
     "StreamingSystem",
     "StreamRunOutcome",
@@ -75,60 +75,6 @@ __all__ = [
 
 #: Bump when the streaming-trace layout changes; readers reject others.
 STREAMING_TRACE_FORMAT_VERSION = 1
-
-
-class EpochReportLike(Protocol):
-    """What streaming accounting needs from one epoch's priced report."""
-
-    @property
-    def runtime_seconds(self) -> float: ...
-
-    @property
-    def energy_joules(self) -> float: ...
-
-    @property
-    def num_supersteps(self) -> int: ...
-
-
-class EpochUpdateLike(Protocol):
-    """What streaming accounting needs from one epoch's repair record."""
-
-    @property
-    def affected_vertices(self) -> int: ...
-
-    @property
-    def reassigned_edges(self) -> int: ...
-
-    @property
-    def carried_edges(self) -> int: ...
-
-    @property
-    def moved_edges(self) -> int: ...
-
-
-class EpochLike(Protocol):
-    """Structural interface shared by live and checkpoint-restored epochs.
-
-    :class:`EpochOutcome` carries the live partition/trace objects; a
-    restored epoch (see :mod:`repro.streaming.recovery`) carries only its
-    pre-serialized record plus the accounting scalars.  Both serialize
-    through :meth:`to_record`, which is what keeps a resumed run's trace
-    byte-identical to an undisturbed one.
-    """
-
-    @property
-    def epoch(self) -> int: ...
-
-    @property
-    def num_machines(self) -> int: ...
-
-    @property
-    def report(self) -> EpochReportLike: ...
-
-    @property
-    def update(self) -> Optional[EpochUpdateLike]: ...
-
-    def to_record(self) -> Dict[str, Any]: ...
 
 
 @dataclass(frozen=True)
@@ -171,6 +117,12 @@ class EpochOutcome:
                 }
             )
         return record
+
+
+#: A live epoch or one stitched back from a checkpoint's record; both
+#: serialize through ``to_record``, which is what keeps a resumed run's
+#: trace byte-identical to an undisturbed one.
+EpochLike = Union[EpochOutcome, RestoredEpoch]
 
 
 @dataclass(frozen=True)
@@ -261,31 +213,63 @@ class StreamingSystem:
         weights (initially and per batch) and is re-observed before every
         batch, so degradations reported between batches steer subsequent
         re-placements.
+    faults:
+        Optional crash-only :class:`~repro.faults.FaultSchedule`; a
+        :class:`~repro.faults.CrashFault`'s ``superstep`` indexes the
+        *epoch* it strikes (the streaming barrier), and ``repeats`` makes
+        the same epoch fail again on replay.  Slowdown and network
+        faults need the per-superstep pricing walk and are rejected.
+    checkpoint:
+        Snapshot cadence and cost model; ``None`` (or ``interval=0``)
+        takes no snapshots, so a crash replays from the beginning.  The
+        policy's ``restart_seconds`` prices every restart either way.
+    retry:
+        Bounded-restart policy per crash site (epoch); exhausting it
+        raises :class:`~repro.errors.RecoveryError`.
+    seed:
+        Seeds the backoff jitter RNG (deterministic recovery bill).
+    custody, job_id:
+        Optional shared :class:`~repro.streaming.recovery.
+        CheckpointCustody` and the job it files snapshots under.  Every
+        snapshot is recorded there, and a run whose custody already
+        holds one for ``job_id`` resumes from it: the federation wires
+        one custody per replay so shard failover continues mid-stream.
 
-    One epoch loop serves every run.  Its crash, snapshot and resume
-    hooks act only on the recovery settings below, which a plain system
-    leaves off and :class:`ResilientStreamingSystem` sets.
+    With every recovery setting left at its default the epoch loop takes
+    no snapshots and injects no crashes.
     """
-
-    #: Crash-only schedule whose ``superstep`` indexes the epoch it strikes.
-    faults: Optional[FaultSchedule] = None
-    #: Snapshot cadence and cost; interval 0 takes no snapshots.
-    checkpoint: CheckpointPolicy = CheckpointPolicy(interval=0)
-    retry: RetryPolicy = RetryPolicy()
-    #: Seeds the backoff jitter rng.
-    seed: int = 0
-    custody: Optional[CheckpointCustody] = None
-    job_id: Optional[str] = None
 
     def __init__(
         self,
         cluster: Cluster,
         halo: int = 1,
         monitor: Optional[OnlineCCRMonitor] = None,
+        faults: Optional[FaultSchedule] = None,
+        checkpoint: Optional[CheckpointPolicy] = None,
+        retry: Optional[RetryPolicy] = None,
+        seed: int = 0,
+        custody: Optional[CheckpointCustody] = None,
+        job_id: Optional[str] = None,
     ):
+        if faults is not None:
+            if faults.slowdowns or faults.network_faults:
+                raise StreamError(
+                    "streaming fault schedules support crash faults only; "
+                    "slowdown/network faults need the per-superstep "
+                    "pricing walk of a static run"
+                )
+            faults.validate_for(cluster.num_machines)
         self.cluster = cluster
         self.halo = int(halo)
         self.monitor = monitor
+        self.faults = faults
+        self.checkpoint = (
+            checkpoint if checkpoint is not None else CheckpointPolicy(interval=0)
+        )
+        self.retry = retry if retry is not None else RetryPolicy()
+        self.seed = int(seed)
+        self.custody = custody
+        self.job_id = job_id
 
     def _monitor_weights(self, app_name: str) -> Optional[np.ndarray]:
         if self.monitor is None:
@@ -310,8 +294,7 @@ class StreamingSystem:
         ``weights`` sets the epoch-0 targets when no monitor is attached;
         with a monitor, the monitor's pool wins (explicit weights are
         rejected to keep the provenance of every placement unambiguous).
-        On a plain system the loop's recovery hooks do nothing: no
-        crashes, no snapshots, no fingerprints.
+        The result of :meth:`run_resilient`, without its recovery bill.
         """
         return self.run_resilient(app, graph, stream, partitioner, weights).result
 
@@ -322,20 +305,25 @@ class StreamingSystem:
         stream: MutationStream,
         partitioner: Partitioner,
         weights: Optional[ArrayLike] = None,
-        resume_from: Optional[StreamCheckpoint] = None,
     ) -> StreamRunOutcome:
         """Run the stream under the recovery settings; return result and bill.
 
         The returned result's trace is byte-identical to an undisturbed
         :meth:`run` of the same inputs — crashes cost time (in the
-        recovery bill), never bytes.  With ``resume_from``, consumed
-        batches are replayed structurally, the partitioner/monitor state
-        is restored, and only the remaining epochs execute; the completed
-        prefix is stitched from the checkpoint's records.  This is the
-        one epoch loop; its crash, snapshot and resume hooks act only on
-        the recovery settings.
+        recovery bill), never bytes.  When the custody holds a snapshot
+        for ``job_id``, consumed batches are replayed structurally, the
+        partitioner/monitor state is restored, and only the remaining
+        epochs execute; the completed prefix is stitched from the
+        checkpoint's records.  This is the one epoch loop; its crash,
+        snapshot and resume hooks act only on the recovery settings.
         """
         faults, checkpoint = self.faults, self.checkpoint
+        custody, job_id = self.custody, self.job_id
+        resume = (
+            custody.latest(job_id)
+            if custody is not None and job_id is not None
+            else None
+        )
         if self.monitor is not None and weights is not None:
             raise StreamError(
                 "pass either explicit weights or a monitor, not both"
@@ -414,9 +402,9 @@ class StreamingSystem:
             bill.checkpoints += 1
             bill.checkpoint_seconds += cost
             last_durable = epoch
-            if self.custody is not None and self.job_id is not None:
-                self.custody.record(
-                    self.job_id,
+            if custody is not None and job_id is not None:
+                custody.record(
+                    job_id,
                     snapshot,
                     durable_at_s=clock + bill.overhead_seconds,
                 )
@@ -444,18 +432,18 @@ class StreamingSystem:
             halo=self.halo,
             batches=stream.num_batches,
         ):
-            if resume_from is not None:
+            if resume is not None:
                 current, live = self._resume(
-                    resume_from, app, graph, stream, partitioner,
+                    resume, app, graph, stream, partitioner,
                     incremental, fingerprints(),
                 )
-                epochs.extend(resume_from.restored_epochs())
-                records.extend(resume_from.epoch_records)
-                encoded = resume_from.record_json()
-                clock = resume_from.clock_s
-                last_durable = resume_from.batch_cursor
-                bill.resumed_from_batch = resume_from.batch_cursor
-                start_index = resume_from.batch_cursor
+                epochs.extend(resume.restored_epochs())
+                records.extend(resume.epoch_records)
+                encoded = resume.record_json()
+                clock = resume.clock_s
+                last_durable = resume.batch_cursor
+                bill.resumed_from_batch = resume.batch_cursor
+                start_index = resume.batch_cursor
             else:
                 w = (
                     self._monitor_weights(app.name)
@@ -637,60 +625,6 @@ class StreamingSystem:
         )
 
 
-class ResilientStreamingSystem(StreamingSystem):
-    """A :class:`StreamingSystem` with its recovery settings on.
-
-    Parameters
-    ----------
-    cluster, halo, monitor:
-        As for :class:`StreamingSystem`.
-    faults:
-        Optional crash-only :class:`~repro.faults.FaultSchedule`; a
-        :class:`~repro.faults.CrashFault`'s ``superstep`` indexes the
-        *epoch* it strikes (the streaming barrier), and ``repeats`` makes
-        the same epoch fail again on replay.  Slowdown and network
-        faults need the per-superstep pricing walk and are rejected.
-    checkpoint:
-        Snapshot cadence + cost model; ``interval=0`` disables snapshots
-        (a crash then replays from the beginning).  The policy's
-        ``restart_seconds`` prices every restart either way.
-    retry:
-        Bounded-restart policy per crash site (epoch); exhausting it
-        raises :class:`~repro.errors.RecoveryError`.
-    seed:
-        Seeds the backoff jitter RNG (deterministic recovery bill).
-    custody, job_id:
-        Optional shared :class:`~repro.streaming.recovery.
-        CheckpointCustody` sink — the federation wires one per replay so
-        shard failover can resume mid-stream.
-    """
-
-    def __init__(
-        self,
-        cluster: Cluster,
-        halo: int = 1,
-        monitor: Optional[OnlineCCRMonitor] = None,
-        faults: Optional[FaultSchedule] = None,
-        checkpoint: Optional[CheckpointPolicy] = None,
-        retry: Optional[RetryPolicy] = None,
-        seed: int = 0,
-        custody: Optional[CheckpointCustody] = None,
-        job_id: Optional[str] = None,
-    ):
-        super().__init__(cluster, halo=halo, monitor=monitor)
-        if faults is not None:
-            if faults.slowdowns or faults.network_faults:
-                raise StreamError(
-                    "streaming fault schedules support crash faults only; "
-                    "slowdown/network faults need the per-superstep "
-                    "pricing walk of a static run"
-                )
-            faults.validate_for(cluster.num_machines)
-        self.faults = faults
-        self.checkpoint = (
-            checkpoint if checkpoint is not None else CheckpointPolicy()
-        )
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.seed = int(seed)
-        self.custody = custody
-        self.job_id = job_id
+#: Former name of :class:`StreamingSystem`, kept only for the frozen
+#: benchmark harness; the next change to the benchmark drops it.
+ResilientStreamingSystem = StreamingSystem

@@ -2,8 +2,9 @@
 
 Covers the :mod:`repro.streaming.recovery` contracts in isolation:
 checkpoint serialization and validation, custody seal semantics, the
-crash/replay accounting of :class:`ResilientStreamingSystem`,
-mid-stream resume (byte-identical continuation), and the recorded
+crash/replay accounting of :class:`StreamingSystem`'s recovery
+settings, mid-stream resume from the snapshot a run's custody holds
+(byte-identical continuation), and the recorded
 recovery bill of the ``repro experiment churn_faults`` cadence sweep.
 The federated failover path is exercised end-to-end in
 ``test_streaming_federation.py``.
@@ -32,7 +33,6 @@ from repro.streaming import (
     CHECKPOINT_NAMESPACE,
     CheckpointCustody,
     EpochOutcome,
-    ResilientStreamingSystem,
     StreamCheckpoint,
     StreamingSystem,
     apply_batch,
@@ -72,9 +72,9 @@ def _plain_trace(graph, stream):
     ).trace_json()
 
 
-def _run(graph, stream, custody=None, job_id=None, resume_from=None, **kw):
+def _run(graph, stream, custody=None, job_id=None, **kw):
     kw.setdefault("checkpoint", CheckpointPolicy(interval=1))
-    system = ResilientStreamingSystem(
+    system = StreamingSystem(
         golden_cluster(),
         halo=GOLDEN_STREAM_HALO,
         custody=custody,
@@ -87,8 +87,14 @@ def _run(graph, stream, custody=None, job_id=None, resume_from=None, **kw):
         stream,
         _partitioner(),
         weights=GOLDEN_WEIGHTS,
-        resume_from=resume_from,
     )
+
+
+def _resume(graph, stream, snapshot, **kw):
+    """A run whose custody holds ``snapshot`` under its own job id."""
+    custody = CheckpointCustody()
+    custody.record("resume", snapshot, durable_at_s=0.0)
+    return _run(graph, stream, custody=custody, job_id="resume", **kw)
 
 
 @pytest.fixture(scope="module")
@@ -255,7 +261,7 @@ class TestResilientRun:
             )
         )
         with pytest.raises(StreamError, match="crash faults only"):
-            ResilientStreamingSystem(golden_cluster(), faults=schedule)
+            StreamingSystem(golden_cluster(), faults=schedule)
 
     def test_fault_free_run_bills_only_snapshots(self, graph, stream):
         outcome = _run(graph, stream)
@@ -346,21 +352,40 @@ class TestResilientRun:
         snapshot = custody.seal("r", cutoff_s=float("inf"))
         assert snapshot is not None
         assert snapshot.batch_cursor == 3
-        outcome = _run(graph, stream, resume_from=snapshot)
+        outcome = _run(graph, stream, custody=custody, job_id="r")
         assert outcome.recovery.resumed_from_batch == 3
         assert outcome.result.trace_json() == _plain_trace(graph, stream)
+
+    @pytest.mark.parametrize("other_job", [None, "someone-else"])
+    def test_custody_without_own_snapshot_starts_at_epoch_0(
+        self, graph, stream, checkpoint, other_job
+    ):
+        custody = CheckpointCustody()
+        if other_job is not None:
+            custody.record(other_job, checkpoint, durable_at_s=0.0)
+        outcome = _run(graph, stream, custody=custody, job_id="mine")
+        assert outcome.recovery.resumed_from_batch is None
+        assert all(
+            isinstance(e, EpochOutcome) for e in outcome.result.epochs
+        )
+        assert outcome.result.trace_json() == _plain_trace(graph, stream)
+        # The run filed its own snapshots under its job id, and left the
+        # other job's custody alone.
+        assert custody.latest("mine").batch_cursor == stream.num_batches
+        if other_job is not None:
+            assert custody.latest(other_job) is checkpoint
 
     def test_resume_rejects_identity_mismatch(self, graph, stream, checkpoint):
         wrong = dataclasses.replace(checkpoint, app="sssp")
         with pytest.raises(StreamCheckpointError, match="app mismatch"):
-            _run(graph, stream, resume_from=wrong)
+            _resume(graph, stream, wrong)
 
     def test_resume_rejects_monitor_state_without_monitor(
         self, graph, stream, checkpoint
     ):
         with_monitor = dataclasses.replace(checkpoint, monitor={})
         with pytest.raises(StreamCheckpointError, match="monitor"):
-            _run(graph, stream, resume_from=with_monitor)
+            _resume(graph, stream, with_monitor)
 
 
 class TestFingerprintsOnDemand:
@@ -433,7 +458,8 @@ class TestSnapshotCost:
         restored = StreamCheckpoint.from_jsonable(
             json.loads(checkpoint.canonical_json())
         )
-        outcome = _run(graph, stream, resume_from=restored)
+        outcome = _resume(graph, stream, restored)
+        assert outcome.recovery.resumed_from_batch == 2
         assert built == list(range(3, stream.num_batches + 1))
         assert outcome.result.trace_json() == _plain_trace(graph, stream)
 

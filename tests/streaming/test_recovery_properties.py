@@ -28,7 +28,6 @@ from repro.store.codecs import JSON_CODEC
 from repro.streaming import (
     CHECKPOINT_NAMESPACE,
     CheckpointCustody,
-    ResilientStreamingSystem,
     StreamCheckpoint,
     StreamingSystem,
     generate_stream,
@@ -72,7 +71,7 @@ def _checkpoint_at(strategy, cursor) -> StreamCheckpoint:
     """The cursor-``cursor`` snapshot of a fully checkpointed run."""
     if strategy not in _custodies:
         custody = CheckpointCustody()
-        ResilientStreamingSystem(
+        StreamingSystem(
             case1_cluster(0.01),
             halo=HALO,
             custody=custody,
@@ -95,14 +94,19 @@ class TestResumeByteIdentity:
         restored = StreamCheckpoint.from_jsonable(
             json.loads(snapshot.canonical_json())
         )
-        outcome = ResilientStreamingSystem(
-            case1_cluster(0.01), halo=HALO
+        custody = CheckpointCustody()
+        custody.record("resume", restored, durable_at_s=0.0)
+        outcome = StreamingSystem(
+            case1_cluster(0.01),
+            halo=HALO,
+            checkpoint=CheckpointPolicy(),
+            custody=custody,
+            job_id="resume",
         ).run_resilient(
             make_app(APP),
             _graph,
             _stream,
             _partitioner(strategy),
-            resume_from=restored,
         )
         assert outcome.recovery.resumed_from_batch == cursor
         assert outcome.result.trace_json() == _plain_trace(strategy)
@@ -199,7 +203,7 @@ def checkpoint_fields(draw):
 def _live_capture(fields):
     """Capture ``fields`` the way a run does: the snapshot one epoch
     earlier encodes the shared records, and this one reuses them."""
-    system = ResilientStreamingSystem(case1_cluster(0.01), halo=fields["halo"])
+    system = StreamingSystem(case1_cluster(0.01), halo=fields["halo"])
     system.monitor = SimpleNamespace(state_dict=lambda: fields["monitor"])
     result = SimpleNamespace(
         algorithm=fields["partition_algorithm"],

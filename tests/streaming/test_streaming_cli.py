@@ -172,6 +172,50 @@ class TestProcessMutations:
                      "--graph-file", graph_file,
                      "--mutations", str(bad)]) == 2
 
+    def test_halo_zero_repairs_only_touched_vertices(
+        self, graph_file, stream_file, capsys
+    ):
+        capsys.readouterr()
+        code = main(["process", "--cluster", CLUSTER, "--app", "pagerank",
+                     "--graph-file", graph_file, "--mutations", stream_file,
+                     "--halo", "0"])
+        assert code == 0
+        assert "(halo 0, 3 batch(es))" in capsys.readouterr().out
+
+    def test_negative_halo_exits_2(self, graph_file, stream_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["process", "--cluster", CLUSTER, "--app", "pagerank",
+                  "--graph-file", graph_file, "--mutations", stream_file,
+                  "--halo", "-1"])
+        assert exc.value.code == 2
+        assert "--halo: must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_strict_fails_on_unconverged_epoch(
+        self, graph_file, stream_file, capsys, monkeypatch, strict
+    ):
+        """A PageRank with a 2-superstep budget cannot converge: the run
+        passes without ``--strict`` and fails naming epoch 0 with it."""
+        from repro.apps import registry
+        from repro.apps.pagerank import PageRank
+
+        monkeypatch.setattr(
+            registry, "make_app", lambda name: PageRank(max_supersteps=2)
+        )
+        capsys.readouterr()
+        code = main(["process", "--cluster", CLUSTER, "--app", "pagerank",
+                     "--graph-file", graph_file, "--mutations", stream_file,
+                     "--policy", "threads", *(["--strict"] if strict else [])])
+        out = capsys.readouterr().out
+        if strict:
+            assert code == 1
+            assert ("run FAILED: pagerank did not converge within 2 "
+                    "supersteps in stream epoch 0") in out
+            assert "streaming run:" not in out
+        else:
+            assert code == 0
+            assert "streaming run: pagerank" in out
+
     def test_obs_artifacts_include_streaming_trace(
         self, tmp_path, graph_file, stream_file
     ):

@@ -145,23 +145,38 @@ _CRASH_AND_SLOWDOWN = dict(
                 "duration": None}],
 )
 
-#: id -> (fault schedule or None, extra flags).
+#: One crash on machine 1 at stream epoch 3.
+_ONE_EPOCH_CRASH = {"seed": 7, "crashes": [{"superstep": 3, "machine": 1}]}
+
+#: id -> (fault schedule or None, extra flags).  A ``stream-`` id runs
+#: ``process --mutations`` over 4 churn batches of 10 ops.
 PROCESS_GOLDEN_CONFIGS = {
     "no-schedule": (None, []),
     "one-crash": (_ONE_CRASH, []),
     "crash-slowdown-rebalance": (_CRASH_AND_SLOWDOWN, []),
     "crash-slowdown-no-rebalance": (_CRASH_AND_SLOWDOWN, ["--no-rebalance"]),
     "crash-slowdown-threads": (_CRASH_AND_SLOWDOWN, ["--policy", "threads"]),
+    "stream-undisturbed": (None, []),
+    "stream-one-crash": (_ONE_EPOCH_CRASH, []),
+    "stream-one-crash-no-checkpoints": (
+        _ONE_EPOCH_CRASH, ["--checkpoint-every", "0"]
+    ),
+    "stream-checkpoint-every-2": (None, ["--checkpoint-every", "2"]),
 }
 
 
 def process_golden_stdout(config_id, tmp_path, capsys):
     """``repro process``'s stdout for one pinned configuration."""
     schedule, extra = PROCESS_GOLDEN_CONFIGS[config_id]
+    graph = ["--dataset", "wiki", "--scale", "0.002"]
     argv = ["process", "--cluster",
             "m4.2xlarge,m4.2xlarge,c4.2xlarge,c4.2xlarge",
-            "--app", "pagerank", "--dataset", "wiki", "--scale", "0.002",
-            *extra]
+            "--app", "pagerank", *graph, *extra]
+    if config_id.startswith("stream-"):
+        stream = tmp_path / "churn.json"
+        assert main(["stream", *graph, "--batches", "4", "--ops", "10",
+                     "--seed", "3", "--output", str(stream)]) == 0
+        argv += ["--mutations", str(stream)]
     if schedule is not None:
         path = tmp_path / f"{config_id}.json"
         path.write_text(json.dumps(schedule))
@@ -173,7 +188,8 @@ def process_golden_stdout(config_id, tmp_path, capsys):
 
 class TestProcessGolden:
     """``repro process`` prints the same bytes with and without a fault
-    schedule, re-balance on or off, under two weight policies."""
+    schedule, re-balance on or off, under two weight policies; and with
+    ``--mutations``, with and without a crash and checkpoints."""
 
     @pytest.mark.parametrize("config_id", sorted(PROCESS_GOLDEN_CONFIGS))
     def test_stdout_matches_fixture(self, config_id, tmp_path, capsys):
