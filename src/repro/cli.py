@@ -244,7 +244,7 @@ def _make_estimator(policy: str, scale: float):
         UniformEstimator,
     )
     from repro.core.profiler import ProxyProfiler
-    from repro.core.proxy import ProxySet
+    from repro.core.proxy import ProxySet, proxy_vertices_for_scale
 
     if policy == "default":
         return UniformEstimator()
@@ -252,7 +252,7 @@ def _make_estimator(policy: str, scale: float):
         return ThreadCountEstimator()
     if policy == "oracle":
         return OracleEstimator()
-    proxies = ProxySet(num_vertices=max(1000, round(3_200_000 * scale)))
+    proxies = ProxySet(num_vertices=proxy_vertices_for_scale(scale))
     return ProxyCCREstimator(profiler=ProxyProfiler(proxies=proxies))
 
 
@@ -410,12 +410,12 @@ def cmd_generate(args) -> int:
 
 def cmd_profile(args) -> int:
     from repro.core.profiler import ProxyProfiler
-    from repro.core.proxy import ProxySet
+    from repro.core.proxy import ProxySet, proxy_vertices_for_scale
     from repro.utils.tables import format_table
 
     cluster = _build_cluster(args.cluster, args.scale)
     proxies = ProxySet(
-        num_vertices=max(1000, round(3_200_000 * args.scale)), seed=args.seed
+        num_vertices=proxy_vertices_for_scale(args.scale), seed=args.seed
     )
     profiler = (
         ProxyProfiler(proxies=proxies, apps=args.apps)
@@ -608,6 +608,9 @@ def _process_streaming(args, cluster, graph, estimator, schedule) -> int:
         print(f"total runtime    : {result.total_runtime_seconds * 1e3:.3f} ms")
         print(f"reassigned edges : {result.total_reassigned_edges}")
         print(f"moved edges      : {result.total_moved_edges}")
+        for e in result.epochs:
+            for warning in e.report.warnings:
+                print(f"warning          : epoch {e.epoch}: {warning}")
         if resilient:
             print(
                 f"resilience       : {recovery.crashes} crash(es), "

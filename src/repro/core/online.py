@@ -17,19 +17,17 @@ pool online at regular intervals."*
   profiles **only the new types** (incremental, the low-overhead path);
 * composition changes among known types are free;
 * :meth:`pool_for` derives Eq. 1 tables restricted to the types actually
-  present, anchored on the slowest present type;
-* :meth:`report_degradation` covers the paper's "machine characteristics
-  otherwise change" clause *without* re-profiling: a supervisor that
-  observes a known type running ``f`` times slower (thermal throttling,
-  co-tenancy) reports the factor, and every subsequently derived table
-  prices that type as if its proxy runtimes were ``f`` times longer —
-  degraded capability is just a changed CCR.
+  present, anchored on the slowest present type.
+
+A known type whose characteristics change mid-run is handled inside the
+run, not here: the straggler supervisor (:mod:`repro.faults.supervisor`)
+re-balances onto degradation-discounted weights for that run only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -85,10 +83,6 @@ class OnlineCCRMonitor:
         # app -> machine type -> total proxy runtime.
         self._times: Dict[str, Dict[str, float]] = {a: {} for a in self.apps}
         self._updates: List[ClusterUpdate] = []
-        # machine type -> observed slowdown multiplier (>= 1); applied on
-        # top of the stored times when deriving tables, never destructively
-        # (clearing a degradation restores the profiled capability).
-        self._degradation: Dict[str, float] = {}
 
     # ------------------------------------------------------------------ #
 
@@ -139,95 +133,12 @@ class OnlineCCRMonitor:
         return update
 
     # ------------------------------------------------------------------ #
-    # Degradation feedback (supervisor integration)
-    # ------------------------------------------------------------------ #
-
-    @property
-    def degradations(self) -> Dict[str, float]:
-        """Current slowdown multiplier per degraded machine type."""
-        return dict(self._degradation)
-
-    def degradation(self, machine_type: str) -> float:
-        """Observed slowdown multiplier for one type (1.0 = healthy)."""
-        return self._degradation.get(machine_type, 1.0)
-
-    def report_degradation(self, machine_type: str, factor: float) -> None:
-        """Record that a known type now runs ``factor`` times slower.
-
-        Repeated reports compound (a machine can keep getting worse); use
-        :meth:`clear_degradation` when the condition clears.  Reporting an
-        unknown type is an error — degradation modifies profiled state, it
-        cannot invent it.
-        """
-        if factor < 1.0:
-            raise ProfilingError(
-                f"degradation factor must be >= 1, got {factor}"
-            )
-        if machine_type not in self.known_types:
-            raise ProfilingError(
-                f"machine type {machine_type!r} has not been profiled; "
-                "observe a cluster containing it first"
-            )
-        self._degradation[machine_type] = (
-            self._degradation.get(machine_type, 1.0) * factor
-        )
-
-    def clear_degradation(self, machine_type: str) -> None:
-        """Restore a type's profiled capability (condition cleared)."""
-        self._degradation.pop(machine_type, None)
-
-    # ------------------------------------------------------------------ #
-    # Checkpoint snapshot (streaming recovery)
-    # ------------------------------------------------------------------ #
-
-    def state_dict(self) -> Dict[str, Any]:
-        """JSON-ready snapshot of the monitor's derived-weight state.
-
-        Captures exactly what :meth:`pool_for` reads — the raw profiled
-        times and the compounded degradation factors — so a monitor
-        restored from the snapshot derives byte-identical weight tables.
-        The observation history (:attr:`updates`) is operational metadata
-        and is deliberately not part of the snapshot.
-        """
-        return {
-            "times": {
-                app: dict(sorted(per_app.items()))
-                for app, per_app in sorted(self._times.items())
-            },
-            "degradation": dict(sorted(self._degradation.items())),
-        }
-
-    def load_state(self, state: Dict[str, Any]) -> None:
-        """Adopt a :meth:`state_dict` snapshot, replacing current state.
-
-        Apps absent from the monitor's configured set are rejected: a
-        snapshot from a differently configured monitor cannot be loaded.
-        """
-        times = state.get("times", {})
-        unknown = sorted(set(times) - set(self.apps))
-        if unknown:
-            raise ProfilingError(
-                f"snapshot covers unmonitored applications {unknown}"
-            )
-        self._times = {a: {} for a in self.apps}
-        for app, per_app in sorted(times.items()):
-            self._times[app] = {
-                str(mtype): float(t) for mtype, t in sorted(per_app.items())
-            }
-        degradation = state.get("degradation", {})
-        self._degradation = {
-            str(mtype): float(f) for mtype, f in sorted(degradation.items())
-        }
-
-    # ------------------------------------------------------------------ #
 
     def pool_for(self, cluster: Cluster) -> CCRPool:
         """CCR pool restricted to the cluster's present machine types.
 
         Ratios are re-anchored on the slowest *present* type — the Eq. 1
-        anchor is a property of the cluster, not of the store.  Reported
-        degradations scale the stored proxy times before the ratios are
-        derived, so a throttled type gets a proportionally smaller share.
+        anchor is a property of the cluster, not of the store.
         """
         present = set(cluster.representatives())
         missing = present - set(self.known_types)
@@ -239,7 +150,7 @@ class OnlineCCRMonitor:
         pool = CCRPool()
         for app in self.apps:
             times = {
-                mtype: t * self.degradation(mtype)
+                mtype: t
                 for mtype, t in sorted(self._times[app].items())
                 if mtype in present
             }

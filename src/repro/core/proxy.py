@@ -18,13 +18,18 @@ from repro.obs import context as obs
 from repro.powerlaw.generator import SyntheticGraphSpec, generate_from_spec
 from repro.powerlaw.validation import fit_alpha_from_graph
 
-__all__ = ["DEFAULT_PROXY_ALPHAS", "ProxySet"]
+__all__ = ["DEFAULT_PROXY_ALPHAS", "ProxySet", "proxy_vertices_for_scale"]
 
 #: The paper's deployed proxy exponents (Table II).
 DEFAULT_PROXY_ALPHAS: Tuple[float, ...] = (1.95, 2.1, 2.25)
 
 #: Slack around the covered alpha band before a new proxy is generated.
 _COVERAGE_SLACK = 0.1
+
+
+def proxy_vertices_for_scale(scale: float) -> int:
+    """Proxy-graph size matching the paper's 3.2 M vertices at ``scale``."""
+    return max(1000, round(3_200_000 * scale))
 
 
 class ProxySet:

@@ -91,7 +91,6 @@ class AppCostModel:
         edge_ops: float,
         vertex_ops: float,
         working_set_mb: float = 0.0,
-        include_serial: bool = True,
     ) -> WorkProfile:
         """Price counted operations into a :class:`WorkProfile`.
 
@@ -101,10 +100,10 @@ class AppCostModel:
             Operation counts for one machine during one superstep.
         working_set_mb:
             Hot working set governing the cacheable miss rate.
-        include_serial:
-            Whether this phase pays the per-superstep serial cost (idle
-            machines with zero ops still pay it — they participate in the
-            superstep).
+
+        Every phase pays the per-superstep serial cost: idle machines
+        with zero ops still pay it, because they participate in the
+        superstep.
         """
         if edge_ops < 0 or vertex_ops < 0:
             raise EngineError("operation counts must be >= 0")
@@ -112,9 +111,10 @@ class AppCostModel:
             edge_ops * self.flops_per_edge_op
             + vertex_ops * self.flops_per_vertex_op
         )
-        serial = self.serial_fraction * total_flops
-        if include_serial:
-            serial += self.serial_flops_per_superstep
+        serial = (
+            self.serial_fraction * total_flops
+            + self.serial_flops_per_superstep
+        )
         return WorkProfile(
             flops=total_flops * (1.0 - self.serial_fraction),
             serial_flops=serial,

@@ -43,6 +43,9 @@ _EDGE_BYTES = 16
 # still covers a substantial share of edges; at paper scale their adjacency
 # is tens of MB — the regime where only the largest machines' LLCs fit it.
 _HUB_FRACTION = 0.001
+# Hash stream for master selection among replicas (PowerGraph picks
+# arbitrarily; a fixed seeded hash keeps runs reproducible).
+_MASTER_SEED = 7
 
 
 class DistributedGraph:
@@ -52,16 +55,12 @@ class DistributedGraph:
     ----------
     partition:
         The edge-to-machine assignment to materialise.
-    master_seed:
-        Hash stream for master selection among replicas (PowerGraph picks
-        arbitrarily; a seeded hash keeps runs reproducible).
     """
 
-    def __init__(self, partition: PartitionResult, master_seed: int = 7):
+    def __init__(self, partition: PartitionResult):
         self.partition = partition
         self.graph: DiGraph = partition.graph
         self.num_machines = partition.num_machines
-        self.master_seed = master_seed
 
         assignment = partition.assignment
         src, dst = self.graph.edges()
@@ -109,7 +108,7 @@ class DistributedGraph:
         if np.any(connected):
             ids = np.nonzero(connected)[0]
             rank = (
-                mix64(ids, seed=master_seed) % copies[ids].astype(np.uint64)
+                mix64(ids, seed=_MASTER_SEED) % copies[ids].astype(np.uint64)
             ).astype(np.int64)
             cum = np.cumsum(presence[ids], axis=1)
             master[ids] = np.argmax(cum > rank[:, np.newaxis], axis=1)

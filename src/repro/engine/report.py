@@ -94,8 +94,8 @@ def enable_price_memo(trace: ExecutionTrace) -> None:
 
     :func:`repro.engine.runtime.execute_partition` calls this as a trace
     enters the ``trace`` cache, so the table is evicted with the trace.
-    :func:`simulate_execution` then prices each distinct (cluster,
-    ``threads_override``) once per trace.  Traces without the table —
+    :func:`simulate_execution` then prices each distinct cluster once
+    per trace.  Traces without the table —
     built by hand, by an app that runs uncached, or appended to since
     (:meth:`ExecutionTrace.append` drops the table) — price from scratch
     on every call.
@@ -106,7 +106,6 @@ def enable_price_memo(trace: ExecutionTrace) -> None:
 def simulate_execution(
     trace: ExecutionTrace,
     cluster: Cluster,
-    threads_override: Optional[List[int]] = None,
 ) -> ExecutionReport:
     """Price a machine-agnostic trace on a concrete cluster.
 
@@ -116,8 +115,6 @@ def simulate_execution(
         Captured execution (see :mod:`repro.engine.trace`).
     cluster:
         Machines slot-aligned with the trace's partitions.
-    threads_override:
-        Optional per-slot compute-thread counts (scaling studies).
 
     Returns
     -------
@@ -133,20 +130,15 @@ def simulate_execution(
             f"trace was captured on {trace.num_machines} partitions but the "
             f"cluster has {cluster.num_machines} machines"
         )
-    if threads_override is not None and len(threads_override) != cluster.num_machines:
-        raise EngineError("threads_override must have one entry per machine")
 
     memo = trace.__dict__.get(PRICE_MEMO_KEY)
     if memo is None:
-        priced = _price(trace, cluster, threads_override)
+        priced = _price(trace, cluster)
     else:
-        key = (
-            cluster_key(cluster),
-            None if threads_override is None else tuple(threads_override),
-        )
+        key = cluster_key(cluster)
         priced = memo.get(key)
         if priced is None:
-            priced = _price(trace, cluster, threads_override)
+            priced = _price(trace, cluster)
             if len(memo) >= _PRICE_MEMO_SIZE:
                 del memo[next(iter(memo))]
             memo[key] = priced
@@ -174,12 +166,9 @@ class StepPricer:
     every float unchanged.
     """
 
-    def __init__(
-        self, cluster: Cluster, threads_override: Optional[List[int]] = None
-    ):
+    def __init__(self, cluster: Cluster):
         m = cluster.num_machines
         self.cluster = cluster
-        self.threads_override = threads_override
         self.busy = np.zeros(m)
         self.comm = np.zeros(m)
         self.wall = 0.0
@@ -203,14 +192,8 @@ class StepPricer:
         step_busy = np.empty(m)
         step_comm = np.empty(m)
         for i, phase in enumerate(step.phases):
-            spec = cluster.machines[i]
-            threads = (
-                None
-                if self.threads_override is None
-                else self.threads_override[i]
-            )
             step_busy[i] = cluster.perf.execution_time(
-                spec, phase.work, threads
+                cluster.machines[i], phase.work
             ) * (1.0 if compute_factors is None else compute_factors[i])
             step_comm[i] = (
                 network.transfer_time(
@@ -235,10 +218,12 @@ class StepPricer:
         self.busy += step_busy
         self.comm += step_comm
         for i, spec in enumerate(self.cluster.machines):
-            threads = spec.compute_threads if self.threads_override is None \
-                else self.threads_override[i]
             self.counter.record(
-                spec, float(step_busy[i]), step_wall, threads=threads, slot=i
+                spec,
+                float(step_busy[i]),
+                step_wall,
+                threads=spec.compute_threads,
+                slot=i,
             )
 
     def idle(self, seconds: float) -> None:
@@ -271,13 +256,9 @@ class StepPricer:
         return self.wall, float(self.counter.total_joules), reports
 
 
-def _price(
-    trace: ExecutionTrace,
-    cluster: Cluster,
-    threads_override: Optional[List[int]],
-) -> _Priced:
+def _price(trace: ExecutionTrace, cluster: Cluster) -> _Priced:
     """The barrier-model walk over every superstep and machine."""
-    pricer = StepPricer(cluster, threads_override)
+    pricer = StepPricer(cluster)
     for step in trace.supersteps:
         step_busy, step_comm, step_wall = pricer.price(step)
         if obs.is_enabled():

@@ -110,7 +110,6 @@ def simulate_resilient_execution(
     schedule: Optional[FaultSchedule] = None,
     checkpoint: Optional[CheckpointPolicy] = None,
     retry: Optional[RetryPolicy] = None,
-    threads_override: Optional[List[int]] = None,
     supervisor: Optional[Supervisor] = None,
     rebalancer: Optional[Rebalancer] = None,
     seed: Optional[int] = None,
@@ -150,7 +149,7 @@ def simulate_resilient_execution(
         plain static report otherwise.
     """
     if schedule is None or schedule.is_empty:
-        return simulate_execution(trace, cluster, threads_override)
+        return simulate_execution(trace, cluster)
 
     m = cluster.num_machines
     if m != trace.num_machines:
@@ -158,8 +157,6 @@ def simulate_resilient_execution(
             f"trace was captured on {trace.num_machines} partitions but the "
             f"cluster has {m} machines"
         )
-    if threads_override is not None and len(threads_override) != m:
-        raise EngineError("threads_override must have one entry per machine")
     schedule.validate_for(m)
     checkpoint = checkpoint if checkpoint is not None else CheckpointPolicy()
     retry = retry if retry is not None else RetryPolicy()
@@ -172,7 +169,7 @@ def simulate_resilient_execution(
         events=schedule.num_events,
     )
 
-    pricer = StepPricer(cluster, threads_override)
+    pricer = StepPricer(cluster)
     base_network = cluster.network
     budget = RetryBudget(
         retry, make_rng(seed if seed is not None else schedule.seed)

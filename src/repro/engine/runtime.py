@@ -28,7 +28,6 @@ from repro.engine.report import simulate_execution  # noqa: F401
 from repro.engine.resilient import simulate_resilient_execution
 from repro.engine.trace import ExecutionTrace
 from repro.engine.vertex_program import GraphApplication
-from repro.errors import EngineError
 from repro.faults.checkpoint import CheckpointPolicy, RetryPolicy
 from repro.faults.schedule import FaultSchedule
 from repro.faults.supervisor import Supervisor
@@ -52,7 +51,7 @@ def execute_partition(
     """Lay out a partition and execute an application on it, once.
 
     The layout is a pure function of (graph, assignment, machine count)
-    — it is always built with the default master seed — and the trace a
+    — master selection uses one fixed hash seed — and the trace a
     pure function of that layout and the app's configuration, so both
     are memoised by content: identical partitions share one cached
     layout, and each distinct (app, partition) pair runs the engine
@@ -114,9 +113,6 @@ class GraphProcessingSystem:
     checkpoint, retry:
         Recovery policies under faults (defaults: see
         :mod:`repro.faults.checkpoint`).
-    monitor:
-        Optional :class:`~repro.core.online.OnlineCCRMonitor` told about
-        the degraded capability when a run re-balances.
     rebalance:
         Under faults, answer a persistent-straggler verdict of a fresh
         :class:`~repro.faults.Supervisor` by re-partitioning onto
@@ -131,7 +127,6 @@ class GraphProcessingSystem:
         faults: Optional[FaultSchedule] = None,
         checkpoint: Optional[CheckpointPolicy] = None,
         retry: Optional[RetryPolicy] = None,
-        monitor=None,
         rebalance: bool = False,
         seed: Optional[int] = None,
     ):
@@ -139,7 +134,6 @@ class GraphProcessingSystem:
         self.faults = faults
         self.checkpoint = checkpoint
         self.retry = retry
-        self.monitor = monitor
         self.rebalance = rebalance
         self.seed = seed
 
@@ -183,8 +177,6 @@ class GraphProcessingSystem:
                     stragglers=sorted(factors),
                 ):
                     new_weights = supervisor.degraded_weights(base)
-                    if self.monitor is not None:
-                        supervisor.apply_to_monitor(self.monitor, self.cluster)
                     moved = partitioner.partition(
                         graph, self.cluster.num_machines, weights=new_weights
                     )
@@ -221,7 +213,7 @@ class GraphProcessingSystem:
         return moved * _EDGE_BYTES / (aggregate_gbs * 1e9)
 
     def run_single_machine(
-        self, app: GraphApplication, graph: DiGraph, machine_index: int = 0
+        self, app: GraphApplication, graph: DiGraph
     ) -> ExecutionTrace:
         """Execute on one machine only (the profiling configuration).
 
@@ -231,11 +223,6 @@ class GraphProcessingSystem:
         compute.  The returned trace can then be priced on any machine
         spec via :func:`repro.engine.report.simulate_execution`.
         """
-        if not 0 <= machine_index < self.cluster.num_machines:
-            raise EngineError(
-                f"machine_index {machine_index} out of range "
-                f"[0, {self.cluster.num_machines})"
-            )
         assignment = np.zeros(graph.num_edges, dtype=np.int32)
         single = PartitionResult(
             graph=graph,

@@ -48,7 +48,6 @@ __all__ = [
     "case3_cluster",
     "case2_machines",
     "case3_machines",
-    "proxy_vertices_for_scale",
     "experiment_provenance",
     "attach_provenance",
 ]
@@ -130,11 +129,6 @@ def attach_provenance(result, experiment: str, scale=None, **params):
 def make_perf(scale: float) -> PerformanceModel:
     """Performance model configured for a given dataset scale."""
     return PerformanceModel(model_scale=scale)
-
-
-def proxy_vertices_for_scale(scale: float) -> int:
-    """Proxy-graph size matching the paper's 3.2 M vertices at ``scale``."""
-    return max(1000, round(3_200_000 * scale))
 
 
 def case1_cluster(scale: float = DEFAULT_SCALE) -> Cluster:

@@ -32,7 +32,7 @@ from repro.core.estimators import (
     UniformEstimator,
 )
 from repro.core.profiler import ProxyProfiler
-from repro.core.proxy import ProxySet
+from repro.core.proxy import ProxySet, proxy_vertices_for_scale
 from repro.engine.runtime import GraphProcessingSystem
 from repro.graph.datasets import load_dataset
 from repro.partition import make_partitioner
@@ -43,7 +43,6 @@ from repro.experiments.common import (
     attach_provenance,
     case2_cluster,
     case3_cluster,
-    proxy_vertices_for_scale,
 )
 
 __all__ = ["Fig10AppResult", "Fig10Result", "run_fig10", "run_case2", "run_case3"]

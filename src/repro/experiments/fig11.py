@@ -19,12 +19,11 @@ from repro.apps.registry import DEFAULT_APPS
 from repro.cluster.catalog import get_machine
 from repro.cluster.cluster import Cluster
 from repro.core.cost import CostPoint, cost_efficiency, pareto_front
-from repro.core.proxy import ProxySet
+from repro.core.proxy import ProxySet, proxy_vertices_for_scale
 from repro.experiments.common import (
     DEFAULT_SCALE,
     attach_provenance,
     make_perf,
-    proxy_vertices_for_scale,
 )
 
 __all__ = ["Fig11Result", "run_fig11"]

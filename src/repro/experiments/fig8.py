@@ -22,7 +22,7 @@ from repro.apps.registry import DEFAULT_APPS
 from repro.cluster.catalog import get_machine
 from repro.cluster.cluster import Cluster
 from repro.core.profiler import ProxyProfiler
-from repro.core.proxy import ProxySet
+from repro.core.proxy import ProxySet, proxy_vertices_for_scale
 from repro.graph.datasets import load_dataset
 from repro.experiments.common import (
     C4_FAMILY,
@@ -31,7 +31,6 @@ from repro.experiments.common import (
     SAME_THREAD_CATEGORIES,
     attach_provenance,
     make_perf,
-    proxy_vertices_for_scale,
 )
 from repro.obs import context as obs
 

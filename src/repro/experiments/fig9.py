@@ -23,7 +23,7 @@ import numpy as np
 from repro.apps.registry import DEFAULT_APPS, make_app
 from repro.core.estimators import ProxyCCREstimator, ThreadCountEstimator
 from repro.core.profiler import ProxyProfiler
-from repro.core.proxy import ProxySet
+from repro.core.proxy import ProxySet, proxy_vertices_for_scale
 from repro.engine.runtime import GraphProcessingSystem
 from repro.graph.datasets import load_dataset
 from repro.partition import make_partitioner
@@ -33,7 +33,6 @@ from repro.experiments.common import (
     REAL_GRAPHS,
     attach_provenance,
     case1_cluster,
-    proxy_vertices_for_scale,
 )
 
 __all__ = ["Fig9Row", "Fig9Result", "run_fig9"]

@@ -9,7 +9,7 @@ package is where that assumption is deliberately broken.  It provides:
 * :class:`CheckpointPolicy` / :class:`RetryPolicy` — the checkpoint/
   restart cost model and the bounded-backoff recovery budget;
 * :class:`Supervisor` — persistent-straggler detection from barrier
-  timings, feeding degradation back into the online CCR monitor.
+  timings, which a faulted run answers by re-balancing.
 
 The execution-side counterpart (fault-aware pricing and the resilient
 runtime) lives in :mod:`repro.engine.resilient`; everything here is plain

@@ -19,8 +19,8 @@ processing:
   replay, which is how the retry bound is exercised.
 * :class:`SlowdownFault` — degraded capability: the machine's compute
   time is multiplied by ``factor`` for ``duration`` supersteps (``None``
-  = for the rest of the run).  This is the dynamic-CCR case the online
-  monitor must learn about.
+  = for the rest of the run).  This is the dynamic-CCR case the
+  straggler supervisor detects and a run re-balances around.
 * :class:`NetworkFault` — degraded interconnect: bandwidth is divided and
   per-round latency multiplied cluster-wide for a window of supersteps.
 

@@ -24,10 +24,8 @@ each superstep's timings the first time that superstep completes.  The
 actuation half lives in
 :class:`~repro.engine.runtime.GraphProcessingSystem`, which builds a
 fresh supervisor per faulted run and re-partitions onto
-degradation-discounted weights when it fires, and in
-:meth:`Supervisor.apply_to_monitor`, which feeds the observed factors back
-into the :class:`~repro.core.online.OnlineCCRMonitor` so future runs see
-the degraded capability as a changed CCR.
+degradation-discounted weights when it fires.  The discount holds for
+that run only.
 """
 
 from __future__ import annotations
@@ -86,7 +84,6 @@ class Supervisor:
         self._warmup_obs: List[np.ndarray] = []
         self._shares: Optional[np.ndarray] = None
         self._streak: Optional[np.ndarray] = None
-        self._last_factors: Optional[np.ndarray] = None
         self._report: Optional[StragglerReport] = None
 
     # ------------------------------------------------------------------ #
@@ -124,7 +121,6 @@ class Supervisor:
                 # an epsilon share so the estimate stays finite and calm.
                 self._shares = np.maximum(shares, 1e-12)
                 self._streak = np.zeros(busy.size, dtype=np.int64)
-                self._last_factors = np.ones(busy.size)
             return
         if busy.size != self._shares.size:
             raise FaultError(
@@ -139,7 +135,6 @@ class Supervisor:
         if scale <= 0.0:
             return
         factors = per_share / scale
-        self._last_factors = factors
         straggling = factors >= self.threshold
         self._streak = np.where(straggling, self._streak + 1, 0)
         fired = self._streak >= self.patience
@@ -172,36 +167,3 @@ class Supervisor:
                 )
             w[slot] /= factor
         return w / w.sum()
-
-    def apply_to_monitor(self, monitor, cluster) -> Dict[str, float]:
-        """Report detected slowdowns to an online CCR monitor.
-
-        Maps straggler slots to their machine *types* and calls
-        :meth:`~repro.core.online.OnlineCCRMonitor.report_degradation`
-        for each, so the next ``pool_for`` reflects the reduced
-        capability.  Returns the per-type factors applied.
-        """
-        if not self.triggered:
-            raise FaultError("supervisor has not detected any straggler")
-        applied: Dict[str, float] = {}
-        for slot, factor in sorted(self._report.factors.items()):
-            if slot >= cluster.num_machines:
-                raise FaultError(
-                    f"straggler slot {slot} outside cluster of "
-                    f"{cluster.num_machines} machines"
-                )
-            mtype = cluster.machines[slot].name
-            # Several slots of one type: keep the worst observation.
-            applied[mtype] = max(applied.get(mtype, 1.0), factor)
-        for mtype, factor in sorted(applied.items()):
-            monitor.report_degradation(mtype, factor)
-        return applied
-
-    def reset(self) -> None:
-        """Forget calibration and verdicts (after a re-balance the new
-        partition has new shares, so the old baseline is meaningless)."""
-        self._warmup_obs = []
-        self._shares = None
-        self._streak = None
-        self._last_factors = None
-        self._report = None

@@ -110,15 +110,14 @@ class FederationPolicy:
         Optional bound on the total queued jobs across alive shards; an
         arrival past the bound is rejected before routing (federation
         backpressure).  ``None`` disables the check.
-    spill:
-        Whether an arrival rejected by its primary shard's admission
-        check may try the ring's failover shards before being rejected.
+
+    An arrival rejected by its primary shard's admission check always
+    tries the ring's failover shards before being rejected.
     """
 
     ring_replicas: int = 64
     steal_backlog: int = 2
     max_global_backlog: Optional[int] = None
-    spill: bool = True
 
     def __post_init__(self) -> None:
         if self.ring_replicas < 1:
@@ -298,7 +297,7 @@ class FederationService:
     clusters:
         One heterogeneous cluster per shard (the federation width is
         ``len(clusters)``).
-    policy, breaker_policy, estimator, checkpoint, engine_retry, monitor,
+    policy, breaker_policy, estimator, checkpoint, engine_retry,
     stream_checkpoint:
         Per-shard service knobs, shared by every shard (see
         :class:`~repro.service.service.JobService`).
@@ -324,7 +323,6 @@ class FederationService:
         estimator: Optional[Any] = None,
         checkpoint: Optional[CheckpointPolicy] = None,
         engine_retry: Optional[RetryPolicy] = None,
-        monitor: Optional[Any] = None,
         custody: Optional[CheckpointCustody] = None,
         stream_checkpoint: Optional[CheckpointPolicy] = None,
     ):
@@ -339,7 +337,6 @@ class FederationService:
                 estimator=estimator,
                 checkpoint=checkpoint,
                 engine_retry=engine_retry,
-                monitor=monitor,
                 stream_checkpoint=stream_checkpoint,
             )
             for cluster in clusters
@@ -547,8 +544,6 @@ class FederationService:
                 return
             if not first_reason:
                 first_reason = reason
-            if not fed.spill:
-                break
         self._reject(
             job,
             _locate_reason(first_reason, self._job_index.get(job.job_id)),

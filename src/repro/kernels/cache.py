@@ -16,10 +16,10 @@ generate:
 * :data:`assignment_cache` — partition assignments keyed by
   ``(algorithm, config, graph fingerprint, machines, weights)``.
 * :data:`dgraph_cache` — materialised :class:`DistributedGraph` layouts
-  keyed by ``(graph fingerprint, assignment digest, machines)``.  Layouts
-  are always built with the default master seed, so the layout (edge
-  views, presence, masters) is a pure function of that key and the
-  engines never mutate it: runs may share one instance.
+  keyed by ``(graph fingerprint, assignment digest, machines)``.  Master
+  selection uses one fixed hash seed, so the layout (edge views,
+  presence, masters) is a pure function of that key and the engines
+  never mutate it: runs may share one instance.
 * :data:`trace_cache` — execution traces keyed by ``(app configuration,
   graph fingerprint, assignment digest, machines)``, filled by
   :func:`repro.engine.runtime.execute_partition`.  The app configuration
@@ -28,7 +28,7 @@ generate:
   uncached.  Pricing never mutates a trace, so every run of the same
   (app, partition) pair may share one.  Each cached trace also carries a small price memo
   (:func:`repro.engine.report.enable_price_memo`): priced results keyed
-  by ``(cluster_key(cluster), threads_override)``, so
+  by ``cluster_key(cluster)``, so
   :func:`~repro.engine.report.simulate_execution` walks each distinct
   (trace, cluster) once.  The memo lives on the trace object, so it is
   evicted with it and is not a namespace of its own.

@@ -21,7 +21,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.apps.registry import app_names
 from repro.errors import FaultError, StreamError, WorkloadFormatError
-from repro.faults.schedule import FaultSchedule
+from repro.faults.schedule import FaultSchedule, check_finite, check_integer
 from repro.faults.shards import ShardFaultSchedule
 from repro.graph.digraph import DiGraph
 from repro.partition import PARTITIONERS
@@ -70,6 +70,19 @@ JOB_STATUSES: Tuple[str, ...] = (
 )
 
 
+def _check_types(
+    spec: object, finite: Tuple[str, ...], integer: Tuple[str, ...], what: str
+) -> None:
+    """Reject a numeric field of the wrong type before any comparison."""
+    try:
+        for name in finite:
+            check_finite(getattr(spec, name), f"{what} {name}")
+        for name in integer:
+            check_integer(getattr(spec, name), f"{what} {name}")
+    except FaultError as exc:
+        raise WorkloadFormatError(str(exc)) from exc
+
+
 @dataclass(frozen=True)
 class GraphSpec:
     """Which graph a job runs on — a dataset stand-in or a synthetic.
@@ -95,6 +108,8 @@ class GraphSpec:
     mutations: Optional[MutationStream] = None
 
     def __post_init__(self) -> None:
+        integers = ("seed",) if self.vertices is None else ("seed", "vertices")
+        _check_types(self, ("scale", "alpha"), integers, "graph")
         if (self.dataset is None) == (self.vertices is None):
             raise WorkloadFormatError(
                 "graph spec needs exactly one of 'dataset' or 'vertices'"
@@ -205,6 +220,12 @@ class FaultSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_types(
+            self,
+            ("crash_rate", "slowdown_rate", "network_rate", "slowdown_factor"),
+            ("horizon", "seed"),
+            "fault",
+        )
         for name in ("crash_rate", "slowdown_rate", "network_rate"):
             rate = float(getattr(self, name))
             if not 0.0 <= rate <= 1.0:

@@ -343,9 +343,6 @@ class JobService:
         one policy for both granularities — but the two usually differ:
         static runs checkpoint every N supersteps, streams every N
         mutation batches.
-    monitor:
-        Optional :class:`~repro.core.online.OnlineCCRMonitor` receiving
-        degradation reports when a run's supervisor fires.
     stream_halo:
         Boundary-expansion radius of the incremental partitioner used for
         jobs carrying a graph mutation stream.
@@ -365,7 +362,6 @@ class JobService:
         estimator: Optional[Any] = None,
         checkpoint: Optional[CheckpointPolicy] = None,
         engine_retry: Optional[RetryPolicy] = None,
-        monitor: Optional[Any] = None,
         stream_halo: int = 1,
         checkpoints: Optional["CheckpointCustody"] = None,
         stream_checkpoint: Optional[CheckpointPolicy] = None,
@@ -379,7 +375,6 @@ class JobService:
         self.estimator = estimator
         self.checkpoint = checkpoint
         self.engine_retry = engine_retry
-        self.monitor = monitor
         self.stream_halo = int(stream_halo)
         self.checkpoints = checkpoints
         self.stream_checkpoint = (
@@ -716,7 +711,6 @@ class JobService:
                 faults=schedule,
                 checkpoint=self.checkpoint,
                 retry=self.engine_retry,
-                monitor=self.monitor,
                 rebalance=True,
             )
             attempt_start = start_s + backoff_total

@@ -14,10 +14,10 @@ then:
 * edges that survived the batch with both endpoints *outside* the region
   keep their machine (via :attr:`ApplyResult.edge_origin`);
 * inserted edges and edges incident to the region are re-placed by the
-  wrapped base strategy, run on just that sub-edge-set under the same
+  wrapped base strategy, run on just that sub-edge-set under the epoch-0
   target weights.
 
-The update is a pure function of (base config, halo, weight history,
+The update is a pure function of (base config, halo, epoch-0 weights,
 batch history), so replaying the stream from scratch reproduces every
 per-batch assignment byte-for-byte — the contract the differential churn
 harness pins.  A larger halo re-places more edges and tracks a full
@@ -35,7 +35,7 @@ from numpy.typing import ArrayLike, NDArray
 from repro.errors import StreamError
 from repro.graph.digraph import DiGraph
 from repro.obs import context as obs
-from repro.partition.base import Partitioner, PartitionResult, normalize_weights
+from repro.partition.base import Partitioner, PartitionResult
 from repro.partition.metrics import weighted_imbalance
 from repro.streaming.mutations import ApplyResult
 
@@ -129,21 +129,12 @@ class IncrementalPartitioner:
         self._result = result
         self._applied = int(batches_applied)
 
-    def apply(
-        self, delta: ApplyResult, weights: Optional[ArrayLike] = None
-    ) -> StreamUpdate:
+    def apply(self, delta: ApplyResult) -> StreamUpdate:
         """Repair the assignment for one applied mutation batch.
 
-        Parameters
-        ----------
-        delta:
-            The :func:`~repro.streaming.mutations.apply_batch` result for
-            the batch (new graph + edge-origin map + touched set).
-        weights:
-            Updated target weights for the re-placed edges (a delta CCR
-            update from the online monitor); ``None`` keeps the previous
-            epoch's weights.  Carried edges never migrate on a weight
-            change alone — only re-placed edges feel the new targets.
+        ``delta`` is the :func:`~repro.streaming.mutations.apply_batch`
+        result for the batch (new graph + edge-origin map + touched set).
+        The re-placed edges keep the previous epoch's target weights.
         """
         prev = self._result
         if prev is None:
@@ -155,11 +146,7 @@ class IncrementalPartitioner:
                 f"edge_origin has shape {origin.shape}, expected "
                 f"({graph.num_edges},)"
             )
-        w = (
-            prev.weights
-            if weights is None
-            else normalize_weights(weights, prev.num_machines)
-        )
+        w = prev.weights
         with obs.span(
             "stream/incremental",
             algorithm=self.base.name,

@@ -6,9 +6,8 @@ state; this module holds what survives it:
 * :class:`StreamCheckpoint` — a versioned, canonical-JSON,
   sha256-fingerprinted snapshot of everything a streaming run needs to
   continue after a crash: the batch cursor, the simulated clock, the
-  serialized records of every completed epoch, the incremental
-  partitioner's assignment + target weights, and the
-  :class:`~repro.core.online.OnlineCCRMonitor` deltas.  The graph itself
+  serialized records of every completed epoch, and the incremental
+  partitioner's assignment + target weights.  The graph itself
   is *not* serialized: consumed batches are pure data and are replayed
   structurally on restore, which is cheap and exactly-once by
   construction (no epoch is ever re-priced into the trace).
@@ -186,9 +185,11 @@ class StreamCheckpoint:
     assignment, weights:
         The incremental partitioner's carried state: the current edge
         assignment and the normalized target weights.
-    monitor:
-        Optional :meth:`~repro.core.online.OnlineCCRMonitor.state_dict`
-        snapshot (``None`` when the run has no monitor attached).
+
+    The JSON form also carries a fixed ``"monitor": null`` entry.  It
+    holds no state, but it is part of the snapshot bytes that the
+    checkpoint cost model and the fingerprint are computed from, so a
+    loaded payload must have it null (or leave it out).
     """
 
     app: str
@@ -203,7 +204,6 @@ class StreamCheckpoint:
     epoch_records: Tuple[Mapping[str, Any], ...]
     assignment: Tuple[int, ...]
     weights: Tuple[float, ...]
-    monitor: Optional[Mapping[str, Any]] = None
     format_version: int = STREAM_CHECKPOINT_FORMAT_VERSION
     #: Memoised encodings (the checkpoint is immutable): the canonical JSON
     #: of a prefix of ``epoch_records`` (all of them once
@@ -263,9 +263,7 @@ class StreamCheckpoint:
             "epoch_records": [dict(r) for r in self.epoch_records],
             "assignment": list(self.assignment),
             "weights": list(self.weights),
-            "monitor": (
-                dict(self.monitor) if self.monitor is not None else None
-            ),
+            "monitor": None,
         }
 
     def record_json(self) -> Tuple[str, ...]:
@@ -346,6 +344,11 @@ class StreamCheckpoint:
             raise StreamCheckpointError(
                 f"unknown checkpoint fields {unknown}"
             )
+        if payload.get("monitor") is not None:
+            raise StreamCheckpointError(
+                "checkpoint monitor field must be null, got "
+                f"{type(payload['monitor']).__name__}"
+            )
         try:
             return cls(
                 format_version=int(payload["format_version"]),
@@ -363,7 +366,6 @@ class StreamCheckpoint:
                     int(a) for a in payload["assignment"]
                 ),
                 weights=tuple(float(w) for w in payload["weights"]),
-                monitor=payload.get("monitor"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise StreamCheckpointError(

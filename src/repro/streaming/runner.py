@@ -14,12 +14,9 @@ the same materialisation, execution and pricing path as
 byte-identical to the static golden traces (pinned by the streaming
 regression suite).
 
-Delta CCR updates: with an :class:`~repro.core.online.OnlineCCRMonitor`
-attached, the runner derives the initial target weights from the
-monitor's pool and re-observes the cluster before every batch (free
-while the composition is unchanged, per the paper's online contract).
-Degradations reported to the monitor between batches re-price only the
-re-placed edges — carried edges never migrate on a weight change alone.
+Target weights are set once, for epoch 0; every repair re-places edges
+under the same weights, so carried edges never migrate on a weight
+change.
 
 Store-backed re-pricing comes for free: every epoch's partition and
 distributed-graph lookups flow through the content-keyed kernel caches,
@@ -37,7 +34,6 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from repro.cluster.cluster import Cluster
-from repro.core.online import OnlineCCRMonitor
 from repro.engine.report import ExecutionReport, simulate_execution
 from repro.engine.runtime import execute_partition
 from repro.engine.trace import ExecutionTrace
@@ -208,11 +204,6 @@ class StreamingSystem:
         The machines every epoch executes on.
     halo:
         Boundary-expansion radius of the incremental partitioner.
-    monitor:
-        Optional online CCR monitor; when given it supplies the target
-        weights (initially and per batch) and is re-observed before every
-        batch, so degradations reported between batches steer subsequent
-        re-placements.
     faults:
         Optional crash-only :class:`~repro.faults.FaultSchedule`; a
         :class:`~repro.faults.CrashFault`'s ``superstep`` indexes the
@@ -243,7 +234,6 @@ class StreamingSystem:
         self,
         cluster: Cluster,
         halo: int = 1,
-        monitor: Optional[OnlineCCRMonitor] = None,
         faults: Optional[FaultSchedule] = None,
         checkpoint: Optional[CheckpointPolicy] = None,
         retry: Optional[RetryPolicy] = None,
@@ -261,7 +251,6 @@ class StreamingSystem:
             faults.validate_for(cluster.num_machines)
         self.cluster = cluster
         self.halo = int(halo)
-        self.monitor = monitor
         self.faults = faults
         self.checkpoint = (
             checkpoint if checkpoint is not None else CheckpointPolicy(interval=0)
@@ -270,16 +259,6 @@ class StreamingSystem:
         self.seed = int(seed)
         self.custody = custody
         self.job_id = job_id
-
-    def _monitor_weights(self, app_name: str) -> Optional[np.ndarray]:
-        if self.monitor is None:
-            return None
-        self.monitor.observe(self.cluster)
-        return (
-            self.monitor.pool_for(self.cluster)
-            .get(app_name)
-            .weights_for(self.cluster)
-        )
 
     def run(
         self,
@@ -291,10 +270,9 @@ class StreamingSystem:
     ) -> StreamingResult:
         """Execute ``app`` across the stream's epochs and price each one.
 
-        ``weights`` sets the epoch-0 targets when no monitor is attached;
-        with a monitor, the monitor's pool wins (explicit weights are
-        rejected to keep the provenance of every placement unambiguous).
-        The result of :meth:`run_resilient`, without its recovery bill.
+        ``weights`` sets the epoch-0 targets (``None`` = uniform); every
+        repair keeps them.  The result of :meth:`run_resilient`, without
+        its recovery bill.
         """
         return self.run_resilient(app, graph, stream, partitioner, weights).result
 
@@ -312,7 +290,7 @@ class StreamingSystem:
         :meth:`run` of the same inputs — crashes cost time (in the
         recovery bill), never bytes.  When the custody holds a snapshot
         for ``job_id``, consumed batches are replayed structurally, the
-        partitioner/monitor state is restored, and only the remaining
+        partitioner state is restored, and only the remaining
         epochs execute; the completed prefix is stitched from the
         checkpoint's records.  This is the one epoch loop; its crash,
         snapshot and resume hooks act only on the recovery settings.
@@ -324,10 +302,6 @@ class StreamingSystem:
             if custody is not None and job_id is not None
             else None
         )
-        if self.monitor is not None and weights is not None:
-            raise StreamError(
-                "pass either explicit weights or a monitor, not both"
-            )
         stream.validate_for(graph.num_vertices)
         incremental = IncrementalPartitioner(partitioner, halo=self.halo)
         budget = RetryBudget(self.retry, make_rng(self.seed))
@@ -445,13 +419,8 @@ class StreamingSystem:
                 bill.resumed_from_batch = resume.batch_cursor
                 start_index = resume.batch_cursor
             else:
-                w = (
-                    self._monitor_weights(app.name)
-                    if self.monitor is not None
-                    else weights
-                )
                 partition = incremental.start(
-                    graph, self.cluster.num_machines, weights=w
+                    graph, self.cluster.num_machines, weights=weights
                 )
                 complete(self._execute_epoch(0, app, partition, update=None))
                 current, live = graph, None
@@ -463,12 +432,7 @@ class StreamingSystem:
                     "stream/batch", batch=index, ops=batch.num_ops
                 ):
                     delta = apply_batch(current, batch, live=live)
-                    batch_weights = (
-                        self._monitor_weights(app.name)
-                        if self.monitor is not None
-                        else None
-                    )
-                    update = incremental.apply(delta, weights=batch_weights)
+                    update = incremental.apply(delta)
                 current, live = delta.graph, delta.live
                 complete(
                     self._execute_epoch(index + 1, app, update.result, update)
@@ -541,13 +505,6 @@ class StreamingSystem:
             ),
             checkpoint.batch_cursor,
         )
-        if checkpoint.monitor is not None:
-            if self.monitor is None:
-                raise StreamCheckpointError(
-                    "checkpoint carries monitor state but the resuming "
-                    "run has no monitor attached"
-                )
-            self.monitor.load_state(dict(checkpoint.monitor))
         if obs.is_enabled():
             obs.counter_add("stream.resumes", 1.0)
             obs.event(
@@ -569,9 +526,6 @@ class StreamingSystem:
         encoded: Tuple[str, ...],
         result: PartitionResult,
     ) -> StreamCheckpoint:
-        monitor_state = (
-            self.monitor.state_dict() if self.monitor is not None else None
-        )
         snapshot = StreamCheckpoint(
             app=app.name,
             algorithm=partitioner.name,
@@ -585,7 +539,6 @@ class StreamingSystem:
             epoch_records=tuple(records),
             assignment=tuple(result.assignment.tolist()),
             weights=tuple(float(w) for w in result.weights),
-            monitor=monitor_state,
         )
         # Reuse the previous snapshot's encodings of the earlier epochs.
         object.__setattr__(snapshot, "_record_json", encoded)

@@ -113,9 +113,9 @@ def count_walks(monkeypatch):
     calls = []
     walk = report_module._price
 
-    def counted(trace, cluster, threads_override):
+    def counted(trace, cluster):
         calls.append(trace.num_supersteps)
-        return walk(trace, cluster, threads_override)
+        return walk(trace, cluster)
 
     monkeypatch.setattr(report_module, "_price", counted)
     return calls

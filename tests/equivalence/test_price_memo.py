@@ -1,11 +1,11 @@
 """Differential equivalence: memoised pricing vs pricing from scratch.
 
 A trace served from the ``trace`` cache carries a price memo, so
-``simulate_execution`` prices each distinct (cluster, threads_override)
-once per trace (DESIGN.md §11).  The memo is safe only if (a) a hit
+``simulate_execution`` prices each distinct cluster once per trace
+(DESIGN.md §11).  The memo is safe only if (a) a hit
 returns exactly what pricing an uncached copy of the trace returns, (b)
 callers that edit a returned report cannot change the next one, (c) the
-key separates every cluster or thread setting that can change a price,
+key separates every cluster setting that can change a price,
 and (d) an observed run shares the memo: it walks (and records pricing
 metrics) only on a miss, and prices the same bytes as a dark run.  This
 module checks all four.
@@ -69,7 +69,7 @@ def phases(draw):
 
 @st.composite
 def priced_inputs(draw):
-    """A random trace, a slot-aligned cluster and a thread setting."""
+    """A random trace and a slot-aligned cluster."""
     m = draw(st.integers(min_value=1, max_value=5))
     trace = ExecutionTrace(
         app="random",
@@ -94,13 +94,7 @@ def priced_inputs(draw):
             model_scale=draw(st.floats(1e-3, 1.0, allow_nan=False))
         ),
     )
-    threads = draw(
-        st.none()
-        | st.tuples(
-            *(st.integers(1, spec.hw_threads) for spec in machines)
-        ).map(list)
-    )
-    return trace, cluster, threads
+    return trace, cluster
 
 
 def _fields(report):
@@ -164,9 +158,9 @@ def count_walks(monkeypatch):
     calls = []
     walk = report_module._price
 
-    def counted(trace, cluster, threads_override):
+    def counted(trace, cluster):
         calls.append(trace.num_supersteps)
-        return walk(trace, cluster, threads_override)
+        return walk(trace, cluster)
 
     monkeypatch.setattr(report_module, "_price", counted)
     return calls
@@ -181,13 +175,13 @@ class TestHitEqualsFresh:
     @given(priced_inputs())
     @settings(max_examples=80, deadline=None)
     def test_memo_hit_equals_uncached_copy(self, data):
-        trace, cluster, threads = data
+        trace, cluster = data
         enable_price_memo(trace)
         uncached = _uncached(trace)
 
-        miss = simulate_execution(trace, cluster, threads)
-        hit = simulate_execution(trace, cluster, threads)
-        fresh = simulate_execution(uncached, cluster, threads)
+        miss = simulate_execution(trace, cluster)
+        hit = simulate_execution(trace, cluster)
+        fresh = simulate_execution(uncached, cluster)
         assert len(_memo(trace)) == 1
         assert _fields(hit) == _fields(miss) == _fields(fresh)
 
@@ -246,8 +240,6 @@ class TestHitEqualsFresh:
         narrow = Cluster(base_cluster.machines[:3], perf=base_cluster.perf)
         with pytest.raises(EngineError, match="partitions"):
             simulate_execution(trace, narrow)
-        with pytest.raises(EngineError, match="one entry per machine"):
-            simulate_execution(trace, base_cluster, threads_override=[2, 2])
 
 
 # ---------------------------------------------------------------------- #
@@ -321,26 +313,6 @@ class TestKeySeparation:
         assert len(_memo(trace)) == 1 + len(variants)
         # Re-asking the base cluster still returns its own numbers.
         assert _fields(simulate_execution(trace, base_cluster)) == _fields(base)
-
-    def test_threads_override_never_shares_an_entry(self, base_cluster):
-        trace = _fixed_trace()
-        enable_price_memo(trace)
-        default = list(base_cluster.compute_threads())
-        settings_ = [None, default, [1, 1, 1, 1], [2, 4, 2, 4], [4, 2, 4, 2]]
-        reports = [
-            simulate_execution(trace, base_cluster, threads)
-            for threads in settings_
-        ]
-        assert len(_memo(trace)) == len(settings_)
-        # An explicit default equals no override, yet keeps its own entry.
-        assert _fields(reports[0]) == _fields(reports[1])
-        runtimes = [r.runtime_seconds for r in reports[1:]]
-        assert len(set(runtimes)) == len(runtimes)
-        for threads, memoised in zip(settings_, reports):
-            fresh = simulate_execution(
-                _uncached(trace), base_cluster, threads
-            )
-            assert _fields(memoised) == _fields(fresh)
 
 
 # ---------------------------------------------------------------------- #

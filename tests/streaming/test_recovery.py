@@ -130,6 +130,20 @@ class TestStreamCheckpoint:
         with pytest.raises(StreamCheckpointError, match="99"):
             StreamCheckpoint.from_jsonable(payload)
 
+    def test_non_null_monitor_rejected(self, checkpoint):
+        for state in ({}, {"times": {}, "degradation": {}}, [], 0, "x"):
+            payload = json.loads(checkpoint.canonical_json())
+            payload["monitor"] = state
+            with pytest.raises(StreamCheckpointError, match="monitor"):
+                StreamCheckpoint.from_jsonable(payload)
+
+    def test_live_snapshot_has_null_monitor(self, checkpoint):
+        assert '"monitor":null' in checkpoint.canonical_json()
+        payload = json.loads(checkpoint.canonical_json())
+        del payload["monitor"]
+        restored = StreamCheckpoint.from_jsonable(payload)
+        assert restored.canonical_json() == checkpoint.canonical_json()
+
     def test_record_count_invariant_enforced(self, checkpoint):
         with pytest.raises(StreamCheckpointError, match="epoch records"):
             dataclasses.replace(checkpoint, batch_cursor=5)
@@ -380,12 +394,6 @@ class TestResilientRun:
         with pytest.raises(StreamCheckpointError, match="app mismatch"):
             _resume(graph, stream, wrong)
 
-    def test_resume_rejects_monitor_state_without_monitor(
-        self, graph, stream, checkpoint
-    ):
-        with_monitor = dataclasses.replace(checkpoint, monitor={})
-        with pytest.raises(StreamCheckpointError, match="monitor"):
-            _resume(graph, stream, with_monitor)
 
 
 class TestFingerprintsOnDemand:

@@ -188,15 +188,6 @@ def checkpoint_fields(draw):
         "weights": tuple(
             draw(st.lists(float_st, min_size=machines, max_size=machines))
         ),
-        "monitor": draw(
-            st.one_of(
-                st.none(),
-                st.dictionaries(
-                    text_st, st.dictionaries(text_st, json_st, max_size=3),
-                    max_size=3,
-                ),
-            )
-        ),
     }
 
 
@@ -204,7 +195,6 @@ def _live_capture(fields):
     """Capture ``fields`` the way a run does: the snapshot one epoch
     earlier encodes the shared records, and this one reuses them."""
     system = StreamingSystem(case1_cluster(0.01), halo=fields["halo"])
-    system.monitor = SimpleNamespace(state_dict=lambda: fields["monitor"])
     result = SimpleNamespace(
         algorithm=fields["partition_algorithm"],
         num_machines=fields["num_machines"],

@@ -195,7 +195,8 @@ class TestProcessMutations:
         self, graph_file, stream_file, capsys, monkeypatch, strict
     ):
         """A PageRank with a 2-superstep budget cannot converge: the run
-        passes without ``--strict`` and fails naming epoch 0 with it."""
+        passes without ``--strict``, warning about epoch 0, and fails
+        naming epoch 0 with it."""
         from repro.apps import registry
         from repro.apps.pagerank import PageRank
 
@@ -215,6 +216,8 @@ class TestProcessMutations:
         else:
             assert code == 0
             assert "streaming run: pagerank" in out
+            assert ("warning          : epoch 0: pagerank did not converge: "
+                    "superstep budget exhausted after 2 supersteps") in out
 
     def test_obs_artifacts_include_streaming_trace(
         self, tmp_path, graph_file, stream_file

@@ -1,6 +1,5 @@
 """Unit tests for repro.core.online (incremental CCR maintenance)."""
 
-import numpy as np
 import pytest
 
 from repro.cluster.catalog import get_machine
@@ -118,145 +117,6 @@ class TestOnlineEstimator:
         est.weights(c, "pagerank")
         profiled = [u.profiled for u in est.monitor.updates]
         assert profiled == [True, False]
-
-
-class TestDegradation:
-    def test_default_is_healthy(self):
-        mon = monitor()
-        assert mon.degradation("c4.xlarge") == 1.0
-        assert mon.degradations == {}
-
-    def test_degradation_reweights_without_reprofiling(self):
-        mon = monitor()
-        c = cluster_of("c4.xlarge", "c4.2xlarge")
-        mon.observe(c)
-        before = mon.pool_for(c).get("pagerank").ratio("c4.2xlarge")
-        mon.report_degradation("c4.2xlarge", 4.0)
-        after = mon.pool_for(c).get("pagerank").ratio("c4.2xlarge")
-        # Proxy times scale up 4x -> capability ratio shrinks.
-        assert after < before
-        # No new profiling run was charged.
-        assert [u.profiled for u in mon.updates] == [True]
-
-    def test_degradation_compounds_and_clears(self):
-        mon = monitor()
-        mon.observe(cluster_of("c4.xlarge"))
-        mon.report_degradation("c4.xlarge", 2.0)
-        mon.report_degradation("c4.xlarge", 3.0)
-        assert mon.degradation("c4.xlarge") == pytest.approx(6.0)
-        mon.clear_degradation("c4.xlarge")
-        assert mon.degradation("c4.xlarge") == 1.0
-
-    def test_speedup_rejected(self):
-        mon = monitor()
-        mon.observe(cluster_of("c4.xlarge"))
-        with pytest.raises(ProfilingError):
-            mon.report_degradation("c4.xlarge", 0.5)
-
-    def test_unknown_type_rejected(self):
-        mon = monitor()
-        with pytest.raises(ProfilingError):
-            mon.report_degradation("c4.8xlarge", 2.0)
-
-
-class TestDeltaUpdates:
-    """report_degradation interleaved with CCR refreshes (the streaming
-    re-pricing path: observe -> degrade -> observe -> pool_for)."""
-
-    def test_degradation_survives_incremental_observe(self):
-        mon = monitor()
-        c = cluster_of("c4.xlarge", "c4.2xlarge")
-        mon.observe(c)
-        mon.report_degradation("c4.2xlarge", 3.0)
-        # A new type joins and is profiled; the degradation must not be
-        # reset by the refresh.
-        bigger = cluster_of("c4.xlarge", "c4.2xlarge", "c4.8xlarge")
-        update = mon.observe(bigger)
-        assert update.profiled and update.new_types == ("c4.8xlarge",)
-        assert mon.degradation("c4.2xlarge") == pytest.approx(3.0)
-        degraded = mon.pool_for(bigger).get("pagerank").ratio("c4.2xlarge")
-        mon.clear_degradation("c4.2xlarge")
-        assert mon.pool_for(bigger).get("pagerank").ratio(
-            "c4.2xlarge"
-        ) > degraded
-
-    def test_interleaved_reports_compound_across_refreshes(self):
-        mon = monitor()
-        c = cluster_of("c4.xlarge", "c4.2xlarge")
-        mon.observe(c)
-        mon.report_degradation("c4.2xlarge", 2.0)
-        mon.observe(c)  # free refresh between reports
-        mon.report_degradation("c4.2xlarge", 2.0)
-        mon.observe(c)
-        assert mon.degradation("c4.2xlarge") == pytest.approx(4.0)
-
-    def test_clear_restores_pre_degradation_tables_exactly(self):
-        mon = monitor()
-        c = cluster_of("c4.xlarge", "c4.2xlarge")
-        mon.observe(c)
-        before = mon.pool_for(c).get("pagerank").ratio("c4.2xlarge")
-        mon.report_degradation("c4.2xlarge", 5.0)
-        mon.observe(c)
-        mon.clear_degradation("c4.2xlarge")
-        after = mon.pool_for(c).get("pagerank").ratio("c4.2xlarge")
-        # Degradation is applied at derive time, never destructively.
-        assert after == before
-
-    def test_pool_reflects_each_report_immediately(self):
-        mon = monitor()
-        c = cluster_of("c4.xlarge", "c4.2xlarge")
-        mon.observe(c)
-        # As c4.2xlarge degrades it eventually becomes the anchor, so pin
-        # the *healthy* type's ratio: it can only grow as its peer slows.
-        ratios = []
-        for _ in range(3):
-            mon.report_degradation("c4.2xlarge", 3.0)
-            ratios.append(mon.pool_for(c).get("pagerank").ratio("c4.xlarge"))
-        assert ratios[0] <= ratios[1] <= ratios[2]
-        assert ratios[2] > ratios[0]
-
-    def test_degrading_the_anchor_reanchors_the_table(self):
-        mon = monitor()
-        c = cluster_of("c4.xlarge", "c4.2xlarge")
-        mon.observe(c)
-        table = mon.pool_for(c).get("pagerank")
-        assert table.ratio("c4.xlarge") == pytest.approx(1.0)
-        # Throttle the fast type until it is the slowest present: the
-        # Eq. 1 anchor follows the (degraded) capabilities.
-        mon.report_degradation("c4.2xlarge", 100.0)
-        table = mon.pool_for(c).get("pagerank")
-        assert table.ratio("c4.2xlarge") == pytest.approx(1.0)
-        assert table.ratio("c4.xlarge") > 1.0
-
-    def test_streaming_reprices_after_mid_stream_degradation(self):
-        """A monitor-backed streaming run re-derives targets per batch."""
-        from repro.apps.registry import make_app
-        from repro.partition import make_partitioner
-        from repro.powerlaw.generator import generate_power_law_graph
-        from repro.errors import StreamError
-        from repro.streaming import StreamingSystem, generate_stream
-
-        c = cluster_of("c4.xlarge", "c4.2xlarge")
-        graph = generate_power_law_graph(num_vertices=200, alpha=2.1, seed=2)
-        stream = generate_stream(
-            graph, pattern="churn", num_batches=2, ops_per_batch=4, seed=1
-        )
-        mon = monitor()
-        system = StreamingSystem(c, halo=1, monitor=mon)
-        result = system.run(
-            make_app("pagerank"), graph, stream,
-            make_partitioner("hybrid", seed=7),
-        )
-        assert result.num_epochs == 3
-        # Only the first weight derivation profiled; per-batch refreshes
-        # among unchanged types were free.
-        assert [u.profiled for u in mon.updates] == [True, False, False]
-        with pytest.raises(StreamError, match="not both"):
-            StreamingSystem(c, monitor=mon).run(
-                make_app("pagerank"), graph, stream,
-                make_partitioner("hybrid", seed=7),
-                weights=np.array([1.0, 2.0]),
-            )
 
 
 def test_monitor_requires_apps():

@@ -40,12 +40,6 @@ class TestWork:
         w = model().work(edge_ops=0, vertex_ops=0)
         assert w.serial_flops == pytest.approx(100.0)
 
-    def test_fixed_serial_excluded_on_request(self):
-        w = model(serial_fraction=0.0).work(
-            edge_ops=0, vertex_ops=0, include_serial=False
-        )
-        assert w.serial_flops == 0.0
-
     def test_working_set_passthrough(self):
         assert model().work(1, 1, working_set_mb=7.5).working_set_mb == 7.5
 

@@ -111,8 +111,8 @@ class TestPresenceAndMasters:
 
     def test_master_deterministic(self, powerlaw_graph):
         part = RandomHashPartitioner(seed=1).partition(powerlaw_graph, 4)
-        a = DistributedGraph(part, master_seed=5)
-        b = DistributedGraph(part, master_seed=5)
+        a = DistributedGraph(part)
+        b = DistributedGraph(part)
         assert np.array_equal(a.master, b.master)
 
     def test_mirror_count(self):

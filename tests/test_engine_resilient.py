@@ -261,21 +261,6 @@ class TestRebalance:
             outcome.report.result["ranks"], baseline.report.result["ranks"]
         )
 
-    def test_rebalance_feeds_monitor(self, cluster, graph):
-        from repro.core.online import OnlineCCRMonitor
-        from repro.core.profiler import ProxyProfiler
-        from repro.core.proxy import ProxySet
-
-        monitor = OnlineCCRMonitor(
-            profiler=ProxyProfiler(
-                proxies=ProxySet(num_vertices=1200, seed=61)
-            ),
-            apps=("pagerank",),
-        )
-        monitor.observe(cluster)
-        self.run(cluster, graph, monitor=monitor)
-        assert monitor.degradation("m4.2xlarge") > 1.0
-
     def test_each_run_gets_a_fresh_supervisor(self, cluster, graph):
         """A second run of one system re-calibrates from scratch, so it
         re-balances at the same superstep as the first."""

@@ -1,12 +1,7 @@
 """Unit tests for repro.engine.runtime (GraphProcessingSystem)."""
 
-import numpy as np
-import pytest
-
 from repro.apps.pagerank import PageRank
-from repro.cluster.cluster import Cluster
 from repro.engine.runtime import GraphProcessingSystem
-from repro.errors import EngineError
 from repro.partition import HybridPartitioner
 
 
@@ -48,7 +43,3 @@ class TestSingleMachineProfiling:
         trace = sys_.run_single_machine(PageRank(), powerlaw_graph)
         assert trace.total_comm_bytes() == 0.0
 
-    def test_machine_index_validated(self, powerlaw_graph, hetero_pair):
-        sys_ = GraphProcessingSystem(hetero_pair)
-        with pytest.raises(EngineError):
-            sys_.run_single_machine(PageRank(), powerlaw_graph, machine_index=5)

@@ -203,19 +203,6 @@ class TestSimulateExecution:
         with pytest.raises(EngineError):
             simulate_execution(t, two_machine_cluster())
 
-    def test_threads_override(self):
-        cluster = two_machine_cluster()
-        t = ExecutionTrace(app="x", num_machines=2)
-        t.append(SuperstepTrace(phases=[phase(flops=1e9), phase(flops=1e9)]))
-        full = simulate_execution(t, cluster)
-        throttled = simulate_execution(t, cluster, threads_override=[1, 1])
-        assert throttled.runtime_seconds > full.runtime_seconds
-
-    def test_threads_override_wrong_length(self):
-        t = ExecutionTrace(app="x", num_machines=2)
-        with pytest.raises(EngineError):
-            simulate_execution(t, two_machine_cluster(), threads_override=[1])
-
     def test_straggler_name(self):
         cluster = two_machine_cluster()
         t = ExecutionTrace(app="x", num_machines=2)

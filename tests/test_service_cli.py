@@ -122,6 +122,19 @@ class TestServeHardening:
         assert "jobs[3]" in err
         assert "deadline_s" in err
 
+    def test_wrong_typed_fault_rate_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "typed.json"
+        bad.write_text(json.dumps({"format_version": 4, "jobs": [{
+            "job_id": "j0", "app": "pagerank", "graph": {"vertices": 50},
+            "fault_rates": {"crash_rate": "x"},
+        }]}))
+        code = main(["serve", "--cluster", CLUSTER, "--workload", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "jobs[0]" in captured.err
+        assert "crash_rate" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
     def test_zero_deadline_rejected_by_parser(self, tmp_path):
         path = write_workload(tmp_path)
         with pytest.raises(SystemExit) as exc:

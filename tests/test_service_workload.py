@@ -161,6 +161,25 @@ class TestWorkloadFormat:
         with pytest.raises(WorkloadFormatError, match="jobs\\[2\\]"):
             Workload.from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize(
+        "block, field, value",
+        [
+            ("fault_rates", "crash_rate", "x"),
+            ("fault_rates", "horizon", 2.5),
+            ("fault_rates", "seed", "s"),
+            ("graph", "seed", "s"),
+        ],
+    )
+    def test_wrong_typed_field_rejected(self, block, field, value):
+        job = JobRequest(job_id="j", app="pagerank", graph=GRAPH,
+                         fault_rates=FaultSpec(crash_rate=0.1, seed=1))
+        payload = json.loads(Workload(jobs=(job,)).to_json())
+        payload["jobs"][0][block][field] = value
+        with pytest.raises(
+            WorkloadFormatError, match=f"jobs\\[0\\]: .*{field} must be"
+        ):
+            Workload.from_json(json.dumps(payload))
+
     def test_non_object_rejected(self):
         with pytest.raises(WorkloadFormatError):
             Workload.from_json("[1, 2]")
