@@ -3,10 +3,9 @@
 
 Writes ``tests/golden/federation_compat.sha256`` — the sha256 of the
 canonical 40-job service trace that ``tests/test_federation_compat.py``
-pins.  The service replays on the federation's event loop as a 1-shard
-federation, so this one hash covers both.  Run only after an
-*intentional* semantic change to that loop or to the per-job service
-policies::
+pins: the service view of a 1-shard federation replay with no shard
+faults.  Run only after an *intentional* semantic change to the replay
+loop or to the per-job service policies::
 
     PYTHONPATH=src python scripts/regen_federation_golden.py
 """
@@ -27,13 +26,14 @@ from tests.test_federation_compat import (  # noqa: E402
     _workload,
 )
 
-from repro.service import JobService  # noqa: E402
+from repro.faults.shards import ShardFaultSchedule  # noqa: E402
+from repro.federation import FederationService  # noqa: E402
 
 
 def main() -> int:
-    result = JobService(_cluster(), **_service_knobs()).run_workload(
-        _workload()
-    )
+    result = FederationService([_cluster()], **_service_knobs()).run_workload(
+        _workload(), shard_faults=ShardFaultSchedule()
+    ).service_view()
     digest = hashlib.sha256(result.trace_json().encode("utf-8")).hexdigest()
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(digest + "\n", encoding="utf-8")

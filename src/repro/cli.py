@@ -842,19 +842,21 @@ def _load_serve_workload(args):
 
 
 def _print_service_report(args, workload, result) -> None:
+    """Print a 1-shard replay as the single job service it is."""
     from repro.utils.tables import format_table
 
+    view = result.service_view()
     print(
         format_table(
             headers=("metric", "value"),
-            rows=sorted(result.summary().items()),
+            rows=sorted(view.summary().items()),
             title=(
                 f"service replay: {workload.num_jobs} job(s) on "
                 f"{args.cluster} (seed {workload.seed})"
             ),
         )
     )
-    if result.breaker_events:
+    if view.breaker_events:
         print(
             format_table(
                 headers=("t (s)", "machine", "transition", "reason"),
@@ -865,7 +867,7 @@ def _print_service_report(args, workload, result) -> None:
                         f"{e.from_state} -> {e.to_state}",
                         e.reason,
                     )
-                    for e in result.breaker_events
+                    for e in view.breaker_events
                 ],
                 title="breaker transitions",
             )
@@ -922,12 +924,11 @@ def _print_federation_report(args, workload, result) -> None:
 
 
 def cmd_serve(args) -> int:
-    """Replay a workload through the job service; with ``--shards``,
-    through the federated service instead."""
+    """Replay a workload through the federated service: one cluster in
+    service mode, ``--shards`` clusters in federated mode."""
     from repro.faults.checkpoint import CheckpointPolicy
     from repro.faults.shards import ShardFaultSchedule
     from repro.federation import FederationPolicy, FederationService
-    from repro.service import JobService
 
     federated = args.shards is not None
     if args.shard_faults and not federated:
@@ -938,9 +939,13 @@ def cmd_serve(args) -> int:
         else [_build_cluster(args.cluster, args.scale)]
     )
     workload = _load_serve_workload(args)
-    shard_faults = (
-        ShardFaultSchedule.load(args.shard_faults) if args.shard_faults else None
-    )
+    if args.shard_faults:
+        shard_faults = ShardFaultSchedule.load(args.shard_faults)
+    elif federated:
+        shard_faults = None
+    else:
+        # One service has no shard to crash: ignore embedded shard faults.
+        shard_faults = ShardFaultSchedule()
     policy, breaker = _service_policies(args)
     federation = (
         FederationPolicy(
@@ -964,38 +969,35 @@ def cmd_serve(args) -> int:
                 stream_checkpoint = CheckpointPolicy(
                     interval=args.checkpoint_every
                 )
-            common = dict(
+            result = FederationService(
+                clusters,
                 policy=policy,
                 breaker_policy=breaker,
+                federation=federation,
                 estimator=estimator,
                 checkpoint=CheckpointPolicy(interval=args.checkpoint_interval),
+                custody=custody,
                 stream_checkpoint=stream_checkpoint,
-            )
-            if federated:
-                result = FederationService(
-                    clusters, federation=federation, custody=custody, **common
-                ).run_workload(workload, shard_faults=shard_faults)
-            else:
-                result = JobService(
-                    clusters[0], checkpoints=custody, **common
-                ).run_workload(workload)
+            ).run_workload(workload, shard_faults=shard_faults)
+            # Service mode summarises, stores and traces the 1-shard view.
+            output = result if federated else result.service_view()
             if store is not None:
                 _persist_run_summary(
-                    store, clusters, workload, args.policy, args.shards, result
+                    store, clusters, workload, args.policy, args.shards, output
                 )
-        run.trace = result
+        run.trace = output
 
         if args.json:
             import json as _json
 
-            print(_json.dumps(result.summary(), indent=2, sort_keys=True))
+            print(_json.dumps(output.summary(), indent=2, sort_keys=True))
         elif federated:
             _print_federation_report(args, workload, result)
         else:
             _print_service_report(args, workload, result)
         if args.trace_out:
             with open(args.trace_out, "w", encoding="utf-8") as fh:
-                fh.write(result.trace_json() + "\n")
+                fh.write(output.trace_json() + "\n")
             kind = "federation" if federated else "service"
             print(f"{kind} trace written to {args.trace_out}")
     return 0

@@ -169,23 +169,9 @@ class PerformanceModel:
         fit = min(1.0, effective_llc / working_set_mb)
         return max(self.min_miss_rate, 1.0 - fit)
 
-    def execution_time(
-        self,
-        machine: MachineSpec,
-        work: WorkProfile,
-        threads: int = None,
-    ) -> float:
-        """Seconds to execute ``work`` on ``machine``.
-
-        Parameters
-        ----------
-        threads:
-            Override the compute-thread count (used by scaling studies);
-            defaults to the machine's available compute threads.
-        """
-        n = machine.compute_threads if threads is None else threads
-        if n < 1:
-            raise ClusterError(f"threads must be >= 1, got {n}")
+    def execution_time(self, machine: MachineSpec, work: WorkProfile) -> float:
+        """Seconds to execute ``work`` on ``machine``'s compute threads."""
+        n = machine.compute_threads
         core_rate = machine.freq_ghz * machine.ipc * _GIGA  # ops/s, one core
         t_serial = work.serial_flops / core_rate
         t_parallel = work.flops / (n * self.parallel_efficiency(n) * core_rate)

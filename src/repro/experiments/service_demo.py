@@ -29,11 +29,11 @@ from typing import Any, List, Tuple
 from repro.experiments.common import attach_provenance, case2_cluster
 from repro.faults.checkpoint import CheckpointPolicy, RetryPolicy
 from repro.faults.schedule import CrashFault, FaultSchedule
+from repro.federation import FederationService
 from repro.service import (
     BreakerPolicy,
     GraphSpec,
     JobRequest,
-    JobService,
     ServicePolicy,
     ServiceResult,
     Workload,
@@ -128,9 +128,8 @@ class ServiceDemoResult:
 
 def run_service_demo(scale: float = 0.01, seed: int = 20) -> ServiceDemoResult:
     """Replay the scripted workload on the Case-2 pair."""
-    cluster = case2_cluster(scale)
-    service = JobService(
-        cluster,
+    service = FederationService(
+        [case2_cluster(scale)],
         policy=ServicePolicy(
             max_queue_depth=6,
             shed_queue_depth=2,
@@ -142,7 +141,7 @@ def run_service_demo(scale: float = 0.01, seed: int = 20) -> ServiceDemoResult:
         checkpoint=CheckpointPolicy(interval=5, restart_seconds=0.05),
         engine_retry=RetryPolicy(backoff_base_s=0.01),
     )
-    result = service.run_workload(demo_workload(seed))
+    result = service.run_workload(demo_workload(seed)).service_view()
     return attach_provenance(
         ServiceDemoResult(result=result), "service_demo",
         scale=scale, seed=seed,

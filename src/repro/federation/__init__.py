@@ -10,8 +10,10 @@ append-only per-shard job journals with deterministic crash recovery
 stealing, and federation-level admission control composing per-cluster
 circuit breakers into global backpressure.
 
-A 1-shard, no-fault federation reproduces a direct
-:class:`~repro.service.service.JobService` replay byte for byte.
+:class:`FederationService` is the library's one public replay.  With one
+cluster and an empty shard-fault schedule it is the single job service:
+:meth:`FederationResult.service_view` gives that replay's service trace,
+which the compat golden pins byte for byte.
 """
 
 from repro.federation.federation import (

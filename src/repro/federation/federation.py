@@ -1,17 +1,16 @@
 """The federated multi-scheduler service: N shards, M clusters, one clock.
 
-:class:`FederationService` scales PR 5's single-server
-:class:`~repro.service.service.JobService` out to ``N`` scheduler shards,
-each fronting its own heterogeneous cluster, behind a consistent-hash
+:class:`FederationService` replays a job workload across ``N``
+scheduler shards, each a :class:`~repro.service.service.JobService`
+fronting its own heterogeneous cluster, behind a consistent-hash
 ring keyed by graph content fingerprints (:mod:`repro.federation.ring`).
 All shards run on **one seeded simulated clock** driven by a single
 deterministic event loop, so the byte-identical replay contract of the
 whole library survives the scale-out: the same workload file plus the
 same shard-fault schedule replays to the same federation trace bytes.
-Its event loop is the library's only replay loop:
-``JobService.run_workload`` is a 1-shard federation around the service
-(:meth:`FederationService._around`), and the compat golden pins the
-bytes of that 1-shard trace.
+It is the library's one public replay: a single job service is a
+1-shard federation, read through :meth:`FederationResult.service_view`,
+and the compat golden pins the bytes of that 1-shard trace.
 
 The robustness layer, in the order a job meets it:
 
@@ -85,8 +84,8 @@ __all__ = [
 FEDERATION_TRACE_VERSION = 1
 
 #: Seed stride between shard retry-RNG streams.  Shard 0 keeps the plain
-#: workload seed, so the 1-shard ``JobService.run_workload`` draws its
-#: backoffs from the workload seed itself.
+#: workload seed, so a 1-shard replay draws its backoffs from the
+#: workload seed itself.
 _SHARD_SEED_STRIDE = 1000003
 
 
@@ -211,12 +210,12 @@ class FederationResult:
     lost_seconds: float
 
     def service_view(self) -> ServiceResult:
-        """The replay flattened into PR 5's :class:`ServiceResult` shape.
+        """The replay flattened into the :class:`ServiceResult` shape.
 
-        For a 1-shard federation this is *the* service result: it is
-        what ``JobService.run_workload`` returns.  For wider federations
-        the per-shard breaker histories are merged by (time, shard) and
-        machine indices stay shard-local.
+        For a 1-shard federation this is *the* service result: what
+        ``repro serve`` without ``--shards`` prints, traces and stores.
+        For wider federations the per-shard breaker histories are merged
+        by (time, shard) and machine indices stay shard-local.
         """
         merged: List[Tuple[float, int, int, Any]] = []
         for report in self.shards:
@@ -296,7 +295,7 @@ class FederationService:
     ----------
     clusters:
         One heterogeneous cluster per shard (the federation width is
-        ``len(clusters)``).
+        ``len(clusters)``).  One cluster replays a single job service.
     policy, breaker_policy, estimator, checkpoint, engine_retry,
     stream_checkpoint:
         Per-shard service knobs, shared by every shard (see
@@ -329,59 +328,37 @@ class FederationService:
         clusters = tuple(clusters)
         if not clusters:
             raise FederationError("federation needs at least one cluster")
-        services = [
-            JobService(
-                cluster,
-                policy=policy,
-                breaker_policy=breaker_policy,
-                estimator=estimator,
-                checkpoint=checkpoint,
-                engine_retry=engine_retry,
-                stream_checkpoint=stream_checkpoint,
-            )
-            for cluster in clusters
-        ]
-        self._bind(services, federation, {}, custody)
-
-    @classmethod
-    def _around(cls, service: JobService) -> "FederationService":
-        """A 1-shard federation whose only shard is ``service`` itself.
-
-        The shard keeps the service's own graph memo and checkpoint
-        custody, so the caller's board, stream traces and memo fill as
-        if the service had replayed the workload alone.
-        """
-        federation = cls.__new__(cls)
-        federation._bind([service], None, service._graphs, service.checkpoints)
-        return federation
-
-    def _bind(
-        self,
-        services: Sequence[JobService],
-        federation: Optional[FederationPolicy],
-        graphs: Dict[Tuple[Any, ...], DiGraph],
-        custody: Optional[CheckpointCustody],
-    ) -> None:
-        """Wire one shard per service onto a shared memo and custody."""
         self.federation = (
             federation if federation is not None else FederationPolicy()
         )
         self.ring = HashRing(
-            range(len(services)), replicas=self.federation.ring_replicas
+            range(len(clusters)), replicas=self.federation.ring_replicas
         )
         #: Shared graph memo: every shard resolves graph specs through
         #: this one table, so a graph is loaded once per federation and
         #: the content-keyed kernel caches see one object per input.
-        self._graphs = graphs
+        self._graphs: Dict[Tuple[Any, ...], DiGraph] = {}
         self._fingerprints: Dict[Tuple[Any, ...], str] = {}
         self.custody = custody
         self.shards: Tuple[_Shard, ...] = tuple(
-            _Shard(shard_id=i, service=service, journal=ShardJournal(i))
-            for i, service in enumerate(services)
+            _Shard(
+                shard_id=i,
+                service=JobService(
+                    cluster,
+                    policy=policy,
+                    breaker_policy=breaker_policy,
+                    estimator=estimator,
+                    checkpoint=checkpoint,
+                    engine_retry=engine_retry,
+                    stream_checkpoint=stream_checkpoint,
+                ),
+                journal=ShardJournal(i),
+            )
+            for i, cluster in enumerate(clusters)
         )
         for shard in self.shards:
             shard.service._graphs = self._graphs
-            shard.service.checkpoints = self.custody
+            shard.service.checkpoints = custody
 
     @property
     def num_shards(self) -> int:

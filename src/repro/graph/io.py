@@ -29,6 +29,9 @@ __all__ = [
 
 PathLike = Union[str, os.PathLike]
 
+#: Endpoint ids must fit the int64 arrays the graph is built from.
+_INT64 = np.iinfo(np.int64)
+
 
 def read_edge_list(
     path: PathLike,
@@ -70,12 +73,17 @@ def read_edge_list(
                     f"{path}:{lineno}: expected 'src dst', got {stripped!r}"
                 )
             try:
-                srcs.append(int(parts[0]))
-                dsts.append(int(parts[1]))
+                src, dst = int(parts[0]), int(parts[1])
             except ValueError as exc:
                 raise GraphFormatError(
                     f"{path}:{lineno}: non-integer endpoint in {stripped!r}"
                 ) from exc
+            if min(src, dst) < _INT64.min or max(src, dst) > _INT64.max:
+                raise GraphFormatError(
+                    f"{path}:{lineno}: endpoint outside int64 in {stripped!r}"
+                )
+            srcs.append(src)
+            dsts.append(dst)
     builder = GraphBuilder(
         num_vertices=num_vertices,
         drop_self_loops=drop_self_loops,

@@ -3,8 +3,11 @@
 The serving layer of the reproduction: a stream of graph jobs (app ×
 graph × priority × deadline) scheduled onto one heterogeneous cluster on
 a simulated clock, with admission control, backpressure, deadlines,
-seeded retries, per-machine circuit breakers and load shedding.  See
-DESIGN.md §12 and ``repro serve --help``.
+seeded retries, per-machine circuit breakers and load shedding.  The
+replay itself is :class:`repro.federation.FederationService`, with one
+cluster or several; this package holds the requests, workloads,
+policies, breakers and result types it uses.  See DESIGN.md §12 and
+``repro serve --help``.
 """
 
 from repro.service.breaker import (
@@ -30,7 +33,7 @@ from repro.service.request import (
     WORKLOAD_FORMAT_VERSION,
     Workload,
 )
-from repro.service.service import JobService, ServicePolicy, ServiceResult
+from repro.service.service import ServicePolicy, ServiceResult
 from repro.service.workload import generate_workload
 
 __all__ = [
@@ -43,7 +46,6 @@ __all__ = [
     "JOB_STATUSES",
     "JobRecord",
     "JobRequest",
-    "JobService",
     "STATE_CLOSED",
     "STATE_HALF_OPEN",
     "STATE_OPEN",

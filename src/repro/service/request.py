@@ -540,8 +540,11 @@ class Workload:
     ``shard_faults`` (format v2) optionally embeds a federation
     shard-fault schedule, so one workload file pins the *entire* chaos
     replay — arrivals, per-job faults and shard outages — byte for byte.
-    The single-server :class:`~repro.service.service.JobService` ignores
-    it; the federation uses it unless an explicit schedule is passed.
+    :meth:`FederationService.run_workload
+    <repro.federation.federation.FederationService.run_workload>` uses it
+    unless an explicit schedule is passed.  Single-service mode (``repro
+    serve`` without ``--shards``, one-cluster ``warm_store``) passes an
+    empty schedule, so there the embedded one is ignored.
     """
 
     jobs: Tuple[JobRequest, ...] = ()

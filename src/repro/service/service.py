@@ -1,13 +1,17 @@
-"""The deterministic multi-tenant job service.
+"""The deterministic multi-tenant job service: one shard's executor.
 
 One simulated cluster, one stream of job requests, one server: jobs are
 admitted (or rejected) the instant they arrive, wait in a priority queue
 while the cluster is busy, and run one at a time through a
 :class:`~repro.engine.runtime.GraphProcessingSystem` carrying the job's
-fault schedule for that attempt.  Everything happens on
-the *simulated* clock — arrival gaps, queueing delay, priced runtimes,
-retry backoffs and breaker cooldowns all add in the same unit — so a
-workload file plus a seed pins the entire service history byte for byte.
+fault schedule for that attempt.  :class:`JobService` holds one shard's
+policies and state; the replay loop that feeds it arrivals is
+:class:`~repro.federation.federation.FederationService`'s, the library's
+one public replay (a single service is a 1-shard federation).
+Everything happens on the *simulated* clock — arrival gaps, queueing
+delay, priced runtimes, retry backoffs and breaker cooldowns all add in
+the same unit — so a workload file plus a seed pins the entire service
+history byte for byte.
 
 The control policies, in the order a job meets them:
 
@@ -67,7 +71,6 @@ from repro.service.request import (
     STATUS_REJECTED,
     JobRecord,
     JobRequest,
-    Workload,
 )
 from repro.utils.rng import make_rng
 
@@ -321,7 +324,11 @@ def _settle(
 
 
 class JobService:
-    """Replays a workload against one cluster under the service policies.
+    """One shard's executor: admits and runs jobs on one cluster.
+
+    Only :class:`~repro.federation.federation.FederationService` builds
+    it; the federation's event loop calls :meth:`_admission_error` at
+    each arrival and :meth:`_run_job` at each start.
 
     Parameters
     ----------
@@ -343,15 +350,12 @@ class JobService:
         one policy for both granularities — but the two usually differ:
         static runs checkpoint every N supersteps, streams every N
         mutation batches.
-    stream_halo:
-        Boundary-expansion radius of the incremental partitioner used for
-        jobs carrying a graph mutation stream.
-    checkpoints:
-        Optional shared :class:`~repro.streaming.recovery.
-        CheckpointCustody`.  When given, streaming jobs checkpoint through
-        it and — if custody already holds a durable snapshot for the job
-        id (a federation failover) — resume mid-stream instead of
-        restarting from scratch.
+
+    The federation wires two shared objects in after construction: its
+    graph memo and its checkpoint custody (:attr:`checkpoints`).  With a
+    custody, streaming jobs checkpoint through it and — if it already
+    holds a durable snapshot for the job id (a failover) — resume
+    mid-stream instead of restarting from scratch.
     """
 
     def __init__(
@@ -362,8 +366,6 @@ class JobService:
         estimator: Optional[Any] = None,
         checkpoint: Optional[CheckpointPolicy] = None,
         engine_retry: Optional[RetryPolicy] = None,
-        stream_halo: int = 1,
-        checkpoints: Optional["CheckpointCustody"] = None,
         stream_checkpoint: Optional[CheckpointPolicy] = None,
     ):
         self.cluster = cluster
@@ -375,8 +377,7 @@ class JobService:
         self.estimator = estimator
         self.checkpoint = checkpoint
         self.engine_retry = engine_retry
-        self.stream_halo = int(stream_halo)
-        self.checkpoints = checkpoints
+        self.checkpoints: Optional["CheckpointCustody"] = None
         self.stream_checkpoint = (
             stream_checkpoint if stream_checkpoint is not None else checkpoint
         )
@@ -618,7 +619,6 @@ class JobService:
             checkpoint = self.stream_checkpoint or CheckpointPolicy()
         system = StreamingSystem(
             self.cluster,
-            halo=self.stream_halo,
             faults=job.faults,
             checkpoint=checkpoint,
             retry=self.engine_retry,
@@ -787,27 +787,3 @@ class JobService:
                 crashes=crashes,
                 rebalanced=rebalanced,
             )
-
-    # ------------------------------------------------------------------ #
-    # The replay loop
-    # ------------------------------------------------------------------ #
-
-    def run_workload(self, workload: Workload) -> ServiceResult:
-        """Replay a workload to completion and return the full history.
-
-        The service is a 1-shard federation: the replay runs on
-        :class:`~repro.federation.federation.FederationService`'s event
-        loop with this service as its only shard, so the two can never
-        disagree on admission, scheduling or accounting.  Arrivals are
-        admitted at their submission instants and, whenever the server
-        frees, the highest-priority admitted job starts.  A workload's
-        embedded shard faults are ignored: one service has no shard to
-        crash.
-        """
-        from repro.faults.shards import ShardFaultSchedule
-        from repro.federation.federation import FederationService
-
-        federation = FederationService._around(self)
-        return federation.run_workload(
-            workload, shard_faults=ShardFaultSchedule()
-        ).service_view()

@@ -66,38 +66,39 @@ def warm_store(
 ) -> Dict[str, int]:
     """Replay ``workload`` with ``store`` attached, materializing rows.
 
-    One cluster runs the plain :class:`~repro.service.JobService`; several
-    run the federation (the shards share the attached store, the same way
-    a live ``serve --shards`` does).  The in-process caches are cleared
-    first so every value the replay computes is actually written through.
-    Returns the per-namespace row counts *added* by this call.
+    The replay is a :class:`~repro.federation.FederationService` over
+    ``clusters``, whose shards share the attached store the same way a
+    live ``serve --shards`` does.  One cluster replays in service mode,
+    as plain ``serve`` does: embedded shard faults are ignored and the
+    stored summary is the 1-shard service view.  The in-process caches
+    are cleared first so every value the replay computes is actually
+    written through.  Returns the per-namespace row counts *added* by
+    this call.
     """
     from repro.faults.checkpoint import CheckpointPolicy
+    from repro.faults.shards import ShardFaultSchedule
+    from repro.federation import FederationService
     from repro.kernels.cache import attach_store, clear_all_caches, detach_store
 
     before = store.counts()
     clear_all_caches()
     attach_store(store)
     try:
-        checkpoint = CheckpointPolicy(interval=checkpoint_interval)
+        federation = FederationService(
+            clusters,
+            estimator=estimator,
+            checkpoint=CheckpointPolicy(interval=checkpoint_interval),
+        )
         if len(clusters) == 1:
-            from repro.service import JobService
-
-            service: Any = JobService(
-                clusters[0], estimator=estimator, checkpoint=checkpoint
-            )
-            result = service.run_workload(workload)
+            summary = federation.run_workload(
+                workload, shard_faults=ShardFaultSchedule()
+            ).service_view().summary()
         else:
-            from repro.federation import FederationService
-
-            service = FederationService(
-                list(clusters), estimator=estimator, checkpoint=checkpoint
-            )
-            result = service.run_workload(workload)
+            summary = federation.run_workload(workload).summary()
         store.put(
             "run_summary",
             run_summary_key(clusters, workload, policy_name, len(clusters)),
-            CODECS["run_summary"].encode(result.summary()),
+            CODECS["run_summary"].encode(summary),
         )
     finally:
         detach_store()

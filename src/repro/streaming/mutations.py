@@ -169,7 +169,7 @@ def _op_from_jsonable(data: Any) -> Mutation:
     makers: Dict[Any, type] = {
         v: k for k, v in _OP_TAGS.items()  # repro: allow[DET003]
     }
-    maker = makers.get(tag)
+    maker = makers.get(tag) if isinstance(tag, str) else None
     if maker is None:
         raise StreamFormatError(f"unknown mutation op {tag!r}")
     try:

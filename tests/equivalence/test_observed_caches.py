@@ -25,10 +25,11 @@ from repro.engine.report import simulate_execution
 from repro.engine.runtime import execute_partition
 from repro.engine.trace import _jsonable
 from repro.experiments.fig8 import machine_speedups
+from repro.federation import FederationService
 from repro.kernels.cache import attach_store, cache_stats, clear_all_caches
 from repro.partition import make_partitioner
 from repro.powerlaw.generator import generate_power_law_graph
-from repro.service import GraphSpec, JobRequest, JobService, Workload
+from repro.service import GraphSpec, JobRequest, Workload
 from repro.service.estimate import projected_seconds
 from repro.store import SummaryStore
 
@@ -163,13 +164,17 @@ def test_observed_replay_reads_a_warm_store(tmp_path):
     )
     with SummaryStore.create(str(tmp_path / "s.db")) as store:
         attach_store(store)
-        cold = JobService(_cluster()).run_workload(workload).trace_json()
+        cold = FederationService(
+            [_cluster()]
+        ).run_workload(workload).trace_json()
         rows = store.counts()
         assert sum(rows.values()) > 0
 
         clear_all_caches()
         with obs.enabled(obs.Observer()):
-            observed = JobService(_cluster()).run_workload(workload).trace_json()
+            observed = FederationService(
+                [_cluster()]
+            ).run_workload(workload).trace_json()
         assert observed == cold
         assert sum(s["store_hits"] for s in cache_stats().values()) > 0
         # Every row the observed replay needed was already there.

@@ -39,10 +39,11 @@ from repro.engine.trace import (
     _jsonable,
 )
 from repro.faults.schedule import FaultSchedule
+from repro.federation import FederationService
 from repro.kernels.cache import clear_all_caches
 from repro.partition import make_partitioner
 from repro.powerlaw.generator import generate_power_law_graph
-from repro.service import GraphSpec, JobRequest, JobService, Workload
+from repro.service import GraphSpec, JobRequest, Workload
 
 SPECS = sorted(CATALOG.values(), key=lambda spec: spec.name)
 
@@ -372,14 +373,16 @@ class TestObserverGate:
             [get_machine("m4.2xlarge"), get_machine("c4.2xlarge")],
             perf=PerformanceModel(model_scale=0.01),
         )
-        dark = JobService(cluster).run_workload(workload).trace_json()
+        dark = FederationService([cluster]).run_workload(workload).trace_json()
         # The dark replay priced repeat (trace, cluster) pairs from memo.
         dark_walks = list(count_walks)
 
         clear_all_caches()
         observer = obs.Observer()
         with obs.enabled(observer):
-            observed = JobService(cluster).run_workload(workload).trace_json()
+            observed = FederationService(
+                [cluster]
+            ).run_workload(workload).trace_json()
         assert observed == dark
         # The observed replay walked exactly what the dark one walked,
         # and sampled every superstep of every walk.

@@ -307,14 +307,19 @@ class TestConcurrentGen:
         # verifies, and a warm replay equals a cold one.
         with SummaryStore.open(store_path) as store:
             assert sum(store.counts().values()) >= 1
-            from repro.service import JobService, Workload
+            from repro.federation import FederationService
+            from repro.service import Workload
 
             workload = Workload.load(workload_file)
             clear_all_caches()
-            cold = JobService(_cluster()).run_workload(workload).trace_json()
+            cold = FederationService(
+                [_cluster()]
+            ).run_workload(workload).trace_json()
             clear_all_caches()
             attach_store(store)
-            warm = JobService(_cluster()).run_workload(workload).trace_json()
+            warm = FederationService(
+                [_cluster()]
+            ).run_workload(workload).trace_json()
             detach_store()
             assert warm == cold
             assert store.quarantined() == {}

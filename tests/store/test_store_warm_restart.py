@@ -34,7 +34,7 @@ from repro.kernels.cache import (
     clear_all_caches,
     detach_store,
 )
-from repro.service import JobService, generate_workload
+from repro.service import generate_workload
 from repro.store import SummaryStore
 
 SCALE = 0.01
@@ -75,13 +75,12 @@ def _replay(workload, num_shards):
     """One ``serve --policy ccr`` replay: (trace JSON, summary)."""
     proxies = ProxySet(num_vertices=max(1000, round(3_200_000 * SCALE)))
     estimator = ProxyCCREstimator(profiler=ProxyProfiler(proxies=proxies))
+    result = FederationService(
+        [_cluster() for _ in range(num_shards)], estimator=estimator
+    ).run_workload(workload)
     if num_shards == 1:
-        service = JobService(_cluster(), estimator=estimator)
-    else:
-        service = FederationService(
-            [_cluster() for _ in range(num_shards)], estimator=estimator
-        )
-    result = service.run_workload(workload)
+        # As plain ``serve``: one cluster reports the service view.
+        result = result.service_view()
     return result.trace_json(), result.summary()
 
 

@@ -70,6 +70,26 @@ class TestStreamCommand:
         assert main(["stream", "--input", str(bad)]) == 2
         assert "not supported" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["stream", "process"])
+    def test_unhashable_op_tag_exits_2(
+        self, tmp_path, graph_file, stream_file, command, capsys
+    ):
+        payload = json.loads(open(stream_file, encoding="utf-8").read())
+        payload["batches"][0][0] = {"op": ["x"]}
+        bad = tmp_path / "bad-tag.json"
+        bad.write_text(json.dumps(payload))
+        argv = {
+            "stream": ["stream", "--input", str(bad)],
+            "process": ["process", "--cluster", CLUSTER, "--app",
+                        "pagerank", "--graph-file", graph_file,
+                        "--mutations", str(bad)],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "unknown mutation op ['x']" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
     def test_missing_stream_file_exits_2(self, tmp_path):
         assert main(["stream", "--input", str(tmp_path / "nope.json")]) == 2
 

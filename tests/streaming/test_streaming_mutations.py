@@ -252,6 +252,13 @@ class TestJsonFormat:
         with pytest.raises(StreamFormatError, match="teleport_vertex"):
             MutationStream.from_jsonable(payload)
 
+    @pytest.mark.parametrize("tag", [["x"], {"op": "add_edge"}, 7, None])
+    def test_non_string_op_tag_rejected(self, tag):
+        payload = self.stream().to_jsonable()
+        payload["batches"][0][0] = {"op": tag, "vertex": 1}
+        with pytest.raises(StreamFormatError, match="unknown mutation op"):
+            MutationStream.from_json(json.dumps(payload))
+
     def test_malformed_op_fields_rejected(self):
         payload = self.stream().to_jsonable()
         payload["batches"][0][0] = {"op": "add_edge", "src": 1}

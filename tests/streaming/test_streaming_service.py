@@ -13,13 +13,13 @@ from repro.cluster.perfmodel import PerformanceModel
 from repro.errors import WorkloadFormatError
 from repro.faults.checkpoint import CheckpointPolicy
 from repro.faults.schedule import CrashFault, FaultSchedule
+from repro.federation import FederationService
 from repro.powerlaw.generator import generate_power_law_graph
 from repro.service import (
     STATUS_COMPLETED,
     STATUS_REJECTED,
     GraphSpec,
     JobRequest,
-    JobService,
     Workload,
 )
 from repro.service.request import (
@@ -139,9 +139,9 @@ class TestSpecValidation:
 
 class TestStreamingJobs:
     def test_streaming_job_completes_fault_free(self, pair):
-        result = JobService(pair).run_workload(
+        result = FederationService([pair]).run_workload(
             Workload(jobs=(streaming_job(),))
-        )
+        ).service_view()
         record = result.records[0]
         assert record.status == STATUS_COMPLETED
         assert record.attempts == 1
@@ -151,7 +151,9 @@ class TestStreamingJobs:
         workload = Workload(jobs=(streaming_job(), streaming_job("s1")))
 
         def one_run():
-            return JobService(pair).run_workload(workload).trace_json()
+            return FederationService([pair]).run_workload(
+                workload
+            ).service_view().trace_json()
 
         assert one_run() == one_run()
 
@@ -164,7 +166,9 @@ class TestStreamingJobs:
         )
         spec = GraphSpec(dataset="wiki", scale=0.05, mutations=bad)
         job = JobRequest(job_id="d0", app="pagerank", graph=spec)
-        result = JobService(pair).run_workload(Workload(jobs=(job,)))
+        result = FederationService([pair]).run_workload(
+            Workload(jobs=(job,))
+        ).service_view()
         record = result.records[0]
         assert record.status == STATUS_REJECTED
         assert record.reason.startswith("jobs[0]: invalid mutation stream")
@@ -186,7 +190,9 @@ class TestStreamingJobs:
                 submit_s=0.1,
             ),
         )
-        result = JobService(pair).run_workload(Workload(jobs=jobs))
+        result = FederationService([pair]).run_workload(
+            Workload(jobs=jobs)
+        ).service_view()
         by_id = {r.job_id: r for r in result.records}
         assert by_id["d1"].status == STATUS_REJECTED
         assert by_id["d1"].reason.startswith(
@@ -196,9 +202,6 @@ class TestStreamingJobs:
     def test_federation_admission_reject_locates_the_job_index(self):
         # Same contract through the federated admission path: the shard
         # that rejects must still name the workload position.
-        from repro.cluster.perfmodel import PerformanceModel
-        from repro.federation import FederationService
-
         bad = MutationStream(
             batches=(MutationBatch((AddEdge(0, 10**6),)),)
         )
@@ -233,9 +236,9 @@ class TestStreamingJobs:
         plain = JobRequest(
             job_id="p0", app="pagerank", graph=GraphSpec(vertices=VERTICES)
         )
-        result = JobService(pair).run_workload(
+        result = FederationService([pair]).run_workload(
             Workload(jobs=(plain, streaming_job("s0", submit_s=0.5)))
-        )
+        ).service_view()
         assert [r.status for r in result.records] == [
             STATUS_COMPLETED,
             STATUS_COMPLETED,
@@ -261,8 +264,8 @@ def _charge(job, interval):
         outcomes.append(run_resilient(self, *args, **kwargs))
         return outcomes[-1]
 
-    service = JobService(
-        _pair(), stream_checkpoint=CheckpointPolicy(interval=interval)
+    service = FederationService(
+        [_pair()], stream_checkpoint=CheckpointPolicy(interval=interval)
     )
     with mock.patch.object(StreamingSystem, "run_resilient", spy):
         record = service.run_workload(Workload(jobs=(job,))).records[0]

@@ -235,6 +235,7 @@ class TestErrorContract:
             {"format_version": 1, "base_vertices": "x", "batches": []}
         ))
         (tmp / "bad-edges.txt").write_text("0 1\nnot an edge\n")
+        (tmp / "huge-edges.txt").write_text("0 9223372036854775808\n")
         (tmp / "three.txt").write_text("0 1\n1 2\n")
         (tmp / "frac-count-stream.json").write_text(json.dumps(
             {"format_version": 1, "base_vertices": 3,
@@ -317,6 +318,10 @@ class TestErrorContract:
                 ["process", *RUN, "--graph-file", "{tmp}/bad-edges.txt"],
                 2, "err", "error:", "bad-edges.txt",
                 id="malformed-graph-file"),
+            pytest.param(
+                ["process", *RUN, "--graph-file", "{tmp}/huge-edges.txt"],
+                2, "err", "error:", "huge-edges.txt:1",
+                id="graph-file-endpoint-outside-int64"),
             pytest.param(
                 ["process", *RUN, "--graph-file", "{tmp}/trunc.npz"],
                 2, "err", "error:", "trunc.npz",

@@ -86,15 +86,15 @@ class TestExecutionTime:
     def test_pure_compute_scales_with_threads(self):
         pm = PerformanceModel(efficiency_decay=0.0)
         w = WorkProfile(flops=1e9)
-        t2 = pm.execution_time(machine(), w, threads=2)
-        t8 = pm.execution_time(machine(), w, threads=8)
+        t2 = pm.execution_time(machine(hw_threads=4), w)  # 2 compute threads
+        t8 = pm.execution_time(machine(hw_threads=10), w)  # 8 compute threads
         assert t2 / t8 == pytest.approx(4.0)
 
     def test_serial_ignores_threads(self):
         pm = PerformanceModel()
         w = WorkProfile(serial_flops=1e9)
-        t1 = pm.execution_time(machine(), w, threads=1)
-        t8 = pm.execution_time(machine(), w, threads=8)
+        t1 = pm.execution_time(machine(hw_threads=3), w)  # 1 compute thread
+        t8 = pm.execution_time(machine(hw_threads=10), w)  # 8 compute threads
         assert t1 == pytest.approx(t8)
 
     def test_memory_term_uses_bandwidth(self):
@@ -120,16 +120,11 @@ class TestExecutionTime:
         pm = PerformanceModel(efficiency_decay=0.0)
         w = WorkProfile(flops=1e9)
         m = machine(hw_threads=10)  # 8 compute threads
-        assert pm.execution_time(m, w) == pytest.approx(
-            pm.execution_time(m, w, threads=8)
-        )
+        core_rate = m.freq_ghz * m.ipc * 1e9
+        assert pm.execution_time(m, w) == pytest.approx(1e9 / (8 * core_rate))
 
     def test_zero_work_zero_time(self):
         assert PerformanceModel().execution_time(machine(), WorkProfile()) == 0.0
-
-    def test_invalid_threads(self):
-        with pytest.raises(ClusterError):
-            PerformanceModel().execution_time(machine(), WorkProfile(), threads=0)
 
 
 class TestThroughput:

@@ -1,12 +1,11 @@
 """Backward-compat regression: a 1-shard federation IS the job service.
 
-``JobService.run_workload`` has no replay loop of its own: it runs the
-federation's loop with the service as the only shard.  A 1-shard,
-no-shard-fault federation built from cluster specs must therefore agree
-with it byte for byte — records, breaker history, totals and trace
-bytes — and the service must ignore shard faults embedded in a
-workload.  The trace hash is pinned as a golden fixture, so a change to
-the shared loop that alters the service's history fails loudly.
+``FederationService`` is the library's one public replay.  With one
+cluster and an empty shard-fault schedule it is the single job service
+that ``repro serve`` runs without ``--shards``, and
+:meth:`FederationResult.service_view` is that service's result.  The
+hash of its trace is pinned as a golden fixture, so a change to the
+replay loop that alters the service's history fails loudly.
 
 Regenerate the fixture (only after an intentional semantic change)::
 
@@ -21,7 +20,7 @@ import pytest
 from repro.cluster.catalog import get_machine
 from repro.cluster.cluster import Cluster
 from repro.cluster.perfmodel import PerformanceModel
-from repro.faults import ShardCrash, ShardFaultSchedule
+from repro.faults import ShardFaultSchedule
 from repro.faults.checkpoint import CheckpointPolicy, RetryPolicy
 from repro.faults.schedule import CrashFault, FaultSchedule
 from repro.federation import FederationPolicy, FederationService
@@ -30,7 +29,6 @@ from repro.service import (
     BreakerPolicy,
     GraphSpec,
     JobRequest,
-    JobService,
     ServicePolicy,
     Workload,
     generate_workload,
@@ -79,65 +77,34 @@ def _service_knobs():
 
 
 @pytest.fixture(scope="module")
-def replays():
-    workload = _workload()
-    cluster = _cluster()
-    direct = JobService(cluster, **_service_knobs()).run_workload(workload)
-    federated = FederationService(
-        [cluster], **_service_knobs()
-    ).run_workload(workload)
-    return direct, federated
+def replay():
+    """The compat workload in service mode: one cluster, no shard faults."""
+    return FederationService([_cluster()], **_service_knobs()).run_workload(
+        _workload(), shard_faults=ShardFaultSchedule()
+    )
 
 
 class TestOneShardIsTheJobService:
-    def test_traces_byte_identical(self, replays):
-        direct, federated = replays
-        assert federated.service_view().trace_json() == direct.trace_json()
-
-    def test_records_identical(self, replays):
-        direct, federated = replays
-        assert federated.records == direct.records
-
-    def test_breaker_history_identical(self, replays):
-        direct, federated = replays
-        view = federated.service_view()
-        assert view.breaker_events == direct.breaker_events
-        assert view.breaker_states == direct.breaker_states
-        assert view.breaker_trips == direct.breaker_trips
-
-    def test_makespan_and_depth_identical(self, replays):
-        direct, federated = replays
-        view = federated.service_view()
-        assert view.makespan_s == direct.makespan_s
-        assert view.max_queue_depth == direct.max_queue_depth
-
-    def test_service_summary_keys_agree(self, replays):
-        direct, federated = replays
-        fed_summary = federated.summary()
-        for key, value in direct.summary().items():
-            assert fed_summary[key] == value, key
-
-    def test_explicit_empty_shard_faults_change_nothing(self, replays):
-        direct, _ = replays
+    def test_explicit_empty_shard_faults_change_nothing(self, replay):
+        # A workload without an embedded schedule replays the same with
+        # no schedule passed as with an explicit empty one.
         federated = FederationService(
             [_cluster()],
             federation=FederationPolicy(),
             **_service_knobs(),
-        ).run_workload(_workload(), shard_faults=ShardFaultSchedule())
-        assert federated.service_view().trace_json() == direct.trace_json()
+        ).run_workload(_workload())
+        assert federated.trace_json() == replay.trace_json()
 
-    def test_one_shard_run_is_failover_free(self, replays):
-        _, federated = replays
-        assert federated.shard_crashes == 0
-        assert federated.failovers == 0
-        assert federated.steals == 0
-        assert federated.recoveries == 0
-        assert federated.lost_seconds == 0.0
+    def test_one_shard_run_is_failover_free(self, replay):
+        assert replay.shard_crashes == 0
+        assert replay.failovers == 0
+        assert replay.steals == 0
+        assert replay.recoveries == 0
+        assert replay.lost_seconds == 0.0
 
 
 class TestGoldenTraceHash:
-    def test_trace_hash_matches_golden(self, replays):
-        direct, federated = replays
+    def test_trace_hash_matches_golden(self, replay):
         if not GOLDEN_PATH.exists():
             pytest.fail(
                 f"missing golden fixture {GOLDEN_PATH.name}; generate it "
@@ -145,18 +112,12 @@ class TestGoldenTraceHash:
             )
         expected = GOLDEN_PATH.read_text(encoding="utf-8").strip()
         actual = hashlib.sha256(
-            direct.trace_json().encode("utf-8")
+            replay.service_view().trace_json().encode("utf-8")
         ).hexdigest()
         assert actual == expected, (
             "service trace drifted from the pinned golden hash; if the "
             "change is intentional, regenerate with "
             "scripts/regen_federation_golden.py"
-        )
-        assert (
-            hashlib.sha256(
-                federated.service_view().trace_json().encode("utf-8")
-            ).hexdigest()
-            == expected
         )
 
 
@@ -175,52 +136,36 @@ class TestOneReplayLoop:
         )
         observer = Observer()
         with enabled(observer):
-            result = JobService(
-                _cluster(),
+            result = FederationService(
+                [_cluster()],
                 breaker_policy=BreakerPolicy(
                     failure_threshold=1, cooldown_s=0.1
                 ),
-            ).run_workload(Workload(jobs=jobs, seed=0))
+            ).run_workload(Workload(jobs=jobs, seed=0)).service_view()
         assert result.breaker_trips > 0
         counters = observer.metrics.counters
         assert counters["service.breaker_trips"] == result.breaker_trips
         roots = [s.name for s in observer.spans if s.parent_id is None]
         assert roots == ["federation/run"]
 
-    def test_embedded_shard_faults_are_ignored(self, replays):
-        direct, _ = replays
-        plain = _workload()
-        crash = ShardCrash(time_s=0.5, shard=0, downtime_s=0.2)
-        faulted = Workload(
-            jobs=plain.jobs,
-            seed=plain.seed,
-            shard_faults=ShardFaultSchedule(crashes=(crash,)),
-        )
-        # The crash bites a federation that honours the embedded schedule...
-        honoured = FederationService(
-            [_cluster()], **_service_knobs()
-        ).run_workload(faulted)
-        assert honoured.shard_crashes == 1
-        assert honoured.service_view().trace_json() != direct.trace_json()
-        # ...but one service has no shard to crash.
-        service = JobService(_cluster(), **_service_knobs())
-        assert service.run_workload(faulted).trace_json() == (
-            direct.trace_json()
-        )
-
     def test_custody_cleared_after_each_commit(self):
-        # As in any federation, a committed stream job leaves no custody
-        # behind, so replaying the workload again on the same service
-        # restarts the stream instead of resuming from its last snapshot.
+        # A committed stream job leaves no custody behind, so replaying
+        # the workload again over the same custody restarts the stream
+        # instead of resuming from its last snapshot.
         custody = CheckpointCustody()
-        service = JobService(
-            golden_federation_clusters()[0],
-            checkpoints=custody,
-            stream_checkpoint=CheckpointPolicy(interval=1),
-        )
         workload = golden_federated_stream_workload()
-        first = service.run_workload(workload)
-        assert custody._entries == {}
-        second = service.run_workload(workload)
+
+        def replay_over_custody():
+            federation = FederationService(
+                golden_federation_clusters()[:1],
+                custody=custody,
+                stream_checkpoint=CheckpointPolicy(interval=1),
+            )
+            result = federation.run_workload(workload)
+            assert custody._entries == {}
+            assert "stream_resume" not in {e.kind for e in result.events}
+            return result
+
+        first = replay_over_custody()
+        second = replay_over_custody()
         assert second.records == first.records
-        assert service.stream_resumes == {}

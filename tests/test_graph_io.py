@@ -46,6 +46,16 @@ def test_non_integer_endpoint(tmp_path):
         read_edge_list(path)
 
 
+@pytest.mark.parametrize(
+    "line", ["0 9223372036854775808", "-9223372036854775809 0"]
+)
+def test_endpoint_outside_int64(tmp_path, line):
+    path = tmp_path / "g.txt"
+    path.write_text(f"0 1\n{line}\n")
+    with pytest.raises(GraphFormatError, match=r":2: endpoint outside int64"):
+        read_edge_list(path)
+
+
 def test_cleanup_options(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("0 0\n0 1\n0 1\n")

@@ -18,6 +18,7 @@ from repro import obs
 from repro.cluster.catalog import get_machine
 from repro.cluster.cluster import Cluster
 from repro.cluster.perfmodel import PerformanceModel
+from repro.federation import FederationService
 from repro.graph.digraph import DiGraph
 from repro.apps import make_app
 from repro.engine.runtime import GraphProcessingSystem
@@ -29,7 +30,7 @@ from repro.kernels.cache import (
 )
 from repro.partition import make_partitioner
 from repro.powerlaw.generator import generate_power_law_graph
-from repro.service import GraphSpec, JobRequest, JobService, Workload
+from repro.service import GraphSpec, JobRequest, Workload
 from repro.service.estimate import projected_seconds
 
 
@@ -144,7 +145,9 @@ class TestTraceCacheGate:
             seed=0,
         )
         cluster = make_cluster(0.01)
-        cached = JobService(cluster).run_workload(workload).trace_json()
+        cached = FederationService(
+            [cluster]
+        ).run_workload(workload).trace_json()
         # One miss for the service's single-machine projection, one for
         # the first run; every later identical job is a hit.
         dark = cache_stats()["trace"]
@@ -152,7 +155,9 @@ class TestTraceCacheGate:
 
         clear_all_caches()
         with obs.enabled(obs.Observer()):
-            observed = JobService(cluster).run_workload(workload).trace_json()
+            observed = FederationService(
+                [cluster]
+            ).run_workload(workload).trace_json()
         assert observed == cached
         # The observed replay uses the cache exactly as the dark one did.
         assert cache_stats()["trace"] == dark
@@ -209,8 +214,10 @@ class TestCrossClusterIsolation:
             ),
             seed=0,
         )
-        fast = JobService(make_cluster()).run_workload(workload)
-        slow = JobService(make_cluster(small=True)).run_workload(workload)
+        fast = FederationService([make_cluster()]).run_workload(workload)
+        slow = FederationService(
+            [make_cluster(small=True)]
+        ).run_workload(workload)
         a, b = fast.records[0], slow.records[0]
         assert a.status == b.status == "completed"
         # A leaked estimate or priced run would make these equal.
@@ -229,6 +236,6 @@ class TestCrossClusterIsolation:
             seed=0,
         )
         cluster = make_cluster(0.01)
-        cold = JobService(cluster).run_workload(workload).trace_json()
-        warm = JobService(cluster).run_workload(workload).trace_json()
+        cold = FederationService([cluster]).run_workload(workload).trace_json()
+        warm = FederationService([cluster]).run_workload(workload).trace_json()
         assert cold == warm

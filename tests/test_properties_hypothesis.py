@@ -221,9 +221,10 @@ class TestWorkProfileProperties:
         from repro.cluster.machine import MachineSpec
 
         pm = PerformanceModel()
-        m = MachineSpec("m", hw_threads=40, freq_ghz=2.0)
-        t_few = pm.execution_time(m, work, threads=2)
-        t_many = pm.execution_time(m, work, threads=32)
+        few = MachineSpec("m", hw_threads=4, freq_ghz=2.0)  # 2 compute
+        many = MachineSpec("m", hw_threads=34, freq_ghz=2.0)  # 32 compute
+        t_few = pm.execution_time(few, work)
+        t_many = pm.execution_time(many, work)
         assert t_many <= t_few + 1e-12
 
     @given(profiles, st.floats(min_value=0.0, max_value=10.0))

@@ -13,6 +13,7 @@ from repro.cluster.perfmodel import PerformanceModel
 from repro.errors import ServiceError
 from repro.faults.checkpoint import CheckpointPolicy, RetryPolicy
 from repro.faults.schedule import CrashFault, FaultSchedule
+from repro.federation import FederationService
 from repro.kernels.cache import clear_all_caches
 from repro.service import (
     STATUS_COMPLETED,
@@ -21,7 +22,6 @@ from repro.service import (
     STATUS_REJECTED,
     GraphSpec,
     JobRequest,
-    JobService,
     ServicePolicy,
     Workload,
     generate_workload,
@@ -36,6 +36,13 @@ def pair() -> Cluster:
         [get_machine("m4.2xlarge"), get_machine("c4.2xlarge")],
         perf=PerformanceModel(model_scale=0.01),
     )
+
+
+def replay(cluster, workload, **knobs):
+    """The service result of replaying ``workload`` on one cluster."""
+    return FederationService([cluster], **knobs).run_workload(
+        workload
+    ).service_view()
 
 
 def job(job_id, submit_s=0.0, priority=0, **kwargs):
@@ -59,11 +66,12 @@ class TestPolicyValidation:
 
 class TestAdmission:
     def test_burst_overflowing_queue_is_rejected(self, pair):
-        service = JobService(pair, policy=ServicePolicy(max_queue_depth=2))
         workload = Workload(
             jobs=tuple(job(f"j{i}") for i in range(6)), seed=0
         )
-        result = service.run_workload(workload)
+        result = replay(
+            pair, workload, policy=ServicePolicy(max_queue_depth=2)
+        )
         counts = result.by_status()
         # The whole t=0 batch contends for the two queue slots before the
         # server picks up any work: two admitted, four rejected.
@@ -77,13 +85,13 @@ class TestAdmission:
             assert "queue full" in r.reason
 
     def test_projected_wait_bound_rejects(self, pair):
-        service = JobService(
+        workload = Workload(jobs=(job("a"), job("b"), job("c")), seed=0)
+        result = replay(
             pair,
+            workload,
             policy=ServicePolicy(max_queue_depth=50,
                                  max_projected_wait_s=1e-9),
         )
-        workload = Workload(jobs=(job("a"), job("b"), job("c")), seed=0)
-        result = service.run_workload(workload)
         # "a" goes straight to the idle server; the rest would wait.
         by_id = {r.job_id: r for r in result.records}
         assert by_id["a"].status == STATUS_COMPLETED
@@ -93,23 +101,24 @@ class TestAdmission:
     def test_invalid_fault_schedule_rejected_at_admission(self, pair):
         bad = FaultSchedule(crashes=(CrashFault(1, machine=9),), seed=0)
         workload = Workload(jobs=(job("a", faults=bad),), seed=0)
-        result = JobService(pair).run_workload(workload)
+        result = replay(pair, workload)
         assert result.records[0].status == STATUS_REJECTED
         assert "invalid fault schedule" in result.records[0].reason
 
     def test_jobs_arriving_after_server_frees_are_admitted(self, pair):
-        service = JobService(pair, policy=ServicePolicy(max_queue_depth=1))
         workload = Workload(
             jobs=(job("a"), job("b", submit_s=30.0)), seed=0
         )
-        result = service.run_workload(workload)
+        result = replay(
+            pair, workload, policy=ServicePolicy(max_queue_depth=1)
+        )
         assert result.by_status()[STATUS_REJECTED] == 0
 
 
 class TestDeadlines:
     def test_unmeetable_deadline_cancelled_before_running(self, pair):
         workload = Workload(jobs=(job("a", deadline_s=1e-9),), seed=0)
-        record = JobService(pair).run_workload(workload).records[0]
+        record = replay(pair, workload).records[0]
         assert record.status == STATUS_DEADLINE_EXCEEDED
         assert record.attempts == 0
         assert record.charged_seconds == 0.0
@@ -124,11 +133,11 @@ class TestDeadlines:
         workload = Workload(
             jobs=(job("a", deadline_s=0.5, faults=crashing),), seed=0
         )
-        service = JobService(
+        record = replay(
             pair,
+            workload,
             checkpoint=CheckpointPolicy(interval=5, restart_seconds=2.0),
-        )
-        record = service.run_workload(workload).records[0]
+        ).records[0]
         assert record.status == STATUS_DEADLINE_EXCEEDED
         assert record.attempts == 1
         assert record.end_s == pytest.approx(0.5)
@@ -138,15 +147,16 @@ class TestDeadlines:
 
     def test_generous_deadline_completes(self, pair):
         workload = Workload(jobs=(job("a", deadline_s=1000.0),), seed=0)
-        record = JobService(pair).run_workload(workload).records[0]
+        record = replay(pair, workload).records[0]
         assert record.status == STATUS_COMPLETED
         assert record.end_s < 1000.0
 
 
 class TestRetriesAndFailure:
-    def make_service(self, pair, max_attempts=2):
-        return JobService(
+    def retry_replay(self, pair, workload, max_attempts=2):
+        return replay(
             pair,
+            workload,
             policy=ServicePolicy(max_attempts=max_attempts),
             checkpoint=CheckpointPolicy(interval=5, restart_seconds=0.01),
             engine_retry=RetryPolicy(max_retries=1, backoff_base_s=0.001),
@@ -157,7 +167,7 @@ class TestRetriesAndFailure:
             crashes=(CrashFault(1, machine=0, repeats=10),), seed=0
         )
         workload = Workload(jobs=(job("a", faults=hopeless),), seed=0)
-        record = self.make_service(pair).run_workload(workload).records[0]
+        record = self.retry_replay(pair, workload).records[0]
         assert record.status == STATUS_FAILED
         assert record.attempts == 2
         assert record.charged_seconds == 0.0
@@ -169,8 +179,7 @@ class TestRetriesAndFailure:
             crashes=(CrashFault(1, machine=0, repeats=10),), seed=0
         )
         workload = Workload(jobs=(job("a", faults=hopeless),), seed=0)
-        service = self.make_service(pair, max_attempts=3)
-        record = service.run_workload(workload).records[0]
+        record = self.retry_replay(pair, workload, max_attempts=3).records[0]
         assert record.attempts == 3
         assert record.reason.startswith("all 3 attempts failed; last: ")
 
@@ -179,23 +188,24 @@ class TestRetriesAndFailure:
             crashes=(CrashFault(1, machine=0, repeats=10),), seed=0
         )
         workload = Workload(jobs=(job("a", faults=hopeless),), seed=0)
-        first = self.make_service(pair).run_workload(workload).records[0]
-        second = self.make_service(pair).run_workload(workload).records[0]
+        first = self.retry_replay(pair, workload).records[0]
+        second = self.retry_replay(pair, workload).records[0]
         assert first.retries_backoff_s == second.retries_backoff_s
 
     def test_recoverable_crash_completes_with_crash_count(self, pair):
         crashing = FaultSchedule(crashes=(CrashFault(1, machine=0),), seed=0)
         workload = Workload(jobs=(job("a", faults=crashing),), seed=0)
-        record = self.make_service(pair).run_workload(workload).records[0]
+        record = self.retry_replay(pair, workload).records[0]
         assert record.status == STATUS_COMPLETED
         assert record.crashes >= 1
         assert record.charged_seconds > 0.0
 
 
 class TestShedding:
-    def shed_service(self, pair):
-        return JobService(
+    def shed_replay(self, pair, workload):
+        return replay(
             pair,
+            workload,
             policy=ServicePolicy(
                 max_queue_depth=8, shed_queue_depth=2,
                 shed_priority_max=0, shed_iteration_cap=3,
@@ -206,7 +216,7 @@ class TestShedding:
         workload = Workload(
             jobs=tuple(job(f"j{i}") for i in range(4)), seed=0
         )
-        result = self.shed_service(pair).run_workload(workload)
+        result = self.shed_replay(pair, workload)
         by_id = {r.job_id: r for r in result.records}
         # j0 starts with 3 jobs queued behind it: shed.  The last job
         # starts with an empty backlog: full fidelity.
@@ -219,7 +229,7 @@ class TestShedding:
         workload = Workload(
             jobs=tuple(job(f"j{i}", priority=3) for i in range(4)), seed=0
         )
-        result = self.shed_service(pair).run_workload(workload)
+        result = self.shed_replay(pair, workload)
         assert all(not r.degraded for r in result.records)
 
     def test_priority_orders_the_queue(self, pair):
@@ -227,7 +237,7 @@ class TestShedding:
             jobs=(job("low-a"), job("hi", priority=9), job("low-b")),
             seed=0,
         )
-        result = JobService(pair).run_workload(workload)
+        result = replay(pair, workload)
         by_id = {r.job_id: r for r in result.records}
         # All three arrive together, so the highest priority runs first.
         started = sorted(
@@ -242,9 +252,9 @@ class TestAccountingAndDeterminism:
         workload = Workload(
             jobs=tuple(job(f"j{i}") for i in range(5)), seed=0
         )
-        result = JobService(
-            pair, policy=ServicePolicy(max_queue_depth=2)
-        ).run_workload(workload)
+        result = replay(
+            pair, workload, policy=ServicePolicy(max_queue_depth=2)
+        )
         summary = result.summary()
         assert summary["charged_seconds_total"] == sum(
             r.charged_seconds for r in result.records
@@ -263,7 +273,7 @@ class TestAccountingAndDeterminism:
             jobs=(job("z"), job("a", submit_s=0.0), job("m", submit_s=5.0)),
             seed=0,
         )
-        result = JobService(pair).run_workload(workload)
+        result = replay(pair, workload)
         assert [r.job_id for r in result.records] == ["a", "z", "m"]
 
     def test_same_workload_same_trace(self, pair):
@@ -274,8 +284,8 @@ class TestAccountingAndDeterminism:
             ),
             seed=3,
         )
-        first = JobService(pair).run_workload(workload).trace_json()
-        second = JobService(pair).run_workload(workload).trace_json()
+        first = replay(pair, workload).trace_json()
+        second = replay(pair, workload).trace_json()
         assert first == second
 
 
@@ -309,8 +319,9 @@ def arrival_rate_summaries():
             [get_machine("m4.2xlarge"), get_machine("c4.2xlarge")],
             perf=PerformanceModel(model_scale=0.01),
         )
-        service = JobService(cluster, policy=ServicePolicy(max_queue_depth=8))
-        summaries[name] = service.run_workload(workload).summary()
+        summaries[name] = replay(
+            cluster, workload, policy=ServicePolicy(max_queue_depth=8)
+        ).summary()
     return summaries
 
 

@@ -18,10 +18,10 @@ from repro.cluster.catalog import get_machine
 from repro.cluster.cluster import Cluster
 from repro.cluster.perfmodel import PerformanceModel
 from repro.faults.checkpoint import CheckpointPolicy, RetryPolicy
+from repro.federation import FederationService
 from repro.service import (
     JOB_STATUSES,
     BreakerPolicy,
-    JobService,
     ServicePolicy,
     generate_workload,
 )
@@ -49,14 +49,14 @@ def soak():
     )
 
     def run():
-        service = JobService(
-            cluster,
+        service = FederationService(
+            [cluster],
             policy=ServicePolicy(max_queue_depth=4, max_attempts=2),
             breaker_policy=BreakerPolicy(failure_threshold=3, cooldown_s=1.0),
             checkpoint=CheckpointPolicy(interval=5, restart_seconds=0.05),
             engine_retry=RetryPolicy(max_retries=2, backoff_base_s=0.01),
         )
-        return service.run_workload(workload)
+        return service.run_workload(workload).service_view()
 
     return workload, run(), run()
 

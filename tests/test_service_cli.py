@@ -1,11 +1,20 @@
 """Unit tests for the `repro workload` and `repro serve` commands."""
 
+import contextlib
+import io
 import json
+import pathlib
 
 import pytest
 
 from repro.cli import main
+from repro.cluster.catalog import get_machine
+from repro.cluster.cluster import Cluster
+from repro.cluster.perfmodel import PerformanceModel
 from repro.service import Workload
+from repro.store import SummaryStore
+from repro.store.gen import run_summary_key, warm_store
+from repro.testing import golden_federated_stream_workload
 
 CLUSTER = "m4.2xlarge,c4.2xlarge"
 
@@ -166,3 +175,147 @@ class TestServeHardening:
                      "--workload", path])
         assert code == 2
         assert "unknown machine type" in capsys.readouterr().err
+
+
+_GOLDEN_SERVE = pathlib.Path(__file__).parent / "golden" / "serve_stdout.json"
+
+#: The pinned mixed workload: 12 jobs, 9 of them faulted, machine 1 hot
+#: enough to trip its breaker.
+_MIXED_WORKLOAD = [
+    "workload", "--jobs", "12", "--seed", "3", "--mean-interarrival",
+    "0.02", "--deadline-fraction", "0.2", "--fault-fraction", "0.3",
+    "--hot-machine", "1", "--hot-fraction", "0.4", "--hot-repeats", "2",
+]
+
+#: The mixed workload with a shard-crash schedule embedded.
+_EMBEDDED_SHARD_FAULTS = [
+    "--shards", "2", "--shard-crash-rate", "0.95", "--shard-horizon", "0.3",
+]
+
+#: id -> (workload: ``mixed``, ``embedded`` or ``stream``, extra flags).
+#: ``{shard_faults}`` is a 4-shard crash schedule written beside the
+#: workload; ``{tmp}`` is the test's scratch directory.
+SERVE_GOLDEN_CONFIGS = {
+    "plain": ("mixed", []),
+    "plain-json": ("mixed", ["--json"]),
+    "plain-trace-out": ("mixed", ["--trace-out", "{tmp}/trace.json"]),
+    "embedded-shard-faults": ("embedded", []),
+    "shards-1": ("mixed", ["--shards", "1"]),
+    "shards-4-shard-faults": (
+        "mixed", ["--shards", "4", "--shard-faults", "{shard_faults}"]
+    ),
+    "stream-checkpoint-every-1": ("stream", ["--checkpoint-every", "1"]),
+}
+
+
+def _quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+
+
+def serve_golden_stdout(config_id, tmp_path):
+    """``repro serve``'s stdout for one pinned configuration.
+
+    Paths under ``tmp_path`` print as ``{tmp}``; a ``--trace-out`` run's
+    file follows its stdout.
+    """
+    kind, extra = SERVE_GOLDEN_CONFIGS[config_id]
+    workload = tmp_path / f"{kind}.json"
+    if kind == "stream":
+        golden_federated_stream_workload().save(str(workload))
+    else:
+        embedded = _EMBEDDED_SHARD_FAULTS if kind == "embedded" else []
+        _quiet_main([*_MIXED_WORKLOAD, *embedded, "--output", str(workload)])
+    shard_faults = tmp_path / "shard-faults.json"
+    if "{shard_faults}" in extra:
+        _quiet_main(["faults", "--shards", "4", "--seed", "5",
+                     "--crash-rate", "0.9", "--horizon-s", "0.3",
+                     "--output", str(shard_faults)])
+    flags = [
+        flag.format(tmp=tmp_path, shard_faults=shard_faults)
+        for flag in extra
+    ]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["serve", "--cluster", CLUSTER, "--workload",
+                     str(workload), *flags]) == 0
+    text = out.getvalue().replace(str(tmp_path), "{tmp}")
+    if "--trace-out" in extra:
+        text += (tmp_path / "trace.json").read_text(encoding="utf-8")
+    return text
+
+
+#: Golden id -> (cluster count, workload) of a pinned ``warm_store`` row.
+WARM_STORE_GOLDEN = {
+    "warm-store-1-cluster": (1, "mixed"),
+    "warm-store-1-cluster-embedded-shard-faults": (1, "embedded"),
+    "warm-store-4-clusters": (4, "mixed"),
+}
+
+
+def warm_store_summary(golden_id, tmp_path):
+    """The ``run_summary`` row ``warm_store`` writes for one pinned
+    configuration, as stored."""
+    num_clusters, kind = WARM_STORE_GOLDEN[golden_id]
+    embedded = _EMBEDDED_SHARD_FAULTS if kind == "embedded" else []
+    path = tmp_path / "wl.json"
+    _quiet_main([*_MIXED_WORKLOAD, *embedded, "--output", str(path)])
+    workload = Workload.load(str(path))
+    clusters = [
+        Cluster(
+            [get_machine("m4.2xlarge"), get_machine("c4.2xlarge")],
+            perf=PerformanceModel(model_scale=0.01),
+        )
+        for _ in range(num_clusters)
+    ]
+    with SummaryStore.create(str(tmp_path / "store.sqlite")) as store:
+        warm_store(store, workload, clusters)
+        row = store.get(
+            "run_summary",
+            run_summary_key(clusters, workload, "default", num_clusters),
+        )
+    assert row is not None
+    return row.decode("utf-8")
+
+
+class TestServeGolden:
+    """``repro serve`` prints the same bytes in service mode (text,
+    ``--json``, ``--trace-out``), on a workload with embedded shard
+    faults, with ``--shards 1``, with ``--shards 4`` and a shard-fault
+    file, and on a streaming job checkpointing every epoch; ``warm_store``
+    writes the same run summary for one and for four clusters."""
+
+    @pytest.mark.parametrize("config_id", sorted(SERVE_GOLDEN_CONFIGS))
+    def test_stdout_matches_fixture(self, config_id, tmp_path):
+        expected = json.loads(_GOLDEN_SERVE.read_text())[config_id]
+        assert serve_golden_stdout(config_id, tmp_path) == expected
+
+    @pytest.mark.parametrize("golden_id", sorted(WARM_STORE_GOLDEN))
+    def test_warm_store_summary_matches_fixture(self, golden_id, tmp_path):
+        expected = json.loads(_GOLDEN_SERVE.read_text())[golden_id]
+        assert warm_store_summary(golden_id, tmp_path) == expected
+
+
+class TestServiceMode:
+    def test_embedded_shard_faults_are_ignored(self, tmp_path):
+        """Plain ``serve`` is one service with no shard to crash: a
+        shard-crash schedule embedded in the workload changes no byte of
+        its trace, while ``--shards`` replays that schedule."""
+        plain = tmp_path / "plain.json"
+        faulted = tmp_path / "faulted.json"
+        _quiet_main([*_MIXED_WORKLOAD, "--output", str(plain)])
+        _quiet_main([*_MIXED_WORKLOAD, *_EMBEDDED_SHARD_FAULTS,
+                     "--output", str(faulted)])
+        assert Workload.load(str(faulted)).shard_faults.crashes
+        traces = []
+        for workload in (plain, faulted):
+            trace = tmp_path / f"{workload.stem}.trace.json"
+            _quiet_main(["serve", "--cluster", CLUSTER, "--workload",
+                         str(workload), "--trace-out", str(trace)])
+            traces.append(trace.read_text(encoding="utf-8"))
+        assert traces[0] == traces[1]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["serve", "--cluster", CLUSTER, "--workload",
+                         str(faulted), "--shards", "2", "--json"]) == 0
+        assert json.loads(out.getvalue())["shard_crashes"] >= 1
