@@ -44,7 +44,7 @@ The robustness layer, in the order a job meets it:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
@@ -70,7 +70,6 @@ from repro.service.service import (
     _locate_reason,
 )
 from repro.streaming.recovery import CheckpointCustody
-from repro.utils.rng import make_rng
 
 __all__ = [
     "FederationPolicy",
@@ -286,6 +285,17 @@ class _Shard:
     failovers_in: int = 0
     failovers_out: int = 0
     crashes: int = 0
+
+    def reset(self, seed: int) -> None:
+        """Forget the previous replay: every field back to its default, a
+        fresh journal, and the service's replay state seeded anew."""
+        for f in fields(self):
+            if f.default is not MISSING:
+                setattr(self, f.name, f.default)
+            elif f.default_factory is not MISSING:
+                setattr(self, f.name, f.default_factory())
+        self.journal = ShardJournal(self.shard_id)
+        self.service._reset(seed)
 
 
 class FederationService:
@@ -773,7 +783,10 @@ class FederationService:
         identical replays walk the identical event sequence.
 
         ``shard_faults`` overrides the workload's own embedded schedule
-        (if any); passing neither runs a fault-free federation.
+        (if any); passing neither runs a fault-free federation.  Every
+        call starts from fresh per-shard state (journals, queues, clocks,
+        counters, breakers), so a second replay on the same instance is
+        byte-identical to the first.
         """
         faults = shard_faults
         if faults is None:
@@ -803,9 +816,7 @@ class FederationService:
         self._aborted_runs = 0
         self._lost_seconds = 0.0
         for shard in self.shards:
-            shard_seed = workload.seed + shard.shard_id * _SHARD_SEED_STRIDE
-            shard.service._rng = make_rng(shard_seed)
-            shard.service._stream_seed = shard_seed
+            shard.reset(workload.seed + shard.shard_id * _SHARD_SEED_STRIDE)
 
         ptr = 0
         fptr = 0

@@ -370,9 +370,8 @@ class JobService:
     ):
         self.cluster = cluster
         self.policy = policy if policy is not None else ServicePolicy()
-        self.board = BreakerBoard(
-            cluster.num_machines,
-            breaker_policy if breaker_policy is not None else BreakerPolicy(),
+        self._breaker_policy = (
+            breaker_policy if breaker_policy is not None else BreakerPolicy()
         )
         self.estimator = estimator
         self.checkpoint = checkpoint
@@ -381,16 +380,25 @@ class JobService:
         self.stream_checkpoint = (
             stream_checkpoint if stream_checkpoint is not None else checkpoint
         )
+        self._graphs: Dict[Tuple[Any, ...], DiGraph] = {}
+        self._projections: Dict[Tuple[Any, ...], float] = {}
+        self._reset(0)
+
+    def _reset(self, seed: int) -> None:
+        """Start a replay: fresh breakers, no stream artifacts, ``seed``
+        for the retry jitter and the per-job stream seeds.  The graph and
+        projection memos are pure functions of their keys and stay."""
+        self.board = BreakerBoard(
+            self.cluster.num_machines, self._breaker_policy
+        )
         #: job_id -> canonical streaming trace JSON of the last completed
         #: run (the byte-identity proof artifact for recovery tests).
         self.stream_traces: Dict[str, str] = {}
         #: job_id -> batch cursor the last run resumed from (consumed by
         #: the federation to journal ``resumed:<cursor>`` entries).
         self.stream_resumes: Dict[str, int] = {}
-        self._graphs: Dict[Tuple[Any, ...], DiGraph] = {}
-        self._projections: Dict[Tuple[Any, ...], float] = {}
-        self._rng = make_rng(0)
-        self._stream_seed = 0
+        self._rng = make_rng(seed)
+        self._stream_seed = seed
 
     # ------------------------------------------------------------------ #
     # Shared inputs

@@ -8,9 +8,12 @@ that encoding round-trips losslessly:
   the last bit;
 * :class:`~repro.engine.trace.ExecutionTrace` serializes through its
   canonical JSON (format-versioned; stale formats fail loudly on decode);
-* a :class:`~repro.streaming.recovery.StreamCheckpoint` serializes through
-  its canonical JSON too, which is the JSON codec's spelling of its
-  ``to_jsonable()`` form, and decodes to that plain form;
+* a :class:`~repro.streaming.recovery.StreamCheckpoint` serializes as a
+  manifest, its ``manifest_json()`` (header, assignment, weights, record
+  digests in order, fingerprint: the JSON codec's spelling of them), and
+  decodes to that plain form once its shape checks out; each epoch
+  record it names is one ``stream_record`` row, the record's canonical
+  JSON fragment, which decodes to the record object;
 * partition assignments serialize as a dtype/length header plus the raw
   little-endian array bytes, and decode to a *read-only* array — exactly
   the frozen object the in-process assignment cache shares.
@@ -36,6 +39,7 @@ __all__ = [
     "ASSIGNMENT_CODEC",
     "JSON_CODEC",
     "CHECKPOINT_CODEC",
+    "RECORD_CODEC",
     "CODECS",
 ]
 
@@ -120,15 +124,62 @@ def _decode_json(payload: bytes) -> Any:
     return json.loads(payload.decode("utf-8"))
 
 
+def _encode_manifest(checkpoint: Any) -> bytes:
+    encoded: bytes = checkpoint.manifest_json().encode("utf-8")
+    return encoded
+
+
+def _is_digest(value: Any) -> bool:
+    return (
+        isinstance(value, str)
+        and len(value) == 64
+        and all(c in "0123456789abcdef" for c in value)
+    )
+
+
+def _decode_manifest(payload: bytes) -> Any:
+    """The plain manifest; anything that is not one raises ``ValueError``.
+
+    Only the shape the re-assembly walks is checked here (an object with
+    a ``records`` list of sha256 digests and a ``fingerprint``); the
+    header fields are checked by ``StreamCheckpoint.from_jsonable``.  A
+    full-snapshot row of the earlier layout has neither key.
+    """
+    doc = _decode_json(payload)
+    if not isinstance(doc, dict):
+        raise ValueError("checkpoint manifest is not a JSON object")
+    records = doc.get("records")
+    if not isinstance(records, list) or not all(map(_is_digest, records)):
+        raise ValueError("checkpoint manifest has no list of record digests")
+    if not _is_digest(doc.get("fingerprint")):
+        raise ValueError("checkpoint manifest has no sha256 fingerprint")
+    if "epoch_records" in doc:
+        raise ValueError("checkpoint manifest carries its records inline")
+    return doc
+
+
+def _encode_text(text: Any) -> bytes:
+    encoded: bytes = text.encode("utf-8")
+    return encoded
+
+
+def _decode_record(payload: bytes) -> Any:
+    record = _decode_json(payload)
+    if not isinstance(record, dict):
+        raise ValueError("epoch record row is not a JSON object")
+    return record
+
+
 FLOAT_CODEC = PayloadCodec("float", _encode_float, _decode_float)
 TRACE_CODEC = PayloadCodec("trace", _encode_canonical, _decode_trace)
 ASSIGNMENT_CODEC = PayloadCodec(
     "assignment", _encode_assignment, _decode_assignment
 )
 JSON_CODEC = PayloadCodec("json", _encode_json, _decode_json)
-#: Same bytes as ``JSON_CODEC.encode(checkpoint.to_jsonable())``, but the
-#: checkpoint's memoised text is reused instead of encoded again.
-CHECKPOINT_CODEC = PayloadCodec("json", _encode_canonical, _decode_json)
+#: ``checkpoint.manifest_json()``, decoded with a shape check.
+CHECKPOINT_CODEC = PayloadCodec("manifest", _encode_manifest, _decode_manifest)
+#: One epoch record's canonical JSON fragment (``record_json()``) as is.
+RECORD_CODEC = PayloadCodec("record", _encode_text, _decode_record)
 
 #: Namespace -> codec, for every persisted namespace.  ``dgraph`` is
 #: deliberately absent: materialized layouts are cheap to rebuild and
@@ -140,4 +191,5 @@ CODECS = {
     "assignment": ASSIGNMENT_CODEC,
     "run_summary": JSON_CODEC,
     "stream_checkpoint": CHECKPOINT_CODEC,
+    "stream_record": RECORD_CODEC,
 }

@@ -350,11 +350,20 @@ class SummaryStore:
         )
         return count
 
+    def quarantine(self, namespace: str, key_text: str, reason: str) -> None:
+        """Quarantine one row a reader found unusable, present or not.
+
+        For a check the store cannot make itself, such as a row that does
+        not match the manifest naming it.  The row is deleted, and a row
+        already quarantined keeps its first reason.
+        """
+        self._quarantine(namespace, key_sha(key_text), reason)
+
     def _quarantine(self, namespace: str, sha: str, reason: str) -> None:
         self._write(
             (
                 (
-                    "INSERT OR REPLACE INTO quarantine "
+                    "INSERT OR IGNORE INTO quarantine "
                     "(namespace, key_sha, reason) VALUES (?, ?, ?)",
                     (namespace, sha, reason),
                 ),

@@ -36,6 +36,7 @@ from repro.streaming.mutations import (
 )
 from repro.streaming.recovery import (
     CHECKPOINT_NAMESPACE,
+    RECORD_NAMESPACE,
     STREAM_CHECKPOINT_FORMAT_VERSION,
     CheckpointCustody,
     RestoredEpoch,
@@ -72,6 +73,7 @@ __all__ = [
     "StreamingResult",
     "StreamingSystem",
     "CHECKPOINT_NAMESPACE",
+    "RECORD_NAMESPACE",
     "STREAM_CHECKPOINT_FORMAT_VERSION",
     "StreamCheckpoint",
     "RestoredEpoch",

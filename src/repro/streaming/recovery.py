@@ -10,13 +10,21 @@ state; this module holds what survives it:
   partitioner's assignment + target weights.  The graph itself
   is *not* serialized: consumed batches are pure data and are replayed
   structurally on restore, which is cheap and exactly-once by
-  construction (no epoch is ever re-priced into the trace).
+  construction (no epoch is ever re-priced into the trace).  A run
+  encodes each epoch record once and every later snapshot shares that
+  fragment; the snapshot's size and fingerprint are summed and hashed
+  from the fragments, so the whole canonical text is only built on
+  demand (:meth:`StreamCheckpoint.canonical_json`).
 * :class:`CheckpointCustody` — the durable side.  It tracks, per job,
   which checkpoints had hit disk by any given instant (the federation
   seals the set at a shard-crash time) and optionally persists every
-  snapshot through :mod:`repro.store` under the ``stream_checkpoint``
-  namespace, inheriting the store's per-row sha256 verification and
-  quarantine-and-recompute contract.
+  snapshot through :mod:`repro.store`: each epoch record once, as a
+  content-addressed ``stream_record`` row keyed by its sha256, and each
+  snapshot as a small ``stream_checkpoint`` manifest (header,
+  assignment, weights, record digests in order, fingerprint).  Rows
+  inherit the store's per-row sha256 verification and
+  quarantine-and-recompute contract; a fetch re-assembles the snapshot
+  and checks every record digest and the fingerprint.
 * :func:`replay_consumed_batches` — the structural half of a resume.
 
 The epoch loop that takes the snapshots, recovers from crashes and
@@ -44,9 +52,13 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
+    Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
+    Sequence,
+    Set,
     Tuple,
 )
 
@@ -60,6 +72,7 @@ if TYPE_CHECKING:
 __all__ = [
     "STREAM_CHECKPOINT_FORMAT_VERSION",
     "CHECKPOINT_NAMESPACE",
+    "RECORD_NAMESPACE",
     "StreamCheckpoint",
     "RestoredEpoch",
     "CheckpointCustody",
@@ -69,13 +82,68 @@ __all__ = [
 #: Bump when the checkpoint layout changes; readers reject other versions.
 STREAM_CHECKPOINT_FORMAT_VERSION = 1
 
-#: Summary-store namespace holding persisted checkpoints.
+#: Summary-store namespace holding one manifest row per snapshot.
 CHECKPOINT_NAMESPACE = "stream_checkpoint"
+
+#: Summary-store namespace holding each epoch record once, keyed by the
+#: sha256 of its canonical JSON.
+RECORD_NAMESPACE = "stream_record"
 
 
 def _canonical(value: Any) -> str:
     """Canonical JSON of one value: sorted keys, fixed separators."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+#: Values per piece when an integer array is encoded piecewise: the JSON
+#: encoder holds one small string per element until it joins them, so a
+#: whole assignment at once would cost several times its text.
+_INT_RUN = 512
+
+
+def _int_runs(values: Sequence[int]) -> Iterator[str]:
+    """Canonical JSON of ``values`` as array items, ``_INT_RUN`` at a time."""
+    for start in range(0, len(values), _INT_RUN):
+        yield _canonical(list(values[start:start + _INT_RUN]))[1:-1]
+
+
+def _json_array(items: Iterable[str]) -> Iterator[str]:
+    """Canonical JSON array pieces around already-encoded items."""
+    yield "["
+    for index, item in enumerate(items):
+        if index:
+            yield ","
+        yield item
+    yield "]"
+
+
+def _json_object(
+    fields: Mapping[str, Any], spliced: Mapping[str, Iterator[str]]
+) -> Iterator[str]:
+    """Canonical JSON object pieces of ``fields`` plus ``spliced``, whose
+    values arrive already encoded, as pieces."""
+    for index, key in enumerate(sorted({*fields, *spliced})):
+        yield ("{" if index == 0 else ",") + _canonical(key) + ":"
+        if key in spliced:
+            yield from spliced[key]
+        else:
+            yield _canonical(fields[key])
+    yield "}"
+
+
+def _array_field(payload: Mapping[str, Any], key: str) -> List[Any]:
+    """``payload[key]``, which must be a JSON array."""
+    value = payload[key]
+    if not isinstance(value, (list, tuple)):
+        raise StreamCheckpointError(
+            f"checkpoint {key} must be an array, got {type(value).__name__}"
+        )
+    return list(value)
+
+
+def record_key(digest: str) -> str:
+    """Summary-store key text of the epoch-record row with this sha256."""
+    return f"{RECORD_NAMESPACE}:sha256={digest}"
 
 
 # ---------------------------------------------------------------------- #
@@ -147,7 +215,7 @@ class RestoredEpoch:
                 ),
                 update=update,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise StreamCheckpointError(
                 f"malformed epoch record in checkpoint: {exc}"
             ) from exc
@@ -206,12 +274,17 @@ class StreamCheckpoint:
     weights: Tuple[float, ...]
     format_version: int = STREAM_CHECKPOINT_FORMAT_VERSION
     #: Memoised encodings (the checkpoint is immutable): the canonical JSON
-    #: of a prefix of ``epoch_records`` (all of them once
-    #: :meth:`record_json` has run), and of the whole snapshot.
+    #: of a prefix of ``epoch_records`` and the sha256 of a prefix of
+    #: those fragments (all of them once :meth:`record_json` /
+    #: :meth:`record_digests` has run), and the ``(size, sha256)`` pair
+    #: of the whole snapshot text.
     _record_json: Tuple[str, ...] = field(
         default=(), init=False, repr=False, compare=False
     )
-    _text: Optional[str] = field(
+    _record_digests: Tuple[str, ...] = field(
+        default=(), init=False, repr=False, compare=False
+    )
+    _measured: Optional[Tuple[int, str]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -248,7 +321,9 @@ class StreamCheckpoint:
 
     # ------------------------------------------------------------------ #
 
-    def to_jsonable(self) -> Dict[str, Any]:
+    def _fields(self) -> Dict[str, Any]:
+        """Every JSON field except the two long arrays, ``assignment`` and
+        ``epoch_records``."""
         return {
             "format_version": self.format_version,
             "app": self.app,
@@ -260,11 +335,15 @@ class StreamCheckpoint:
             "stream_fingerprint": self.stream_fingerprint,
             "batch_cursor": self.batch_cursor,
             "clock_s": self.clock_s,
-            "epoch_records": [dict(r) for r in self.epoch_records],
-            "assignment": list(self.assignment),
             "weights": list(self.weights),
             "monitor": None,
         }
+
+    def to_jsonable(self) -> Dict[str, Any]:
+        doc = self._fields()
+        doc["assignment"] = list(self.assignment)
+        doc["epoch_records"] = [dict(r) for r in self.epoch_records]
+        return doc
 
     def record_json(self) -> Tuple[str, ...]:
         """Canonical JSON of each epoch record, parallel to ``epoch_records``.
@@ -282,36 +361,95 @@ class StreamCheckpoint:
             object.__setattr__(self, "_record_json", fragments)
         return fragments
 
+    def record_digests(self) -> Tuple[str, ...]:
+        """sha256 of each :meth:`record_json` fragment: its store address."""
+        digests = self._record_digests
+        fragments = self.record_json()
+        if len(digests) < len(fragments):
+            digests += tuple(
+                hashlib.sha256(f.encode("utf-8")).hexdigest()
+                for f in fragments[len(digests):]
+            )
+            object.__setattr__(self, "_record_digests", digests)
+        return digests
+
+    def share_encodings(self, earlier: "StreamCheckpoint") -> None:
+        """Adopt the record encodings of an earlier snapshot of the same run.
+
+        ``earlier.epoch_records`` must be a prefix of this snapshot's, as
+        it is for every snapshot a run takes after another.
+        """
+        object.__setattr__(self, "_record_json", earlier._record_json)
+        object.__setattr__(self, "_record_digests", earlier._record_digests)
+
+    def _pieces(self) -> Iterator[str]:
+        """The canonical text in order, one epoch fragment or a short run
+        of other text at a time.  Joined, they are :meth:`canonical_json`."""
+        return _json_object(
+            self._fields(),
+            {
+                "assignment": _json_array(_int_runs(self.assignment)),
+                "epoch_records": _json_array(self.record_json()),
+            },
+        )
+
     def canonical_json(self) -> str:
         """Deterministic single-line JSON (sorted keys, fixed separators).
 
         The bytes of ``json.dumps(to_jsonable(), sort_keys=True,
-        separators=(",", ":"))``, built once per checkpoint by splicing
-        :meth:`record_json` into the sorted top-level object;
-        :meth:`fingerprint`, :meth:`state_bytes` and the store row all
-        share the text.
+        separators=(",", ":"))``, spliced from :meth:`record_json`.  It is
+        the one definition of the snapshot bytes, but nothing on a run's
+        path builds it: :meth:`state_bytes` and :meth:`fingerprint` walk
+        the same pieces, and the store keeps a manifest plus one row per
+        record.
         """
-        text = self._text
-        if text is None:
-            doc = self.to_jsonable()
-            records = "[" + ",".join(self.record_json()) + "]"
-            text = "{" + ",".join(
-                _canonical(key) + ":"
-                + (records if key == "epoch_records" else _canonical(doc[key]))
-                for key in sorted(doc)
-            ) + "}"
-            object.__setattr__(self, "_text", text)
-        return text
+        return "".join(self._pieces())
+
+    def _measure(self) -> Tuple[int, str]:
+        """``(len, sha256)`` of the canonical text, fed piece by piece."""
+        measured = self._measured
+        if measured is None:
+            digest = hashlib.sha256()
+            size = 0
+            for piece in self._pieces():
+                data = piece.encode("utf-8")
+                digest.update(data)
+                size += len(data)
+            measured = (size, digest.hexdigest())
+            object.__setattr__(self, "_measured", measured)
+        return measured
 
     def fingerprint(self) -> str:
         """sha256 of the canonical JSON — the checkpoint's identity."""
-        return hashlib.sha256(
-            self.canonical_json().encode("utf-8")
-        ).hexdigest()
+        return self._measure()[1]
 
     def state_bytes(self) -> int:
-        """Snapshot size the checkpoint cost model charges for."""
-        return len(self.canonical_json().encode("utf-8"))
+        """Snapshot size the checkpoint cost model charges for: the length
+        of the canonical JSON in bytes."""
+        return self._measure()[0]
+
+    def manifest_json(self) -> str:
+        """The persisted form: canonical JSON of the fields without
+        ``monitor``, the ``records`` digests in order and the
+        ``fingerprint``.
+
+        The records themselves are stored once each, under
+        :func:`record_key` of their digest.
+        """
+        fields = self._fields()
+        del fields["monitor"]
+        fields["fingerprint"] = self.fingerprint()
+        return "".join(
+            _json_object(
+                fields,
+                {
+                    "assignment": _json_array(_int_runs(self.assignment)),
+                    "records": _json_array(
+                        map(_canonical, self.record_digests())
+                    ),
+                },
+            )
+        )
 
     def checkpoint_key(self, job_id: str) -> str:
         """Canonical summary-store key text for one persisted snapshot."""
@@ -339,7 +477,7 @@ class StreamCheckpoint:
             "stream_fingerprint", "batch_cursor", "clock_s",
             "epoch_records", "assignment", "weights", "monitor",
         }
-        unknown = sorted(set(payload) - known)
+        unknown = sorted(set(payload) - known, key=repr)
         if unknown:
             raise StreamCheckpointError(
                 f"unknown checkpoint fields {unknown}"
@@ -350,6 +488,11 @@ class StreamCheckpoint:
                 f"{type(payload['monitor']).__name__}"
             )
         try:
+            records = _array_field(payload, "epoch_records")
+            if not all(isinstance(r, Mapping) for r in records):
+                raise StreamCheckpointError(
+                    "checkpoint epoch_records must be objects"
+                )
             return cls(
                 format_version=int(payload["format_version"]),
                 app=str(payload["app"]),
@@ -361,13 +504,15 @@ class StreamCheckpoint:
                 stream_fingerprint=str(payload["stream_fingerprint"]),
                 batch_cursor=int(payload["batch_cursor"]),
                 clock_s=float(payload["clock_s"]),
-                epoch_records=tuple(payload["epoch_records"]),
+                epoch_records=tuple(records),
                 assignment=tuple(
-                    int(a) for a in payload["assignment"]
+                    int(a) for a in _array_field(payload, "assignment")
                 ),
-                weights=tuple(float(w) for w in payload["weights"]),
+                weights=tuple(
+                    float(w) for w in _array_field(payload, "weights")
+                ),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise StreamCheckpointError(
                 f"malformed checkpoint payload: {exc}"
             ) from exc
@@ -394,14 +539,19 @@ class CheckpointCustody:
     offset — snapshots still being written when the shard died are
     dropped — and the adopting shard resumes from :meth:`latest`.  With a
     :class:`~repro.store.store.SummaryStore` attached every snapshot is
-    also persisted under the ``stream_checkpoint`` namespace (per-row
-    sha256 verification and quarantine-and-recompute included), so a
-    process restart can re-hydrate custody from disk.
+    also persisted (per-row sha256 verification and
+    quarantine-and-recompute included), so a process restart can
+    re-hydrate custody from disk: each epoch record once under
+    ``stream_record``, and one manifest per snapshot under
+    ``stream_checkpoint``.
     """
 
     def __init__(self, store: Optional["SummaryStore"] = None):
         self._store = store
         self._entries: Dict[str, List[Tuple[float, StreamCheckpoint]]] = {}
+        #: Digests of the record rows this custody has written and not
+        #: since seen quarantined: a snapshot writes only the others.
+        self._written: Set[str] = set()
 
     @property
     def store(self) -> Optional["SummaryStore"]:
@@ -417,6 +567,17 @@ class CheckpointCustody:
         if self._store is not None:
             from repro.store.codecs import CODECS
 
+            records = CODECS[RECORD_NAMESPACE]
+            for fragment, digest in zip(
+                checkpoint.record_json(), checkpoint.record_digests()
+            ):
+                if digest not in self._written:
+                    self._store.put(
+                        RECORD_NAMESPACE,
+                        record_key(digest),
+                        records.encode(fragment),
+                    )
+                    self._written.add(digest)
             self._store.put(
                 CHECKPOINT_NAMESPACE,
                 checkpoint.checkpoint_key(job_id),
@@ -456,20 +617,80 @@ class CheckpointCustody:
     def fetch(self, key_text: str) -> Optional[StreamCheckpoint]:
         """Re-hydrate one persisted snapshot from the attached store.
 
-        Returns ``None`` on a miss *or* a quarantined row (the store
-        verifies the payload sha256 and quarantines mismatches and
-        undecodable payloads); the caller recomputes.
+        Reads the manifest, then each record row it names, checking every
+        row against its digest and the re-assembled snapshot against the
+        manifest's fingerprint.  Returns ``None`` on a miss; a missing,
+        corrupt or undecodable row is quarantined first (the manifest
+        for a bad manifest, the record row for a bad record — which
+        voids every snapshot that names it until a later :meth:`record`
+        rewrites it).  The caller recomputes.
         """
-        if self._store is None:
+        store = self._store
+        if store is None:
             return None
         from repro.store.codecs import CODECS
 
-        decoded = self._store.get_decoded(
+        manifest = store.get_decoded(
             CHECKPOINT_NAMESPACE, key_text, CODECS[CHECKPOINT_NAMESPACE]
         )
-        if decoded is None:
+        if manifest is None:
             return None
-        return StreamCheckpoint.from_jsonable(decoded)
+        digests = manifest.pop("records")
+        fingerprint = manifest.pop("fingerprint")
+        fragments: List[str] = []
+        records: List[Mapping[str, Any]] = []
+        for digest in digests:
+            loaded = self._fetch_record(store, digest)
+            if loaded is None:
+                return None
+            fragments.append(loaded[0])
+            records.append(loaded[1])
+        try:
+            checkpoint = StreamCheckpoint.from_jsonable(
+                {**manifest, "epoch_records": records}
+            )
+        except StreamCheckpointError as exc:
+            store.quarantine(
+                CHECKPOINT_NAMESPACE, key_text, f"invalid manifest ({exc})"
+            )
+            return None
+        object.__setattr__(checkpoint, "_record_json", tuple(fragments))
+        object.__setattr__(checkpoint, "_record_digests", tuple(digests))
+        if checkpoint.fingerprint() != fingerprint:
+            store.quarantine(
+                CHECKPOINT_NAMESPACE,
+                key_text,
+                "re-assembled snapshot does not match the manifest "
+                "fingerprint",
+            )
+            return None
+        return checkpoint
+
+    def _fetch_record(
+        self, store: "SummaryStore", digest: str
+    ) -> Optional[Tuple[str, Mapping[str, Any]]]:
+        """The verified fragment and record stored under ``digest``.
+
+        A missing row, or one whose bytes do not hash to ``digest`` or do
+        not decode, is quarantined, forgotten as written, and ``None``.
+        """
+        from repro.store.codecs import CODECS
+
+        key = record_key(digest)
+        payload = store.get(RECORD_NAMESPACE, key)
+        if payload is None:
+            reason = "missing epoch record row"
+        elif hashlib.sha256(payload).hexdigest() != digest:
+            reason = "epoch record row does not match its digest"
+        else:
+            try:
+                record = CODECS[RECORD_NAMESPACE].decode(payload)
+                return payload.decode("utf-8"), record
+            except ValueError as exc:
+                reason = f"undecodable epoch record row ({exc})"
+        store.quarantine(RECORD_NAMESPACE, key, reason)
+        self._written.discard(digest)
+        return None
 
 
 # ---------------------------------------------------------------------- #

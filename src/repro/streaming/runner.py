@@ -308,10 +308,10 @@ class StreamingSystem:
 
         bill = RecoveryBill(unit="epoch")
         epochs: List[EpochLike] = []
-        #: Records of ``epochs[:len(records)]`` and their canonical JSON,
-        #: each built once and shared by every later snapshot.
+        #: Records of ``epochs[:len(records)]``, each built once; the last
+        #: snapshot taken (or resumed from) hands its record encodings on.
         records: List[Mapping[str, Any]] = []
-        encoded: Tuple[str, ...] = ()
+        previous: Optional[StreamCheckpoint] = None
         clock = 0.0
         #: Epoch index of the last durable snapshot (-1 = none: replay
         #: from scratch).
@@ -362,17 +362,17 @@ class StreamingSystem:
                         )
 
         def maybe_checkpoint(epoch: int) -> None:
-            nonlocal last_durable, encoded
+            nonlocal last_durable, previous
             if not checkpoint.is_checkpoint_step(epoch):
                 return
             records.extend(e.to_record() for e in epochs[len(records):])
             snapshot = self._capture(
                 app, partitioner, *fingerprints(),
                 cursor=epoch, clock_s=clock, records=records,
-                encoded=encoded, result=incremental.result,
+                previous=previous, result=incremental.result,
             )
             cost = checkpoint.checkpoint_seconds(float(snapshot.state_bytes()))
-            encoded = snapshot.record_json()
+            previous = snapshot
             bill.checkpoints += 1
             bill.checkpoint_seconds += cost
             last_durable = epoch
@@ -413,7 +413,7 @@ class StreamingSystem:
                 )
                 epochs.extend(resume.restored_epochs())
                 records.extend(resume.epoch_records)
-                encoded = resume.record_json()
+                previous = resume
                 clock = resume.clock_s
                 last_durable = resume.batch_cursor
                 bill.resumed_from_batch = resume.batch_cursor
@@ -523,7 +523,7 @@ class StreamingSystem:
         cursor: int,
         clock_s: float,
         records: List[Mapping[str, Any]],
-        encoded: Tuple[str, ...],
+        previous: Optional[StreamCheckpoint],
         result: PartitionResult,
     ) -> StreamCheckpoint:
         snapshot = StreamCheckpoint(
@@ -540,8 +540,8 @@ class StreamingSystem:
             assignment=tuple(result.assignment.tolist()),
             weights=tuple(float(w) for w in result.weights),
         )
-        # Reuse the previous snapshot's encodings of the earlier epochs.
-        object.__setattr__(snapshot, "_record_json", encoded)
+        if previous is not None:
+            snapshot.share_encodings(previous)
         return snapshot
 
     def _execute_epoch(

@@ -216,4 +216,5 @@ class TestCodecs:
             "profile_trace",
             "run_summary",
             "stream_checkpoint",
+            "stream_record",
         ]

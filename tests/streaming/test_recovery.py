@@ -144,6 +144,19 @@ class TestStreamCheckpoint:
         restored = StreamCheckpoint.from_jsonable(payload)
         assert restored.canonical_json() == checkpoint.canonical_json()
 
+    def test_non_object_epoch_record_rejected(self, checkpoint):
+        payload = json.loads(checkpoint.canonical_json())
+        payload["epoch_records"][1] = [1]
+        with pytest.raises(StreamCheckpointError, match="objects"):
+            StreamCheckpoint.from_jsonable(payload)
+
+    @pytest.mark.parametrize("field", ["assignment", "weights"])
+    def test_array_fields_must_be_arrays(self, checkpoint, field):
+        payload = json.loads(checkpoint.canonical_json())
+        payload[field] = "01"
+        with pytest.raises(StreamCheckpointError, match="must be an array"):
+            StreamCheckpoint.from_jsonable(payload)
+
     def test_record_count_invariant_enforced(self, checkpoint):
         with pytest.raises(StreamCheckpointError, match="epoch records"):
             dataclasses.replace(checkpoint, batch_cursor=5)

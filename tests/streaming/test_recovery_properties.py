@@ -6,11 +6,13 @@ continue the run byte-identically to the undisturbed trace — for every
 Case 1 partitioning strategy.  Also sweeps
 the serialization invariants themselves (canonical-JSON idempotence,
 fingerprint stability, validation of tampered payloads), and pins the
-spliced canonical text, the store row and the billed snapshot size to
-plain ``json.dumps`` of ``to_jsonable()`` for random checkpoints.
+spliced canonical text, the billed snapshot size, the fingerprint and
+the text the store's manifest and record rows re-assemble to plain
+``json.dumps`` of ``to_jsonable()`` for random checkpoints.
 """
 
 import dataclasses
+import hashlib
 import json
 from types import SimpleNamespace
 
@@ -27,11 +29,13 @@ from repro.powerlaw.generator import generate_power_law_graph
 from repro.store.codecs import JSON_CODEC
 from repro.streaming import (
     CHECKPOINT_NAMESPACE,
+    RECORD_NAMESPACE,
     CheckpointCustody,
     StreamCheckpoint,
     StreamingSystem,
     generate_stream,
 )
+from repro.streaming.recovery import record_key
 
 APP = "pagerank"
 HALO = 1
@@ -202,7 +206,7 @@ def _live_capture(fields):
         weights=np.asarray(fields["weights"], dtype=np.float64),
     )
 
-    def capture(cursor, encoded):
+    def capture(cursor, previous):
         return system._capture(
             SimpleNamespace(name=fields["app"]),
             SimpleNamespace(name=fields["algorithm"]),
@@ -211,13 +215,16 @@ def _live_capture(fields):
             cursor=cursor,
             clock_s=fields["clock_s"],
             records=list(fields["epoch_records"][: cursor + 1]),
-            encoded=encoded,
+            previous=previous,
             result=result,
         )
 
     cursor = fields["batch_cursor"]
-    encoded = capture(cursor - 1, ()).record_json() if cursor else ()
-    return capture(cursor, encoded)
+    previous = None
+    if cursor:
+        previous = capture(cursor - 1, None)
+        previous.record_digests()
+    return capture(cursor, previous)
 
 
 @pytest.fixture(scope="module")
@@ -232,15 +239,32 @@ def store(tmp_path_factory):
 
 
 def _assert_one_encoding(checkpoint, store):
-    """Text, store row and billed size are all the plain JSON encoding."""
-    CheckpointCustody(store).record("bytes", checkpoint, durable_at_s=0.0)
-    payload = store.get(CHECKPOINT_NAMESPACE, checkpoint.checkpoint_key("bytes"))
-    plain = checkpoint.to_jsonable()
-    assert checkpoint.canonical_json() == json.dumps(
-        plain, sort_keys=True, separators=(",", ":")
+    """Text, billed size and fingerprint are the plain JSON encoding, and
+    the store's manifest and record rows re-assemble exactly that text."""
+    custody = CheckpointCustody(store)
+    custody.record("bytes", checkpoint, durable_at_s=0.0)
+    text = json.dumps(
+        checkpoint.to_jsonable(), sort_keys=True, separators=(",", ":")
     )
-    assert payload == JSON_CODEC.encode(plain)
-    assert checkpoint.state_bytes() == len(payload)
+    data = text.encode("utf-8")
+    assert checkpoint.canonical_json() == text
+    assert checkpoint.state_bytes() == len(data)
+    assert checkpoint.fingerprint() == hashlib.sha256(data).hexdigest()
+    manifest = checkpoint.to_jsonable()
+    del manifest["epoch_records"], manifest["monitor"]
+    manifest["records"] = list(checkpoint.record_digests())
+    manifest["fingerprint"] = checkpoint.fingerprint()
+    key = checkpoint.checkpoint_key("bytes")
+    assert store.get(CHECKPOINT_NAMESPACE, key) == JSON_CODEC.encode(manifest)
+    for fragment, digest in zip(
+        checkpoint.record_json(), checkpoint.record_digests()
+    ):
+        row = store.get(RECORD_NAMESPACE, record_key(digest))
+        assert row == fragment.encode("utf-8")
+        assert hashlib.sha256(row).hexdigest() == digest
+    fetched = custody.fetch(key)
+    assert fetched is not None
+    assert fetched.canonical_json() == text
 
 
 class TestOneEncoding:

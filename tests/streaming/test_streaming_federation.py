@@ -223,3 +223,20 @@ class TestWithoutCustody:
         assert service.num_shards == GOLDEN_FED_SHARDS
         for shard in service.shards:
             assert shard.service.checkpoints is custody
+
+
+class TestReplayTwiceOnOneInstance:
+    def test_golden_workload_replays_byte_identically(self, crash_schedule):
+        # Fault-free and with the mid-stream crash, on one federation:
+        # the second replay of each must not see the first's journals,
+        # clocks or stream artifacts.
+        _, faults = crash_schedule
+        service = _service()
+        workload = golden_federated_stream_workload()
+        for shard_faults in (None, faults):
+            first = service.run_workload(workload, shard_faults=shard_faults)
+            first_stream = _stream_trace(service, first)
+            second = service.run_workload(workload, shard_faults=shard_faults)
+            assert second.trace_json() == first.trace_json()
+            assert _stream_trace(service, second) == first_stream
+            assert _sha256(first_stream) == STREAM_TRACE_SHA256

@@ -570,3 +570,31 @@ class TestScaleOutBaseline:
         assert measured == pytest.approx(
             SCALE_OUT_BASELINE[num_shards], rel=1e-6, abs=1e-6
         )
+
+
+class TestReplayTwiceOnOneInstance:
+    """A replay owes nothing to the previous one on the same instance:
+    journals, queues, shard clocks, counters and breakers start afresh."""
+
+    def test_second_replay_is_byte_identical(self):
+        workload = generate_workload(
+            40,
+            seed=17,
+            mean_interarrival_s=0.002,
+            fault_fraction=0.5,
+            crash_rate=0.2,
+        )
+        faults = ShardFaultSchedule(
+            crashes=(ShardCrash(time_s=0.01, shard=1, downtime_s=0.02),)
+        )
+        service = FederationService(
+            [_cluster(), _cluster()],
+            policy=ServicePolicy(max_queue_depth=8),
+            breaker_policy=BreakerPolicy(failure_threshold=1, cooldown_s=0.1),
+            federation=FederationPolicy(steal_backlog=2),
+        )
+        first = service.run_workload(workload, shard_faults=faults)
+        second = service.run_workload(workload, shard_faults=faults)
+        assert first.shard_crashes == 1
+        assert sum(s.breaker_trips for s in first.shards) > 0
+        assert second.trace_json() == first.trace_json()
