@@ -532,7 +532,6 @@ def _process_streaming(args, cluster, graph, estimator, schedule) -> int:
     from repro.apps.registry import make_app
     from repro.faults.checkpoint import CheckpointPolicy, RetryPolicy
     from repro.partition import make_partitioner
-    from repro.partition.metrics import weighted_imbalance
     from repro.streaming import MutationStream, StreamingSystem
     from repro.utils.tables import format_table
 
@@ -584,8 +583,8 @@ def _process_streaming(args, cluster, graph, estimator, schedule) -> int:
             rows.append(
                 (
                     e.epoch,
-                    e.partition.graph.num_edges,
-                    f"{weighted_imbalance(e.partition):.4f}",
+                    e.num_edges,
+                    f"{e.imbalance:.4f}",
                     f"{e.report.runtime_seconds * 1e3:.3f}",
                     affected,
                     reassigned,

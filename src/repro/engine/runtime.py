@@ -42,11 +42,44 @@ from repro.obs import context as obs
 from repro.partition.base import Partitioner, PartitionResult
 from repro.partition.weights import uniform_weights
 
-__all__ = ["RunOutcome", "GraphProcessingSystem", "execute_partition"]
+__all__ = [
+    "LayoutKey",
+    "RunOutcome",
+    "GraphProcessingSystem",
+    "execute_partition",
+    "layout_key",
+    "release_layout",
+]
+
+#: (graph fingerprint, assignment sha256, machine count): the content
+#: identity of one partition's layout, and of every trace run on it.
+LayoutKey = Tuple[str, str, int]
+
+
+def layout_key(partition: PartitionResult) -> LayoutKey:
+    """The content key that :func:`execute_partition` caches under."""
+    return (
+        graph_fingerprint(partition.graph),
+        hashlib.sha256(partition.assignment.tobytes()).hexdigest(),
+        partition.num_machines,
+    )
+
+
+def release_layout(key: LayoutKey) -> None:
+    """Drop the cached layout of ``key`` from memory.
+
+    For a caller that knows the layout will not be asked for again, such
+    as a stream whose next epoch replaced it.  The hit and miss counters
+    are untouched, and the trace cached under the same key stays: it
+    holds no graph.
+    """
+    dgraph_cache.discard(("dgraph",) + key)
 
 
 def execute_partition(
-    app: GraphApplication, partition: PartitionResult
+    app: GraphApplication,
+    partition: PartitionResult,
+    key: Optional[LayoutKey] = None,
 ) -> Tuple[DistributedGraph, ExecutionTrace]:
     """Lay out a partition and execute an application on it, once.
 
@@ -59,13 +92,12 @@ def execute_partition(
     mutates them, so a hit returns exactly the bytes a miss would.  A
     cached trace also carries a price memo, so each distinct cluster
     prices it once (:func:`~repro.engine.report.enable_price_memo`).
+    A caller that already holds the partition's :func:`layout_key` passes
+    it as ``key``.
     """
-    layout_key = (
-        graph_fingerprint(partition.graph),
-        hashlib.sha256(partition.assignment.tobytes()).hexdigest(),
-        partition.num_machines,
-    )
-    dgraph_key = ("dgraph",) + layout_key
+    if key is None:
+        key = layout_key(partition)
+    dgraph_key = ("dgraph",) + key
     dgraph = dgraph_cache.get(dgraph_key)
     if dgraph is None:
         dgraph = DistributedGraph(partition)
@@ -73,7 +105,7 @@ def execute_partition(
     akey = app_key(app)
     if akey is None:
         return dgraph, app.execute(dgraph)
-    trace_key = ("trace", akey) + layout_key
+    trace_key = ("trace", akey) + key
     trace = trace_cache.get(trace_key)
     if trace is None:
         trace = app.execute(dgraph)

@@ -93,15 +93,6 @@ def cached_triangle_total(app: "TriangleCount", graph: "DiGraph") -> int:
 _DENSE_SYNC_FRACTION = 8
 
 
-def _presence_f(dgraph: "DistributedGraph") -> NDArray[np.float64]:
-    """Float64 presence matrix, memoised per distributed graph."""
-    pres = dgraph.__dict__.get("_kernels_presence_f")
-    if pres is None:
-        pres = dgraph.presence.astype(np.float64)
-        dgraph.__dict__["_kernels_presence_f"] = pres
-    return pres  # type: ignore[no-any-return]
-
-
 def sync_bytes_vectorized(
     dgraph: "DistributedGraph",
     active: NDArray[np.bool_],
@@ -113,7 +104,9 @@ def sync_bytes_vectorized(
     ``bincount(masters, weights=copies-1)`` master legs.  All terms are
     integer-valued, so replacing the boolean row-sum with a float64
     matvec against the presence matrix (dense case) changes nothing in
-    the produced float64 values.
+    the produced float64 values.  The float64 copy of the presence matrix
+    is built per call and not kept: it is eight times the boolean matrix
+    the layout already holds.
     """
     m = dgraph.num_machines
     replicated = active & (dgraph.replica_counts > 1)
@@ -123,7 +116,9 @@ def sync_bytes_vectorized(
     masters = dgraph.master[replicated]
     copies = dgraph.replica_counts[replicated]
     if k * _DENSE_SYNC_FRACTION >= dgraph.num_vertices:
-        mirror_legs = replicated.astype(np.float64) @ _presence_f(dgraph)
+        mirror_legs = replicated.astype(np.float64) @ dgraph.presence.astype(
+            np.float64
+        )
     else:
         mirror_legs = (
             dgraph.presence[replicated].sum(axis=0).astype(np.float64)

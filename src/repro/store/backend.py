@@ -178,6 +178,15 @@ class LayeredCache:
             assert self.namespace is not None
             self._store.put(self.namespace, repr(key), self._codec.encode(value))
 
+    def discard(self, key: Hashable) -> None:
+        """Drop ``key``'s in-process entry, if it has one.
+
+        Only L1 memory is released: a store row under ``key`` stays, and
+        no hit, miss or ``store_hits`` counter moves.  A later ``get``
+        counts as it would for any entry L1 no longer holds.
+        """
+        self._l1._data.pop(key, None)
+
     def clear(self) -> None:
         """Empty the in-process layer only; the store is never cleared."""
         self._l1.clear()

@@ -25,8 +25,9 @@ Durability contract:
   in a temporary sibling file and ``os.replace``\\ s it into place, so a
   crashed init never leaves a half-written store behind;
 * **Transactional writes** — every put runs in its own ``BEGIN
-  IMMEDIATE`` transaction with a bounded busy timeout; a lock held past
-  the timeout is retried a bounded number of times with seeded
+  IMMEDIATE`` transaction (or, inside :meth:`SummaryStore.batch`, shares
+  one with the block's other puts) with a bounded busy timeout; a lock
+  held past the timeout is retried a bounded number of times with seeded
   full-jitter backoff (deterministic given ``retry_seed``) and only
   then raises :class:`~repro.errors.StoreLockedError` (typed, exit 2
   at the CLI) instead of blocking forever, so concurrent writers
@@ -45,7 +46,17 @@ import hashlib
 import os
 import sqlite3
 import time
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
+from contextlib import contextmanager
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 from repro.errors import (
     StoreCorruptError,
@@ -145,6 +156,8 @@ class SummaryStore:
         #: Injection point so the held-lock tests can release the lock
         #: between attempts instead of actually sleeping.
         self._sleep: Callable[[float], None] = time.sleep
+        #: Statements of the puts inside an open :meth:`batch`.
+        self._batched: Optional[List[Tuple[str, Tuple[Any, ...]]]] = None
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -323,21 +336,44 @@ class SummaryStore:
         recomputed value supersedes the corrupt row it replaced.
         """
         sha = key_sha(key_text)
-        self._write(
+        statements = (
             (
-                (
-                    "INSERT OR REPLACE INTO summaries "
-                    "(namespace, key_sha, key_text, payload, payload_sha) "
-                    "VALUES (?, ?, ?, ?, ?)",
-                    (namespace, sha, key_text, payload, _sha256(payload)),
-                ),
-                (
-                    "DELETE FROM quarantine "
-                    "WHERE namespace = ? AND key_sha = ?",
-                    (namespace, sha),
-                ),
-            )
+                "INSERT OR REPLACE INTO summaries "
+                "(namespace, key_sha, key_text, payload, payload_sha) "
+                "VALUES (?, ?, ?, ?, ?)",
+                (namespace, sha, key_text, payload, _sha256(payload)),
+            ),
+            (
+                "DELETE FROM quarantine WHERE namespace = ? AND key_sha = ?",
+                (namespace, sha),
+            ),
         )
+        if self._batched is not None:
+            self._batched.extend(statements)
+        else:
+            self._write(statements)
+
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Commit every :meth:`put` made inside as one transaction.
+
+        The puts are held until the block exits, then written in one
+        ``BEGIN IMMEDIATE`` transaction under one lock-retry budget (see
+        :meth:`_write`).  If the block raises, or the write fails, none
+        of them is stored.  Reads inside the block do not see them, and a
+        nested ``batch`` joins the outer one.
+        """
+        if self._batched is not None:
+            yield
+            return
+        batched: List[Tuple[str, Tuple[Any, ...]]] = []
+        self._batched = batched
+        try:
+            yield
+        finally:
+            self._batched = None
+        if batched:
+            self._write(tuple(batched))
 
     def delete_namespace(self, namespace: str) -> int:
         """Drop every row in one namespace (``repro gen --refresh``)."""

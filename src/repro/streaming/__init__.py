@@ -20,7 +20,11 @@ Public surface of the streaming subsystem:
 """
 
 from repro.streaming.generators import STREAM_PATTERNS, generate_stream
-from repro.streaming.incremental import IncrementalPartitioner, StreamUpdate
+from repro.streaming.incremental import (
+    IncrementalPartitioner,
+    RepairStats,
+    StreamUpdate,
+)
 from repro.streaming.mutations import (
     STREAM_FORMAT_VERSION,
     AddEdge,
@@ -67,6 +71,7 @@ __all__ = [
     "apply_batch",
     "generate_stream",
     "IncrementalPartitioner",
+    "RepairStats",
     "StreamUpdate",
     "EpochLike",
     "EpochOutcome",

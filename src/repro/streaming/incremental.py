@@ -39,7 +39,22 @@ from repro.partition.base import Partitioner, PartitionResult
 from repro.partition.metrics import weighted_imbalance
 from repro.streaming.mutations import ApplyResult
 
-__all__ = ["StreamUpdate", "IncrementalPartitioner"]
+__all__ = ["RepairStats", "StreamUpdate", "IncrementalPartitioner"]
+
+
+@dataclass(frozen=True)
+class RepairStats:
+    """The four counts of one repair: what an epoch keeps of its update.
+
+    A live epoch takes them from its :class:`StreamUpdate`, a restored
+    one from its checkpointed record; both serialize them under these
+    field names.
+    """
+
+    affected_vertices: int
+    reassigned_edges: int
+    carried_edges: int
+    moved_edges: int
 
 
 @dataclass(frozen=True)
@@ -73,6 +88,16 @@ class StreamUpdate:
     carried_edges: int
     moved_edges: int
     imbalance: float
+
+    @property
+    def stats(self) -> RepairStats:
+        """The repair counts without the repaired partition."""
+        return RepairStats(
+            affected_vertices=self.affected_vertices,
+            reassigned_edges=self.reassigned_edges,
+            carried_edges=self.carried_edges,
+            moved_edges=self.moved_edges,
+        )
 
 
 class IncrementalPartitioner:

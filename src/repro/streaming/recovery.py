@@ -64,6 +64,7 @@ from typing import (
 
 from repro.errors import StreamCheckpointError
 from repro.graph.digraph import DiGraph
+from repro.streaming.incremental import RepairStats
 from repro.streaming.mutations import MutationStream, apply_batch
 
 if TYPE_CHECKING:
@@ -161,32 +162,26 @@ class _RestoredReport:
 
 
 @dataclass(frozen=True)
-class _RestoredUpdate:
-    """Accounting view of a checkpointed epoch's repair record."""
-
-    affected_vertices: int
-    reassigned_edges: int
-    carried_edges: int
-    moved_edges: int
-
-
-@dataclass(frozen=True)
 class RestoredEpoch:
     """An epoch stitched back from a checkpoint's serialized record.
 
     One half of :data:`~repro.streaming.runner.EpochLike`: it serializes
     to exactly the record the live epoch produced (so the stitched trace
-    is byte-identical) and exposes the accounting scalars the service
-    and :class:`~repro.streaming.runner.StreamingResult` totals read.
-    The live partition/trace objects are gone — that is the point of a
-    checkpoint — so anything needing them must come from a live epoch.
+    is byte-identical) and exposes the same accounting scalars as a live
+    :class:`~repro.streaming.runner.EpochOutcome`: the ones the service,
+    the CLI's stream table and the
+    :class:`~repro.streaming.runner.StreamingResult` totals read.  The
+    live trace object is gone — that is the point of a checkpoint — so
+    anything needing it must come from a live epoch.
     """
 
     epoch: int
     num_machines: int
+    num_edges: int
+    imbalance: float
     record: Mapping[str, Any]
     report: _RestoredReport
-    update: Optional[_RestoredUpdate]
+    update: Optional[RepairStats]
 
     def to_record(self) -> Dict[str, Any]:
         return dict(self.record)
@@ -196,9 +191,9 @@ class RestoredEpoch:
         cls, record: Mapping[str, Any], num_machines: int
     ) -> "RestoredEpoch":
         try:
-            update: Optional[_RestoredUpdate] = None
+            update: Optional[RepairStats] = None
             if "reassigned_edges" in record:
-                update = _RestoredUpdate(
+                update = RepairStats(
                     affected_vertices=int(record["affected_vertices"]),
                     reassigned_edges=int(record["reassigned_edges"]),
                     carried_edges=int(record["carried_edges"]),
@@ -207,6 +202,8 @@ class RestoredEpoch:
             return cls(
                 epoch=int(record["epoch"]),
                 num_machines=int(num_machines),
+                num_edges=int(record["num_edges"]),
+                imbalance=float(record["imbalance"]),
                 record=record,
                 report=_RestoredReport(
                     runtime_seconds=float(record["runtime_seconds"]),
@@ -543,7 +540,8 @@ class CheckpointCustody:
     quarantine-and-recompute included), so a process restart can
     re-hydrate custody from disk: each epoch record once under
     ``stream_record``, and one manifest per snapshot under
-    ``stream_checkpoint``.
+    ``stream_checkpoint``, a snapshot's new rows and its manifest in one
+    store transaction.
     """
 
     def __init__(self, store: Optional["SummaryStore"] = None):
@@ -568,21 +566,26 @@ class CheckpointCustody:
             from repro.store.codecs import CODECS
 
             records = CODECS[RECORD_NAMESPACE]
-            for fragment, digest in zip(
-                checkpoint.record_json(), checkpoint.record_digests()
-            ):
-                if digest not in self._written:
-                    self._store.put(
-                        RECORD_NAMESPACE,
-                        record_key(digest),
-                        records.encode(fragment),
-                    )
-                    self._written.add(digest)
-            self._store.put(
-                CHECKPOINT_NAMESPACE,
-                checkpoint.checkpoint_key(job_id),
-                CODECS[CHECKPOINT_NAMESPACE].encode(checkpoint),
-            )
+            fresh: Set[str] = set()
+            # One transaction per snapshot: its new record rows and its
+            # manifest commit together, or none of them does.
+            with self._store.batch():
+                for fragment, digest in zip(
+                    checkpoint.record_json(), checkpoint.record_digests()
+                ):
+                    if digest not in self._written and digest not in fresh:
+                        self._store.put(
+                            RECORD_NAMESPACE,
+                            record_key(digest),
+                            records.encode(fragment),
+                        )
+                        fresh.add(digest)
+                self._store.put(
+                    CHECKPOINT_NAMESPACE,
+                    checkpoint.checkpoint_key(job_id),
+                    CODECS[CHECKPOINT_NAMESPACE].encode(checkpoint),
+                )
+            self._written |= fresh
 
     def latest(self, job_id: str) -> Optional[StreamCheckpoint]:
         """The most recent recorded (or sealed) snapshot for one job."""

@@ -18,16 +18,22 @@ Target weights are set once, for epoch 0; every repair re-places edges
 under the same weights, so carried edges never migrate on a weight
 change.
 
-Store-backed re-pricing comes for free: every epoch's partition and
-distributed-graph lookups flow through the content-keyed kernel caches,
-which PR 7 transparently backs with the summary store when attached.
+A stream holds one epoch's graph at a time.  Each epoch keeps its
+record's inputs (counts, assignment digest, imbalance, trace, report),
+not its graph or partition, and once the next epoch has executed the
+loop releases the replaced epoch's distributed-graph layout from the
+in-process cache, unless both epochs laid out the same partition.  Only
+the newest epoch's partition stays live, as
+:attr:`StreamingResult.final_partition`.  Every epoch's partition
+lookups still flow through the content-keyed kernel caches, which the
+summary store backs when one is attached.
 """
 
 from __future__ import annotations
 
-import hashlib
+import dataclasses
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -35,7 +41,12 @@ from numpy.typing import ArrayLike
 
 from repro.cluster.cluster import Cluster
 from repro.engine.report import ExecutionReport, simulate_execution
-from repro.engine.runtime import execute_partition
+from repro.engine.runtime import (
+    LayoutKey,
+    execute_partition,
+    layout_key,
+    release_layout,
+)
 from repro.engine.trace import ExecutionTrace
 from repro.engine.vertex_program import GraphApplication
 from repro.errors import RecoveryError, StreamCheckpointError, StreamError
@@ -51,7 +62,11 @@ from repro.kernels.cache import graph_fingerprint
 from repro.obs import context as obs
 from repro.partition.base import Partitioner, PartitionResult
 from repro.partition.metrics import weighted_imbalance
-from repro.streaming.incremental import IncrementalPartitioner, StreamUpdate
+from repro.streaming.incremental import (
+    IncrementalPartitioner,
+    RepairStats,
+    StreamUpdate,
+)
 from repro.streaming.mutations import MutationStream, apply_batch
 from repro.streaming.recovery import (
     CheckpointCustody,
@@ -75,43 +90,36 @@ STREAMING_TRACE_FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class EpochOutcome:
-    """One epoch: a full execute-and-price pass over the current graph.
+    """One executed epoch, kept as the inputs of its trace record.
 
-    ``update`` is ``None`` for epoch 0 (the base graph, no batch applied).
+    An epoch holds its counts, digests, trace and report, never its
+    graph or partition: a long stream keeps one epoch graph alive, not
+    all of them.  ``update`` is ``None`` for epoch 0 (the base graph, no
+    batch applied).
     """
 
     epoch: int
-    partition: PartitionResult
+    num_machines: int
+    num_edges: int
+    assignment_sha256: str
+    imbalance: float
     trace: ExecutionTrace
     report: ExecutionReport
-    update: Optional[StreamUpdate]
-
-    @property
-    def num_machines(self) -> int:
-        return self.partition.num_machines
+    update: Optional[RepairStats]
 
     def to_record(self) -> Dict[str, Any]:
         """The epoch's entry in the streaming trace (deterministic)."""
         record: Dict[str, Any] = {
             "epoch": self.epoch,
-            "num_edges": self.partition.graph.num_edges,
-            "assignment_sha256": hashlib.sha256(
-                self.partition.assignment.tobytes()
-            ).hexdigest(),
-            "imbalance": weighted_imbalance(self.partition),
+            "num_edges": self.num_edges,
+            "assignment_sha256": self.assignment_sha256,
+            "imbalance": self.imbalance,
             "runtime_seconds": self.report.runtime_seconds,
             "energy_joules": self.report.energy_joules,
             "trace": self.trace.to_jsonable(),
         }
         if self.update is not None:
-            record.update(
-                {
-                    "affected_vertices": self.update.affected_vertices,
-                    "reassigned_edges": self.update.reassigned_edges,
-                    "carried_edges": self.update.carried_edges,
-                    "moved_edges": self.update.moved_edges,
-                }
-            )
+            record.update(dataclasses.asdict(self.update))
         return record
 
 
@@ -128,12 +136,17 @@ class StreamingResult:
     ``epochs`` may mix live :class:`EpochOutcome` entries with restored
     epochs stitched back from a :class:`~repro.streaming.recovery.
     StreamCheckpoint`; the trace bytes are identical either way.
+    ``last_partition`` is the live partition of the last epoch, or
+    ``None`` when that epoch was restored.
     """
 
     app: str
     algorithm: str
     halo: int
     epochs: Tuple[EpochLike, ...]
+    last_partition: Optional[PartitionResult] = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def num_epochs(self) -> int:
@@ -141,13 +154,12 @@ class StreamingResult:
 
     @property
     def final_partition(self) -> PartitionResult:
-        last = self.epochs[-1]
-        if not isinstance(last, EpochOutcome):
+        if self.last_partition is None:
             raise StreamError(
                 "final partition is unavailable: the last epoch was "
                 "restored from a checkpoint record, not executed live"
             )
-        return last.partition
+        return self.last_partition
 
     @property
     def total_runtime_seconds(self) -> float:
@@ -392,8 +404,23 @@ class StreamingSystem:
                     fingerprint=snapshot.fingerprint()[:12],
                 )
 
-        def complete(outcome: EpochOutcome) -> None:
-            nonlocal clock
+        #: Layout key of the newest epoch executed in this run (``None``
+        #: until one has executed).
+        held: Optional[LayoutKey] = None
+
+        def execute(
+            epoch: int,
+            partition: PartitionResult,
+            update: Optional[StreamUpdate],
+        ) -> None:
+            nonlocal clock, held
+            key = layout_key(partition)
+            outcome = self._execute_epoch(epoch, app, partition, key, update)
+            # The replaced epoch's layout is never asked for again, unless
+            # this epoch laid out the same partition (an empty batch).
+            if held is not None and held != key:
+                release_layout(held)
+            held = key
             epochs.append(outcome)
             clock += outcome.report.runtime_seconds
             handle_crashes(outcome.epoch)
@@ -419,10 +446,13 @@ class StreamingSystem:
                 bill.resumed_from_batch = resume.batch_cursor
                 start_index = resume.batch_cursor
             else:
-                partition = incremental.start(
-                    graph, self.cluster.num_machines, weights=weights
+                execute(
+                    0,
+                    incremental.start(
+                        graph, self.cluster.num_machines, weights=weights
+                    ),
+                    None,
                 )
-                complete(self._execute_epoch(0, app, partition, update=None))
                 current, live = graph, None
                 start_index = 0
 
@@ -434,15 +464,16 @@ class StreamingSystem:
                     delta = apply_batch(current, batch, live=live)
                     update = incremental.apply(delta)
                 current, live = delta.graph, delta.live
-                complete(
-                    self._execute_epoch(index + 1, app, update.result, update)
-                )
+                execute(index + 1, update.result, update)
 
         result = StreamingResult(
             app=app.name,
             algorithm=partitioner.name,
             halo=self.halo,
             epochs=tuple(epochs),
+            # The partition the last live epoch executed; none when every
+            # epoch was restored from the snapshot.
+            last_partition=None if held is None else incremental.result,
         )
         return StreamRunOutcome(result=result, recovery=bill)
 
@@ -549,6 +580,7 @@ class StreamingSystem:
         epoch: int,
         app: GraphApplication,
         partition: PartitionResult,
+        key: LayoutKey,
         update: Optional[StreamUpdate],
     ) -> EpochOutcome:
         with obs.span(
@@ -557,7 +589,7 @@ class StreamingSystem:
             app=app.name,
             edges=partition.graph.num_edges,
         ) as span:
-            _, trace = execute_partition(app, partition)
+            _, trace = execute_partition(app, partition, key)
             report = simulate_execution(trace, self.cluster)
             if obs.is_enabled():
                 obs.gauge_set(
@@ -571,10 +603,17 @@ class StreamingSystem:
                 )
         return EpochOutcome(
             epoch=epoch,
-            partition=partition,
+            num_machines=partition.num_machines,
+            num_edges=partition.graph.num_edges,
+            assignment_sha256=key[1],
+            imbalance=(
+                weighted_imbalance(partition)
+                if update is None
+                else update.imbalance
+            ),
             trace=trace,
             report=report,
-            update=update,
+            update=None if update is None else update.stats,
         )
 
 

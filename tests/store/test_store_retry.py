@@ -92,6 +92,72 @@ class TestHeldLock:
         assert len(released) == 1
 
 
+class TestBatch:
+    def _rows(self, store_path):
+        with SummaryStore.open(store_path) as st:
+            return st.counts()
+
+    def test_batch_commits_once(self, store_path):
+        commits = []
+        with SummaryStore.create(store_path) as st:
+            st._conn.set_trace_callback(
+                lambda sql: commits.append(sql) if sql == "COMMIT" else None
+            )
+            with st.batch():
+                st.put("estimate", "('a',)", b"1.5")
+                st.put("estimate", "('b',)", b"2.5")
+                with st.batch():  # a nested batch joins the outer one
+                    st.put("machine_time", "('c',)", b"3.5")
+                assert commits == []
+                # Puts are not visible until the block exits.
+                assert st.get("estimate", "('a',)") is None
+            assert commits == ["COMMIT"]
+            assert st.get("estimate", "('b',)") == b"2.5"
+        assert self._rows(store_path) == {"estimate": 2, "machine_time": 1}
+
+    def test_raising_block_writes_nothing(self, store_path):
+        with SummaryStore.create(store_path) as st:
+            with pytest.raises(RuntimeError, match="mid-batch"):
+                with st.batch():
+                    st.put("estimate", "('a',)", b"1.5")
+                    raise RuntimeError("mid-batch")
+            assert st.counts() == {}
+            # The store is usable, and unbatched again, afterwards.
+            st.put("estimate", "('a',)", b"1.5")
+            assert st.counts() == {"estimate": 1}
+
+    def test_exhausted_batch_writes_nothing(self, store_path, blocker):
+        with _open_fast(store_path, retry_attempts=1) as st:
+            sleeps = _record_sleeps(st)
+            with pytest.raises(
+                StoreLockedError, match=r"after 2 attempt\(s\)"
+            ):
+                with st.batch():
+                    st.put("estimate", "('a',)", b"1.5")
+                    st.put("estimate", "('b',)", b"2.5")
+        # One budget for the whole batch, not one per put.
+        assert len(sleeps) == 1
+        blocker.execute("ROLLBACK")
+        assert self._rows(store_path) == {}
+
+    def test_batch_retried_whole_after_lock_release(
+        self, store_path, blocker
+    ):
+        with _open_fast(store_path, retry_attempts=3) as st:
+            released = []
+
+            def release(delay):
+                blocker.execute("ROLLBACK")
+                released.append(delay)
+
+            st._sleep = release
+            with st.batch():
+                st.put("estimate", "('a',)", b"1.5")
+                st.put("estimate", "('b',)", b"2.5")
+            assert st.counts() == {"estimate": 2}
+        assert len(released) == 1
+
+
 class TestDeterministicBackoff:
     def _exhaust(self, store_path, seed):
         with _open_fast(

@@ -166,6 +166,33 @@ class TestLayeredCache:
         cache.detach()
         assert cache.get(("k",)) is None
 
+    def test_discard_drops_l1_only(self, store):
+        cache = LayeredCache(
+            maxsize=4, namespace="estimate", codec=CODECS["estimate"]
+        )
+        cache.attach(store)
+        cache.put(("k",), 1.25)
+        assert cache.get(("k",)) == 1.25
+        before = cache.stats()
+        cache.discard(("k",))
+        cache.discard(("never-stored",))
+        # The row and every counter are untouched; only L1 shrank.
+        assert store.counts() == {"estimate": 1}
+        assert cache.stats() == {**before, "size": 0}
+        # The next read is served by the store, as after an eviction.
+        assert cache.get(("k",)) == 1.25
+        assert cache.stats()["store_hits"] == before["store_hits"] + 1
+
+    def test_discard_detached_then_miss(self):
+        cache = LayeredCache(maxsize=4)
+        cache.put("a", 1)
+        cache.discard("a")
+        assert cache.stats() == {
+            "size": 0, "hits": 0, "misses": 0, "store_hits": 0,
+        }
+        assert cache.get("a") is None
+        assert cache.misses == 1
+
     def test_codec_less_cache_ignores_attach(self, store):
         cache = LayeredCache(maxsize=4)
         cache.attach(store)

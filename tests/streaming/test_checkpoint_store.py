@@ -107,6 +107,47 @@ class TestBytesWritten:
                 snapshot.canonical_json().encode("utf-8")
             )
 
+    def test_one_commit_per_snapshot(self, graph, store):
+        commits = []
+        store._conn.set_trace_callback(
+            lambda sql: commits.append(sql) if sql == "COMMIT" else None
+        )
+        snapshots = _snapshots(
+            graph, golden_stream(graph), CheckpointCustody(store)
+        )
+        # A snapshot's new record rows and its manifest share one
+        # transaction; the puts themselves are still one per row.
+        assert len(commits) == len(snapshots)
+        assert sum(store.counts().values()) == len(snapshots) + len(
+            snapshots[-1].epoch_records
+        )
+
+    def test_failed_snapshot_leaves_no_rows(self, graph, store, monkeypatch):
+        snapshot = _snapshots(
+            graph, golden_stream(graph), CheckpointCustody(None)
+        )[-1]
+        put = SummaryStore.put
+
+        def failing(self, namespace, key_text, payload):
+            if namespace == CHECKPOINT_NAMESPACE:
+                raise OSError("disk gone")
+            return put(self, namespace, key_text, payload)
+
+        custody = CheckpointCustody(store)
+        monkeypatch.setattr(SummaryStore, "put", failing)
+        with pytest.raises(OSError, match="disk gone"):
+            custody.record(JOB, snapshot, durable_at_s=0.0)
+        # No record row was committed without its manifest, and custody
+        # does not count the rolled-back rows as written.
+        assert store.counts() == {}
+        monkeypatch.setattr(SummaryStore, "put", put)
+        custody.record(JOB, snapshot, durable_at_s=0.0)
+        assert store.counts() == {
+            CHECKPOINT_NAMESPACE: 1,
+            RECORD_NAMESPACE: len(snapshot.epoch_records),
+        }
+        assert custody.fetch(snapshot.checkpoint_key(JOB)) == snapshot
+
     def test_stats_list_both_namespaces(self, graph, store):
         snapshots = _snapshots(
             graph, golden_stream(graph), CheckpointCustody(store)
