@@ -19,20 +19,21 @@ replay can inject
   priced runtime (the runs themselves are unchanged — the *scheduler* is
   slow, not the cluster).
 
-Like every fault model in the library the schedule is plain data: JSON
-round-trippable, seeded-generatable via :func:`repro.utils.rng.make_rng`,
-and validated against the federation shape before a replay starts.
+The schedule is a subclass of :class:`~repro.faults.schedule.EventSchedule`,
+so it shares the machine schedule's JSON codec, seed and target checks
+and ``describe`` sort; this module only declares the shard vocabulary,
+the replay order and the seeded sampler.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, List, Optional, Tuple
 
 from repro.errors import FaultError
-from repro.faults.schedule import check_finite, check_integer, check_seed
+from repro.faults.schedule import EventSchedule, Row, bernoulli, check_rates
 from repro.utils.rng import make_rng
+from repro.utils.validation import require_finite, require_integer
 
 __all__ = [
     "ShardCrash",
@@ -40,6 +41,19 @@ __all__ = [
     "ShardSlowdown",
     "ShardFaultSchedule",
 ]
+
+
+def _check_shard_event(event: Any, kind: str, *finite: str) -> None:
+    """Type-check an event's ``time_s``, ``shard`` and ``finite`` fields,
+    then require a non-negative start and shard index."""
+    require_finite(event.time_s, f"{kind} time_s", FaultError)
+    require_integer(event.shard, f"{kind} shard index", FaultError)
+    for name in finite:
+        require_finite(getattr(event, name), f"{kind} {name}", FaultError)
+    if event.time_s < 0.0:
+        raise FaultError(f"{kind} time_s must be >= 0")
+    if event.shard < 0:
+        raise FaultError(f"{kind} shard index must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -62,17 +76,18 @@ class ShardCrash:
     downtime_s: float
 
     def __post_init__(self) -> None:
-        check_finite(self.time_s, "shard crash time_s")
-        check_integer(self.shard, "shard crash shard index")
-        check_finite(self.downtime_s, "shard crash downtime_s")
-        if self.time_s < 0.0:
-            raise FaultError("shard crash time_s must be >= 0")
-        if self.shard < 0:
-            raise FaultError("shard crash shard index must be >= 0")
+        _check_shard_event(self, "shard crash", "downtime_s")
         if self.downtime_s <= 0.0:
             raise FaultError(
                 f"shard crash downtime_s must be > 0, got {self.downtime_s}"
             )
+
+    def describe_row(self) -> Row:
+        return (
+            "shard-crash",
+            self.time_s,
+            f"shard {self.shard} down for {self.downtime_s:.3f}s",
+        )
 
 
 @dataclass(frozen=True)
@@ -94,18 +109,19 @@ class ShardPartition:
     duration_s: float
 
     def __post_init__(self) -> None:
-        check_finite(self.time_s, "shard partition time_s")
-        check_integer(self.shard, "shard partition shard index")
-        check_finite(self.duration_s, "shard partition duration_s")
-        if self.time_s < 0.0:
-            raise FaultError("shard partition time_s must be >= 0")
-        if self.shard < 0:
-            raise FaultError("shard partition shard index must be >= 0")
+        _check_shard_event(self, "shard partition", "duration_s")
         if self.duration_s <= 0.0:
             raise FaultError(
                 f"shard partition duration_s must be > 0, got "
                 f"{self.duration_s}"
             )
+
+    def describe_row(self) -> Row:
+        return (
+            "shard-partition",
+            self.time_s,
+            f"shard {self.shard} unreachable for {self.duration_s:.3f}s",
+        )
 
 
 @dataclass(frozen=True)
@@ -131,14 +147,7 @@ class ShardSlowdown:
     duration_s: float
 
     def __post_init__(self) -> None:
-        check_finite(self.time_s, "shard slowdown time_s")
-        check_integer(self.shard, "shard slowdown shard index")
-        check_finite(self.factor, "shard slowdown factor")
-        check_finite(self.duration_s, "shard slowdown duration_s")
-        if self.time_s < 0.0:
-            raise FaultError("shard slowdown time_s must be >= 0")
-        if self.shard < 0:
-            raise FaultError("shard slowdown shard index must be >= 0")
+        _check_shard_event(self, "shard slowdown", "factor", "duration_s")
         if self.factor < 1.0:
             raise FaultError(
                 f"shard slowdown factor must be >= 1 (got {self.factor}); "
@@ -153,9 +162,17 @@ class ShardSlowdown:
     def active_at(self, time_s: float) -> bool:
         return self.time_s <= time_s < self.time_s + self.duration_s
 
+    def describe_row(self) -> Row:
+        return (
+            "shard-slowdown",
+            self.time_s,
+            f"shard {self.shard} {self.factor:.2f}x slower for "
+            f"{self.duration_s:.3f}s",
+        )
+
 
 @dataclass(frozen=True)
-class ShardFaultSchedule:
+class ShardFaultSchedule(EventSchedule):
     """A complete shard-outage scenario over one federation replay.
 
     Pure data: the federation's event loop reads it and never mutates it,
@@ -163,28 +180,23 @@ class ShardFaultSchedule:
     workload on many federation shapes) reproducibly.
     """
 
+    KINDS = (
+        ("crashes", ShardCrash),
+        ("partitions", ShardPartition),
+        ("slowdowns", ShardSlowdown),
+    )
+    TARGET = "shard"
+    OUT_OF_RANGE = (
+        "shard fault targets shard {target} but the federation has only "
+        "{count} shard(s)"
+    )
+    NAME = "shard fault schedule"
+    SORT_KEYS = True
+
     crashes: Tuple[ShardCrash, ...] = ()
     partitions: Tuple[ShardPartition, ...] = ()
     slowdowns: Tuple[ShardSlowdown, ...] = ()
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        check_seed(self.seed, "shard fault schedule")
-        object.__setattr__(self, "crashes", tuple(self.crashes))
-        object.__setattr__(self, "partitions", tuple(self.partitions))
-        object.__setattr__(self, "slowdowns", tuple(self.slowdowns))
-
-    # ------------------------------------------------------------------ #
-    # Queries (the federation loop's read API)
-    # ------------------------------------------------------------------ #
-
-    @property
-    def is_empty(self) -> bool:
-        return not (self.crashes or self.partitions or self.slowdowns)
-
-    @property
-    def num_events(self) -> int:
-        return len(self.crashes) + len(self.partitions) + len(self.slowdowns)
+    seed: Optional[int] = None
 
     def sorted_events(self) -> Tuple[Any, ...]:
         """All events in deterministic replay order.
@@ -201,19 +213,6 @@ class ShardFaultSchedule:
                 key=lambda e: (e.time_s, rank[type(e)], e.shard),
             )
         )
-
-    def validate_for(self, num_shards: int) -> None:
-        """Reject schedules referencing shards the federation lacks."""
-        for event in (*self.crashes, *self.partitions, *self.slowdowns):
-            if event.shard >= num_shards:
-                raise FaultError(
-                    f"shard fault targets shard {event.shard} but the "
-                    f"federation has only {num_shards} shard(s)"
-                )
-
-    # ------------------------------------------------------------------ #
-    # Construction
-    # ------------------------------------------------------------------ #
 
     @classmethod
     def generate(
@@ -254,13 +253,13 @@ class ShardFaultSchedule:
             raise FaultError("num_shards must be >= 1")
         if horizon_s <= 0.0:
             raise FaultError(f"horizon_s must be > 0, got {horizon_s}")
-        for name, rate in (
-            ("crash_rate", crash_rate),
-            ("partition_rate", partition_rate),
-            ("slowdown_rate", slowdown_rate),
-        ):
-            if not 0.0 <= rate <= 1.0:
-                raise FaultError(f"{name} must be in [0, 1], got {rate}")
+        check_rates(
+            (
+                ("crash_rate", crash_rate),
+                ("partition_rate", partition_rate),
+                ("slowdown_rate", slowdown_rate),
+            )
+        )
         for name, mean in (
             ("downtime_s", downtime_s),
             ("partition_duration_s", partition_duration_s),
@@ -279,7 +278,7 @@ class ShardFaultSchedule:
         slowdowns: List[ShardSlowdown] = []
         spread = max(0.0, slowdown_factor - 1.0)
         for shard in range(num_shards):
-            if crash_rate and rng.random() < crash_rate:
+            if bernoulli(rng, crash_rate):
                 crashes.append(
                     ShardCrash(
                         time_s=float(rng.uniform(0.0, horizon_s)),
@@ -289,7 +288,7 @@ class ShardFaultSchedule:
                         ),
                     )
                 )
-            if partition_rate and rng.random() < partition_rate:
+            if bernoulli(rng, partition_rate):
                 partitions.append(
                     ShardPartition(
                         time_s=float(rng.uniform(0.0, horizon_s)),
@@ -299,7 +298,7 @@ class ShardFaultSchedule:
                         ),
                     )
                 )
-            if slowdown_rate and rng.random() < slowdown_rate:
+            if bernoulli(rng, slowdown_rate):
                 slowdowns.append(
                     ShardSlowdown(
                         time_s=float(rng.uniform(0.0, horizon_s)),
@@ -316,88 +315,3 @@ class ShardFaultSchedule:
             slowdowns=tuple(slowdowns),
             seed=seed,
         )
-
-    # ------------------------------------------------------------------ #
-    # JSON persistence (CLI save/replay; workload embedding)
-    # ------------------------------------------------------------------ #
-
-    def to_jsonable(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "crashes": [asdict(c) for c in self.crashes],
-            "partitions": [asdict(p) for p in self.partitions],
-            "slowdowns": [asdict(s) for s in self.slowdowns],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_jsonable(cls, payload: Any) -> "ShardFaultSchedule":
-        if not isinstance(payload, dict):
-            raise FaultError("shard fault schedule must be an object")
-        known = {"seed", "crashes", "partitions", "slowdowns"}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise FaultError(
-                f"unknown shard fault schedule fields {unknown}"
-            )
-        try:
-            return cls(
-                crashes=tuple(
-                    ShardCrash(**c) for c in payload.get("crashes", ())
-                ),
-                partitions=tuple(
-                    ShardPartition(**p) for p in payload.get("partitions", ())
-                ),
-                slowdowns=tuple(
-                    ShardSlowdown(**s) for s in payload.get("slowdowns", ())
-                ),
-                seed=payload.get("seed"),
-            )
-        except TypeError as exc:
-            raise FaultError(
-                f"malformed shard fault schedule: {exc}"
-            ) from exc
-
-    @classmethod
-    def from_json(cls, text: str) -> "ShardFaultSchedule":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FaultError(
-                f"malformed shard fault schedule JSON: {exc}"
-            ) from exc
-        return cls.from_jsonable(payload)
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json() + "\n")
-
-    @classmethod
-    def load(cls, path: str) -> "ShardFaultSchedule":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
-
-    # ------------------------------------------------------------------ #
-
-    def describe(self) -> Sequence[Tuple[str, float, str]]:
-        """Human-readable event rows (kind, time_s, detail) for tables."""
-        rows: List[Tuple[str, float, str]] = []
-        for c in self.crashes:
-            rows.append(
-                ("shard-crash", c.time_s,
-                 f"shard {c.shard} down for {c.downtime_s:.3f}s")
-            )
-        for p in self.partitions:
-            rows.append(
-                ("shard-partition", p.time_s,
-                 f"shard {p.shard} unreachable for {p.duration_s:.3f}s")
-            )
-        for s in self.slowdowns:
-            rows.append(
-                ("shard-slowdown", s.time_s,
-                 f"shard {s.shard} {s.factor:.2f}x slower for "
-                 f"{s.duration_s:.3f}s")
-            )
-        return sorted(rows, key=lambda r: (r[1], r[0]))

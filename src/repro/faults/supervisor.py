@@ -12,11 +12,11 @@ the paper's load-balancing thesis is most exposed to.
 :class:`Supervisor` implements the detection half of the control loop:
 
 * calibrate each slot's expected *share* of a superstep from the first
-  ``warmup`` observations;
+  ``WARMUP`` observations;
 * per superstep, estimate each slot's slowdown as its observed time over
   its expected time, using the cluster median as the scale so that a
   minority of stragglers cannot poison the estimate;
-* a slot whose estimate exceeds ``threshold`` for ``patience``
+* a slot whose estimate exceeds ``THRESHOLD`` for ``PATIENCE``
   consecutive supersteps is declared a straggler.
 
 :func:`~repro.engine.resilient.simulate_resilient_execution` feeds it
@@ -52,35 +52,22 @@ class StragglerReport:
         return tuple(sorted(self.factors))
 
 
+#: Slowdown estimate above which a machine counts as straggling (1.5 =
+#: 50% slower than its calibrated share).
+THRESHOLD = 1.5
+#: Consecutive straggling supersteps before the verdict fires: filters
+#: one-off noise (GC pauses, frontier skew) from persistent degradation.
+PATIENCE = 3
+#: Observations that calibrate the per-slot share baseline; the
+#: supervisor cannot fire during warmup.
+WARMUP = 2
+
+
 class Supervisor:
-    """Detects persistent stragglers from per-superstep machine timings.
+    """Detects persistent stragglers from per-superstep machine timings,
+    with the module's ``THRESHOLD``, ``PATIENCE`` and ``WARMUP``."""
 
-    Parameters
-    ----------
-    threshold:
-        Slowdown estimate above which a machine counts as straggling
-        (1.5 = 50% slower than its calibrated share).
-    patience:
-        Consecutive straggling supersteps before the verdict fires —
-        filters one-off noise (GC pauses, frontier skew) from persistent
-        degradation.
-    warmup:
-        Observations used to calibrate the per-slot share baseline; the
-        supervisor cannot fire during warmup.
-    """
-
-    def __init__(
-        self, threshold: float = 1.5, patience: int = 3, warmup: int = 2
-    ):
-        if threshold <= 1.0:
-            raise FaultError(f"threshold must be > 1, got {threshold}")
-        if patience < 1:
-            raise FaultError("patience must be >= 1")
-        if warmup < 1:
-            raise FaultError("warmup must be >= 1")
-        self.threshold = threshold
-        self.patience = patience
-        self.warmup = warmup
+    def __init__(self) -> None:
         self._warmup_obs: List[np.ndarray] = []
         self._shares: Optional[np.ndarray] = None
         self._streak: Optional[np.ndarray] = None
@@ -115,7 +102,7 @@ class Supervisor:
             return  # empty superstep: nothing to learn
         if not self.calibrated:
             self._warmup_obs.append(busy / total)
-            if len(self._warmup_obs) >= self.warmup:
+            if len(self._warmup_obs) >= WARMUP:
                 shares = np.mean(self._warmup_obs, axis=0)
                 # A slot with no calibrated work cannot be rated; give it
                 # an epsilon share so the estimate stays finite and calm.
@@ -135,9 +122,9 @@ class Supervisor:
         if scale <= 0.0:
             return
         factors = per_share / scale
-        straggling = factors >= self.threshold
+        straggling = factors >= THRESHOLD
         self._streak = np.where(straggling, self._streak + 1, 0)
-        fired = self._streak >= self.patience
+        fired = self._streak >= PATIENCE
         if np.any(fired):
             self._report = StragglerReport(
                 superstep=superstep,

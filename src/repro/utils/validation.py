@@ -1,14 +1,19 @@
-"""Argument-validation helpers.
+"""Argument- and field-validation helpers.
 
 Centralising the checks keeps error messages consistent ("<name> must be
 positive, got <value>") and keeps the numeric kernels free of boilerplate.
-All helpers raise ``ValueError``/``TypeError`` and return the validated
-value so they compose in assignments.
+The ``check_*`` helpers validate library arguments, raise ``ValueError``
+and return the validated value so they compose in assignments.  The
+``require_*`` helpers validate fields read from untrusted documents (fault
+schedules, workloads, mutation streams, CCR pools) and raise the loader's
+own typed error class, so every loader words a bad field the same way.
 """
 
 from __future__ import annotations
 
-from typing import Union
+import math
+import numbers
+from typing import Type, Union
 
 import numpy as np
 
@@ -17,6 +22,9 @@ __all__ = [
     "check_probability",
     "check_in_range",
     "check_array_1d",
+    "require_integer",
+    "require_finite",
+    "require_seed",
 ]
 
 Number = Union[int, float]
@@ -67,3 +75,36 @@ def check_array_1d(
     if out.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {out.shape}")
     return out
+
+
+def require_integer(value: object, what: str, error: Type[Exception]) -> None:
+    """Reject an index, count or id that is not an integer.
+
+    ``numbers.Integral`` admits numpy integers; ``bool`` is refused
+    although it subclasses ``int``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{what} must be an integer, got {value!r}")
+
+
+def require_finite(value: object, what: str, error: Type[Exception]) -> None:
+    """Reject a factor, time or ratio that is not a finite real number.
+
+    An integer too large for a float (past about 1e308) is not finite
+    either: ``math.isfinite`` would overflow converting it.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        finite = False
+    else:
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+    if not finite:
+        raise error(f"{what} must be a finite number, got {value!r}")
+
+
+def require_seed(value: object, what: str, error: Type[Exception]) -> None:
+    """Reject a seed that is neither ``None`` nor a plain ``int``."""
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+        raise error(f"{what} must be an integer or null, got {value!r}")

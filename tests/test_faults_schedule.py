@@ -262,7 +262,6 @@ def generated_schedules(draw):
         slowdown_factor=draw(st.floats(min_value=1.5, max_value=8.0)),
         slowdown_duration=draw(st.integers(min_value=1, max_value=8)),
         network_rate=draw(st.floats(min_value=0.0, max_value=0.3)),
-        network_duration=draw(st.integers(min_value=1, max_value=6)),
     )
     return num_machines, sched
 
@@ -288,3 +287,62 @@ class TestGeneratedScheduleProperties:
         _, sched = case
         text = sched.to_json()
         assert FaultSchedule.from_json(text).to_json() == text
+
+
+# ---------------------------------------------------------------------- #
+# Import surface
+# ---------------------------------------------------------------------- #
+
+#: Every ``repro`` module that ``import repro`` loads, by package.  The
+#: fault schedules and the shared field checks live in modules already on
+#: this list; a new module here is a new import cost for every command.
+IMPORT_REPRO_LOADS = {
+    "repro": ["_version", "errors"],
+    "repro.apps": ["coloring", "connected_components", "pagerank",
+                   "registry", "triangle_count"],
+    "repro.cluster": ["catalog", "cluster", "machine", "network",
+                      "perfmodel", "power"],
+    "repro.core": ["ccr", "cost", "estimators", "flow", "online",
+                   "profiler", "proxy"],
+    "repro.engine": ["accounting", "distributed_graph", "report",
+                     "resilient", "runtime", "sync_engine", "trace",
+                     "vertex_program"],
+    "repro.faults": ["checkpoint", "schedule", "shards", "supervisor"],
+    "repro.graph": ["builder", "datasets", "digraph", "generators", "io",
+                    "properties"],
+    "repro.kernels": ["accounting", "cache", "csr", "engine"],
+    "repro.obs": ["artifacts", "context", "metrics", "span"],
+    "repro.partition": ["base", "ginger", "grid", "hybrid", "metrics",
+                        "oblivious", "random_hash", "weights"],
+    "repro.powerlaw": ["alpha_solver", "distribution", "generator",
+                       "validation"],
+    "repro.store": ["backend", "codecs", "store"],
+    "repro.utils": ["rng", "stats", "tables", "validation"],
+}
+
+
+def test_import_repro_loads_a_pinned_module_set():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys, repro\n"
+        "print('\\n'.join(sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'repro')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    expected = {
+        f"{package}.{name}"
+        for package, names in IMPORT_REPRO_LOADS.items()
+        for name in names
+    } | set(IMPORT_REPRO_LOADS)
+    assert set(out.stdout.split()) == expected

@@ -6,7 +6,8 @@ workloads dark and instrumented and compare canonical trace JSON, app
 results, priced reports — including under a fault schedule with crashes,
 slowdowns and a mid-run re-balance, both through a faulted
 :class:`GraphProcessingSystem` and through
-:func:`simulate_resilient_execution` with a tuned supervisor.
+:func:`simulate_resilient_execution` with its own supervisor and
+re-balancer.
 
 Observed runs use the kernel caches like any other run, so a test that
 asserts spans clears the caches first: work served from a cache is not
@@ -93,9 +94,9 @@ class TestObsInertUnderFaults:
     def _run(self, graph, runner="system"):
         """``(trace, report)`` of one faulted pagerank run.
 
-        ``system`` runs a faulted :class:`GraphProcessingSystem` (default
-        supervisor); ``supervisor`` prices through
-        :func:`simulate_resilient_execution` with a more eager one.
+        ``system`` runs a faulted :class:`GraphProcessingSystem`;
+        ``supervisor`` prices through :func:`simulate_resilient_execution`
+        with a supervisor and re-balancer built here.
         """
         cluster = self._cluster()
         app = make_app("pagerank")
@@ -106,7 +107,7 @@ class TestObsInertUnderFaults:
             ).run(app, graph, partitioner)
             return outcome.trace, outcome.report
         base = GraphProcessingSystem(cluster).run(app, graph, partitioner)
-        supervisor = Supervisor(threshold=1.5, patience=2)
+        supervisor = Supervisor()
 
         def rebalancer(superstep, factors):
             moved = partitioner.partition(
