@@ -43,7 +43,7 @@ class Baseline:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an over-long integer
                 raise ReproError(
                     f"malformed lint baseline {path!r}: {exc}"
                 ) from exc

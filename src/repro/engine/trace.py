@@ -10,12 +10,12 @@ same execution on many machine types (CCR profiling, cost studies) cheap.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence
 
 from repro.cluster.perfmodel import WorkProfile
 from repro.errors import EngineError
+from repro.utils.canonical import canonical_json, jsonable
 
 __all__ = ["MachinePhase", "SuperstepTrace", "ExecutionTrace"]
 
@@ -25,31 +25,6 @@ TRACE_FORMAT_VERSION = 1
 #: Where a cached trace keeps its price memo, in its ``__dict__`` (see
 #: :func:`repro.engine.report.enable_price_memo`).
 PRICE_MEMO_KEY = "_price_memo"
-
-
-def _jsonable(value: Any) -> Any:
-    """Plain JSON types from result values (numpy arrays and scalars)."""
-    import numpy as np
-
-    if isinstance(value, dict):
-        # Sort on the stringified key: deterministic even for int-keyed
-        # result dicts, and it matches the str(k) output key.
-        return {
-            str(k): _jsonable(v)
-            for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))
-        }
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        # tolist() already yields plain Python scalars (a bare scalar for
-        # a 0-d array); only object and structured arrays can hold
-        # containers that still need converting.
-        if value.dtype.kind in "OV":
-            return _jsonable(value.tolist())
-        return value.tolist()
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
 
 
 @dataclass(frozen=True)
@@ -174,14 +149,12 @@ class ExecutionTrace:
                 }
                 for step in self.supersteps
             ],
-            "result": _jsonable(self.result),
+            "result": jsonable(self.result),
         }
 
     def canonical_json(self) -> str:
         """Deterministic single-line JSON (sorted keys, fixed separators)."""
-        return json.dumps(
-            self.to_jsonable(), sort_keys=True, separators=(",", ":")
-        )
+        return canonical_json(self.to_jsonable())
 
     @classmethod
     def from_jsonable(cls, data: Dict[str, Any]) -> "ExecutionTrace":

@@ -126,6 +126,25 @@ def write_run_artifacts(
     return out_dir
 
 
+def _parse_object(data: bytes, where: str) -> Dict[str, Any]:
+    """The JSON object in ``data``; anything else is a
+    :class:`ReproError` naming ``where``."""
+    try:
+        value = json.loads(data)
+    except ValueError as exc:  # bad JSON or UTF-8, or an over-long integer
+        raise ReproError(f"malformed JSON in {where!r}: {exc}") from exc
+    if not isinstance(value, dict):
+        raise ReproError(
+            f"{where!r} holds a JSON {type(value).__name__}, not an object"
+        )
+    return value
+
+
+def _read_object(path: str) -> Dict[str, Any]:
+    with open(path, "rb") as fh:
+        return _parse_object(fh.read(), path)
+
+
 def load_run_artifacts(run_dir: str) -> RunArtifacts:
     """Load a run directory written by :func:`write_run_artifacts`."""
     manifest_path = os.path.join(run_dir, _MANIFEST)
@@ -133,8 +152,7 @@ def load_run_artifacts(run_dir: str) -> RunArtifacts:
         raise ReproError(
             f"{run_dir!r} is not a run directory (missing {_MANIFEST})"
         )
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    manifest = _read_object(manifest_path)
     version = manifest.get("format_version")
     if version != ARTIFACT_FORMAT_VERSION:
         raise ReproError(
@@ -142,26 +160,25 @@ def load_run_artifacts(run_dir: str) -> RunArtifacts:
             f"(expected {ARTIFACT_FORMAT_VERSION})"
         )
 
-    def _read_json(name, default):
+    def _optional(name, default):
         path = os.path.join(run_dir, name)
-        if not os.path.isfile(path):
-            return default
-        with open(path) as fh:
-            return json.load(fh)
+        return _read_object(path) if os.path.isfile(path) else default
 
     spans: List[Dict[str, Any]] = []
     spans_path = os.path.join(run_dir, _SPANS)
     if os.path.isfile(spans_path):
-        with open(spans_path) as fh:
-            spans = [json.loads(line) for line in fh if line.strip()]
+        with open(spans_path, "rb") as fh:
+            for number, line in enumerate(fh, 1):
+                if line.strip():
+                    spans.append(_parse_object(line, f"{spans_path}:{number}"))
 
     return RunArtifacts(
         path=run_dir,
         manifest=manifest,
-        config=_read_json(_CONFIG, {}),
-        metrics=_read_json(_METRICS, {}),
+        config=_optional(_CONFIG, {}),
+        metrics=_optional(_METRICS, {}),
         spans=spans,
-        trace=_read_json(_TRACE, None),
+        trace=_optional(_TRACE, None),
     )
 
 

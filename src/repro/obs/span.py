@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.utils.canonical import jsonable
+
 __all__ = ["SimulatedClock", "Span", "Tracer"]
 
 
@@ -64,7 +66,7 @@ class Span:
             "parent_id": self.parent_id,
             "start_tick": self.start_tick,
             "end_tick": self.end_tick,
-            "attributes": _plain(self.attributes),
+            "attributes": jsonable(self.attributes),
         }
 
 
@@ -160,22 +162,3 @@ class Tracer:
     def __len__(self) -> int:
         return len(self.spans)
 
-
-def _plain(value: Any) -> Any:
-    """Coerce attribute values into plain JSON-serialisable types."""
-    import numpy as np
-
-    if isinstance(value, dict):
-        # Sort on the stringified key: deterministic even for int-keyed
-        # attribute dicts, and it matches the str(k) output key.
-        return {
-            str(k): _plain(v)
-            for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))
-        }
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
-    if isinstance(value, np.generic):
-        return value.item()
-    return value

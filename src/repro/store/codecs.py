@@ -31,6 +31,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.errors import ReproError
+from repro.utils.canonical import canonical_json
 
 __all__ = [
     "PayloadCodec",
@@ -117,7 +118,7 @@ def _decode_assignment(payload: bytes) -> Any:
 
 
 def _encode_json(value: Any) -> bytes:
-    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return canonical_json(value).encode("utf-8")
 
 
 def _decode_json(payload: bytes) -> Any:

@@ -26,7 +26,6 @@ rejected with :class:`~repro.errors.StreamFormatError`), ``save`` /
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
@@ -37,6 +36,7 @@ from numpy.typing import NDArray
 from repro.errors import StreamError, StreamFormatError
 from repro.graph.digraph import DiGraph
 from repro.kernels.csr import sorted_distinct, stable_argsort
+from repro.utils.canonical import canonical_digest
 from repro.utils.validation import require_integer
 
 __all__ = [
@@ -336,10 +336,7 @@ class MutationStream:
 
     def fingerprint(self) -> str:
         """Content hash of the stream (graph-memo and routing identity)."""
-        canonical = json.dumps(
-            self.to_jsonable(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return canonical_digest(self.to_jsonable())[1]
 
     @classmethod
     def from_jsonable(cls, payload: Any) -> "MutationStream":

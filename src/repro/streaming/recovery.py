@@ -45,19 +45,16 @@ federation failover path and the bench gate pin.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
-    Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
@@ -66,6 +63,18 @@ from repro.errors import StreamCheckpointError
 from repro.graph.digraph import DiGraph
 from repro.streaming.incremental import RepairStats
 from repro.streaming.mutations import MutationStream, apply_batch
+from repro.utils.canonical import (
+    Encoded,
+    canonical_digest,
+    canonical_json,
+)
+from repro.utils.validation import (
+    require_array,
+    require_finite,
+    require_integer,
+    require_real,
+    require_string,
+)
 
 if TYPE_CHECKING:
     from repro.store.store import SummaryStore
@@ -91,55 +100,28 @@ CHECKPOINT_NAMESPACE = "stream_checkpoint"
 RECORD_NAMESPACE = "stream_record"
 
 
-def _canonical(value: Any) -> str:
-    """Canonical JSON of one value: sorted keys, fixed separators."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+#: Fields every epoch record carries; a repaired epoch's record also
+#: carries the :class:`RepairStats` counts.
+_RECORD_FIELDS = (
+    "epoch", "num_edges", "imbalance", "runtime_seconds", "energy_joules",
+    "trace",
+)
+_REPAIR_FIELDS = tuple(f.name for f in dataclasses.fields(RepairStats))
+
+#: Fields of a snapshot payload; only ``monitor`` may be left out.
+_CHECKPOINT_FIELDS = (
+    "format_version", "app", "algorithm", "partition_algorithm", "halo",
+    "num_machines", "graph_fingerprint", "stream_fingerprint",
+    "batch_cursor", "clock_s", "epoch_records", "assignment", "weights",
+)
 
 
-#: Values per piece when an integer array is encoded piecewise: the JSON
-#: encoder holds one small string per element until it joins them, so a
-#: whole assignment at once would cost several times its text.
-_INT_RUN = 512
-
-
-def _int_runs(values: Sequence[int]) -> Iterator[str]:
-    """Canonical JSON of ``values`` as array items, ``_INT_RUN`` at a time."""
-    for start in range(0, len(values), _INT_RUN):
-        yield _canonical(list(values[start:start + _INT_RUN]))[1:-1]
-
-
-def _json_array(items: Iterable[str]) -> Iterator[str]:
-    """Canonical JSON array pieces around already-encoded items."""
-    yield "["
-    for index, item in enumerate(items):
-        if index:
-            yield ","
-        yield item
-    yield "]"
-
-
-def _json_object(
-    fields: Mapping[str, Any], spliced: Mapping[str, Iterator[str]]
-) -> Iterator[str]:
-    """Canonical JSON object pieces of ``fields`` plus ``spliced``, whose
-    values arrive already encoded, as pieces."""
-    for index, key in enumerate(sorted({*fields, *spliced})):
-        yield ("{" if index == 0 else ",") + _canonical(key) + ":"
-        if key in spliced:
-            yield from spliced[key]
-        else:
-            yield _canonical(fields[key])
-    yield "}"
-
-
-def _array_field(payload: Mapping[str, Any], key: str) -> List[Any]:
-    """``payload[key]``, which must be a JSON array."""
-    value = payload[key]
-    if not isinstance(value, (list, tuple)):
-        raise StreamCheckpointError(
-            f"checkpoint {key} must be an array, got {type(value).__name__}"
-        )
-    return list(value)
+def _require_fields(
+    doc: Mapping[str, Any], names: Tuple[str, ...], what: str
+) -> None:
+    missing = [name for name in names if name not in doc]
+    if missing:
+        raise StreamCheckpointError(f"{what} is missing fields {missing}")
 
 
 def record_key(digest: str) -> str:
@@ -190,32 +172,35 @@ class RestoredEpoch:
     def from_record(
         cls, record: Mapping[str, Any], num_machines: int
     ) -> "RestoredEpoch":
-        try:
-            update: Optional[RepairStats] = None
-            if "reassigned_edges" in record:
-                update = RepairStats(
-                    affected_vertices=int(record["affected_vertices"]),
-                    reassigned_edges=int(record["reassigned_edges"]),
-                    carried_edges=int(record["carried_edges"]),
-                    moved_edges=int(record["moved_edges"]),
-                )
-            return cls(
-                epoch=int(record["epoch"]),
-                num_machines=int(num_machines),
-                num_edges=int(record["num_edges"]),
-                imbalance=float(record["imbalance"]),
-                record=record,
-                report=_RestoredReport(
-                    runtime_seconds=float(record["runtime_seconds"]),
-                    energy_joules=float(record["energy_joules"]),
-                    num_supersteps=len(record["trace"]["supersteps"]),
-                ),
-                update=update,
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise StreamCheckpointError(
-                f"malformed epoch record in checkpoint: {exc}"
-            ) from exc
+        error = StreamCheckpointError
+        _require_fields(record, _RECORD_FIELDS, "epoch record")
+        for key in ("epoch", "num_edges"):
+            require_integer(record[key], f"epoch record {key}", error)
+        for key in ("imbalance", "runtime_seconds", "energy_joules"):
+            require_finite(record[key], f"epoch record {key}", error)
+        trace = record["trace"]
+        if not isinstance(trace, Mapping) or "supersteps" not in trace:
+            raise error("epoch record trace must be an object with supersteps")
+        require_array(trace["supersteps"], "epoch record supersteps", error)
+        update: Optional[RepairStats] = None
+        if "reassigned_edges" in record:
+            _require_fields(record, _REPAIR_FIELDS, "epoch record")
+            for key in _REPAIR_FIELDS:
+                require_integer(record[key], f"epoch record {key}", error)
+            update = RepairStats(**{key: record[key] for key in _REPAIR_FIELDS})
+        return cls(
+            epoch=record["epoch"],
+            num_machines=num_machines,
+            num_edges=record["num_edges"],
+            imbalance=float(record["imbalance"]),
+            record=record,
+            report=_RestoredReport(
+                runtime_seconds=float(record["runtime_seconds"]),
+                energy_joules=float(record["energy_joules"]),
+                num_supersteps=len(trace["supersteps"]),
+            ),
+            update=update,
+        )
 
 
 # ---------------------------------------------------------------------- #
@@ -353,7 +338,8 @@ class StreamCheckpoint:
         fragments = self._record_json
         if len(fragments) < len(self.epoch_records):
             fragments += tuple(
-                _canonical(r) for r in self.epoch_records[len(fragments):]
+                canonical_json(r)
+                for r in self.epoch_records[len(fragments):]
             )
             object.__setattr__(self, "_record_json", fragments)
         return fragments
@@ -379,40 +365,31 @@ class StreamCheckpoint:
         object.__setattr__(self, "_record_json", earlier._record_json)
         object.__setattr__(self, "_record_digests", earlier._record_digests)
 
-    def _pieces(self) -> Iterator[str]:
-        """The canonical text in order, one epoch fragment or a short run
-        of other text at a time.  Joined, they are :meth:`canonical_json`."""
-        return _json_object(
-            self._fields(),
-            {
-                "assignment": _json_array(_int_runs(self.assignment)),
-                "epoch_records": _json_array(self.record_json()),
-            },
-        )
+    def _document(self) -> Dict[str, Any]:
+        """:meth:`to_jsonable` with each epoch record as its cached
+        :meth:`record_json` fragment."""
+        doc = self._fields()
+        doc["assignment"] = self.assignment
+        doc["epoch_records"] = [Encoded(f) for f in self.record_json()]
+        return doc
 
     def canonical_json(self) -> str:
         """Deterministic single-line JSON (sorted keys, fixed separators).
 
-        The bytes of ``json.dumps(to_jsonable(), sort_keys=True,
-        separators=(",", ":"))``, spliced from :meth:`record_json`.  It is
+        :func:`~repro.utils.canonical.canonical_json` of
+        :meth:`to_jsonable`, with :meth:`record_json` spliced in.  It is
         the one definition of the snapshot bytes, but nothing on a run's
-        path builds it: :meth:`state_bytes` and :meth:`fingerprint` walk
+        path builds it: :meth:`state_bytes` and :meth:`fingerprint` hash
         the same pieces, and the store keeps a manifest plus one row per
         record.
         """
-        return "".join(self._pieces())
+        return canonical_json(self._document())
 
     def _measure(self) -> Tuple[int, str]:
-        """``(len, sha256)`` of the canonical text, fed piece by piece."""
+        """``(len, sha256)`` of the canonical text, hashed piece by piece."""
         measured = self._measured
         if measured is None:
-            digest = hashlib.sha256()
-            size = 0
-            for piece in self._pieces():
-                data = piece.encode("utf-8")
-                digest.update(data)
-                size += len(data)
-            measured = (size, digest.hexdigest())
+            measured = canonical_digest(self._document())
             object.__setattr__(self, "_measured", measured)
         return measured
 
@@ -436,17 +413,9 @@ class StreamCheckpoint:
         fields = self._fields()
         del fields["monitor"]
         fields["fingerprint"] = self.fingerprint()
-        return "".join(
-            _json_object(
-                fields,
-                {
-                    "assignment": _json_array(_int_runs(self.assignment)),
-                    "records": _json_array(
-                        map(_canonical, self.record_digests())
-                    ),
-                },
-            )
-        )
+        fields["assignment"] = self.assignment
+        fields["records"] = self.record_digests()
+        return canonical_json(fields)
 
     def checkpoint_key(self, job_id: str) -> str:
         """Canonical summary-store key text for one persisted snapshot."""
@@ -460,59 +429,62 @@ class StreamCheckpoint:
 
     @classmethod
     def from_jsonable(cls, payload: Mapping[str, Any]) -> "StreamCheckpoint":
+        error = StreamCheckpointError
         if not isinstance(payload, Mapping):
-            raise StreamCheckpointError("checkpoint payload must be an object")
+            raise error("checkpoint payload must be an object")
         version = payload.get("format_version")
-        if version != STREAM_CHECKPOINT_FORMAT_VERSION:
-            raise StreamCheckpointError(
+        if type(version) is not int or version != STREAM_CHECKPOINT_FORMAT_VERSION:
+            raise error(
                 f"unsupported stream checkpoint format {version!r} "
                 f"(this library reads {STREAM_CHECKPOINT_FORMAT_VERSION})"
             )
-        known = {
-            "format_version", "app", "algorithm", "partition_algorithm",
-            "halo", "num_machines", "graph_fingerprint",
-            "stream_fingerprint", "batch_cursor", "clock_s",
-            "epoch_records", "assignment", "weights", "monitor",
-        }
-        unknown = sorted(set(payload) - known, key=repr)
+        unknown = sorted(
+            set(payload) - {*_CHECKPOINT_FIELDS, "monitor"}, key=repr
+        )
         if unknown:
-            raise StreamCheckpointError(
-                f"unknown checkpoint fields {unknown}"
-            )
+            raise error(f"unknown checkpoint fields {unknown}")
         if payload.get("monitor") is not None:
-            raise StreamCheckpointError(
+            raise error(
                 "checkpoint monitor field must be null, got "
                 f"{type(payload['monitor']).__name__}"
             )
-        try:
-            records = _array_field(payload, "epoch_records")
-            if not all(isinstance(r, Mapping) for r in records):
-                raise StreamCheckpointError(
-                    "checkpoint epoch_records must be objects"
-                )
-            return cls(
-                format_version=int(payload["format_version"]),
-                app=str(payload["app"]),
-                algorithm=str(payload["algorithm"]),
-                partition_algorithm=str(payload["partition_algorithm"]),
-                halo=int(payload["halo"]),
-                num_machines=int(payload["num_machines"]),
-                graph_fingerprint=str(payload["graph_fingerprint"]),
-                stream_fingerprint=str(payload["stream_fingerprint"]),
-                batch_cursor=int(payload["batch_cursor"]),
-                clock_s=float(payload["clock_s"]),
-                epoch_records=tuple(records),
-                assignment=tuple(
-                    int(a) for a in _array_field(payload, "assignment")
-                ),
-                weights=tuple(
-                    float(w) for w in _array_field(payload, "weights")
-                ),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise StreamCheckpointError(
-                f"malformed checkpoint payload: {exc}"
-            ) from exc
+        _require_fields(payload, _CHECKPOINT_FIELDS, "checkpoint payload")
+        for key in (
+            "app", "algorithm", "partition_algorithm", "graph_fingerprint",
+            "stream_fingerprint",
+        ):
+            require_string(payload[key], f"checkpoint {key}", error)
+        for key in ("halo", "num_machines", "batch_cursor"):
+            require_integer(payload[key], f"checkpoint {key}", error)
+        # The run's own clock and weights round-trip as saved, so a
+        # non-finite float is data here, and only its type is checked.
+        require_real(payload["clock_s"], "checkpoint clock_s", error)
+        require_array(
+            payload["assignment"], "checkpoint assignment", error,
+            require_integer,
+        )
+        require_array(
+            payload["weights"], "checkpoint weights", error, require_real
+        )
+        records = payload["epoch_records"]
+        require_array(records, "checkpoint epoch_records", error)
+        if not all(isinstance(r, Mapping) for r in records):
+            raise error("checkpoint epoch_records must be objects")
+        return cls(
+            format_version=version,
+            app=payload["app"],
+            algorithm=payload["algorithm"],
+            partition_algorithm=payload["partition_algorithm"],
+            halo=int(payload["halo"]),
+            num_machines=int(payload["num_machines"]),
+            graph_fingerprint=payload["graph_fingerprint"],
+            stream_fingerprint=payload["stream_fingerprint"],
+            batch_cursor=int(payload["batch_cursor"]),
+            clock_s=float(payload["clock_s"]),
+            epoch_records=tuple(records),
+            assignment=tuple(int(a) for a in payload["assignment"]),
+            weights=tuple(float(w) for w in payload["weights"]),
+        )
 
     def restored_epochs(self) -> Tuple[RestoredEpoch, ...]:
         """The completed epochs as stitchable :class:`RestoredEpoch`\\ s."""

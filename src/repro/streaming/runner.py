@@ -32,7 +32,6 @@ summary store backs when one is attached.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -74,6 +73,7 @@ from repro.streaming.recovery import (
     StreamCheckpoint,
     replay_consumed_batches,
 )
+from repro.utils.canonical import canonical_json
 from repro.utils.rng import make_rng
 
 __all__ = [
@@ -194,9 +194,7 @@ class StreamingResult:
 
     def trace_json(self) -> str:
         """Deterministic single-line JSON (sorted keys, fixed separators)."""
-        return json.dumps(
-            self.to_jsonable(), sort_keys=True, separators=(",", ":")
-        )
+        return canonical_json(self.to_jsonable())
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import Type, Union
+from typing import Callable, Optional, Type, Union
 
 import numpy as np
 
@@ -24,6 +24,9 @@ __all__ = [
     "check_array_1d",
     "require_integer",
     "require_finite",
+    "require_real",
+    "require_string",
+    "require_array",
     "require_seed",
 ]
 
@@ -102,6 +105,35 @@ def require_finite(value: object, what: str, error: Type[Exception]) -> None:
             finite = False
     if not finite:
         raise error(f"{what} must be a finite number, got {value!r}")
+
+
+def require_real(value: object, what: str, error: Type[Exception]) -> None:
+    """Reject a value that is not a real number, finite or not (``bool``
+    is refused): for fields that round-trip whatever float was saved."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{what} must be a number, got {value!r}")
+
+
+def require_string(value: object, what: str, error: Type[Exception]) -> None:
+    """Reject a name or digest that is not text."""
+    if not isinstance(value, str):
+        raise error(f"{what} must be a string, got {type(value).__name__}")
+
+
+def require_array(
+    value: object,
+    what: str,
+    error: Type[Exception],
+    item: Optional[Callable[[object, str, Type[Exception]], None]] = None,
+) -> None:
+    """Reject a field that is not an array, or one holding an entry that
+    the ``item`` check (one of these ``require_*`` helpers) rejects."""
+    if not isinstance(value, (list, tuple)):
+        raise error(f"{what} must be an array, got {type(value).__name__}")
+    if item is not None:
+        entries = f"{what} entry"
+        for entry in value:
+            item(entry, entries, error)
 
 
 def require_seed(value: object, what: str, error: Type[Exception]) -> None:

@@ -23,7 +23,6 @@ from repro.core.profiler import ProxyProfiler
 from repro.engine import report as report_module
 from repro.engine.report import simulate_execution
 from repro.engine.runtime import execute_partition
-from repro.engine.trace import _jsonable
 from repro.experiments.fig8 import machine_speedups
 from repro.federation import FederationService
 from repro.kernels.cache import attach_store, cache_stats, clear_all_caches
@@ -32,6 +31,7 @@ from repro.powerlaw.generator import generate_power_law_graph
 from repro.service import GraphSpec, JobRequest, Workload
 from repro.service.estimate import projected_seconds
 from repro.store import SummaryStore
+from repro.utils.canonical import jsonable
 
 MACHINES = ("m4.2xlarge", "c4.2xlarge")
 PERF = PerformanceModel(model_scale=0.01)
@@ -55,7 +55,7 @@ def _report_bytes(report) -> str:
             report.runtime_seconds,
             report.energy_joules,
             [vars(m) for m in report.machines],
-            _jsonable(report.result),
+            jsonable(report.result),
             list(report.warnings),
         ],
         sort_keys=True,

@@ -36,7 +36,6 @@ from repro.engine.trace import (
     PRICE_MEMO_KEY,
     MachinePhase,
     SuperstepTrace,
-    _jsonable,
 )
 from repro.faults.schedule import FaultSchedule
 from repro.federation import FederationService
@@ -44,6 +43,7 @@ from repro.kernels.cache import clear_all_caches
 from repro.partition import make_partitioner
 from repro.powerlaw.generator import generate_power_law_graph
 from repro.service import GraphSpec, JobRequest, Workload
+from repro.utils.canonical import jsonable
 
 SPECS = sorted(CATALOG.values(), key=lambda spec: spec.name)
 
@@ -105,7 +105,7 @@ def _fields(report):
         report.energy_joules,
         tuple(report.machines),
         report.num_supersteps,
-        json.dumps(_jsonable(report.result), sort_keys=True),
+        json.dumps(jsonable(report.result), sort_keys=True),
         report.warnings,
     )
 

@@ -1,6 +1,7 @@
-"""Element-wise result conversion: the reference for ``_jsonable``.
+"""Element-wise result conversion: the reference for ``jsonable``.
 
-Production (``repro.engine.trace._jsonable``) hands a numeric ndarray's
+Production (``repro.utils.canonical.jsonable``, which trace results and
+span attributes share) hands a numeric ndarray's
 ``tolist()`` straight to the caller, because ``tolist()`` already yields
 plain Python scalars; only object and structured arrays recurse
 (DESIGN.md §17).  :func:`reference_jsonable` keeps the literal recursion,

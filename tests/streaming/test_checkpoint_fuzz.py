@@ -12,6 +12,7 @@ keys, and reordered digests; a mutated row is written either through
 catch it) or behind the store's back (its sha256 is stale).
 """
 
+import copy
 import json
 import sqlite3
 
@@ -248,6 +249,9 @@ class TestEveryFieldEveryEdgeValue:
                 _check_fetch(custody, store, snapshot)
 
     def test_payload_and_record_fields(self, snapshot):
+        # Parsed once.  Each case copies only the containers on its path
+        # (a deep copy per case cost more than re-parsing the text) and
+        # shares the rest, which the loader only reads.
         original = json.loads(snapshot.canonical_json())
         for path in [(), ("epoch_records", 0), ("epoch_records", 2)]:
             target = original
@@ -255,12 +259,13 @@ class TestEveryFieldEveryEdgeValue:
                 target = target[step]
             for field in sorted(target):
                 for value in EDGE_VALUES:
-                    payload = json.loads(snapshot.canonical_json())
-                    doc = payload
+                    payload = doc = copy.copy(original)
                     for step in path:
+                        doc[step] = copy.copy(doc[step])
                         doc = doc[step]
                     doc[field] = value
                     _check_from_jsonable(payload)
+        assert original == json.loads(snapshot.canonical_json())
 
 
 class TestFromJsonableFuzz:

@@ -38,6 +38,7 @@ from repro.streaming import (
     apply_batch,
     replay_consumed_batches,
 )
+from repro.streaming.recovery import RestoredEpoch
 from repro.testing import (
     GOLDEN_PARTITIONER,
     GOLDEN_PARTITIONER_SEED,
@@ -156,6 +157,75 @@ class TestStreamCheckpoint:
         payload[field] = "01"
         with pytest.raises(StreamCheckpointError, match="must be an array"):
             StreamCheckpoint.from_jsonable(payload)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("halo", 1.5),
+            ("halo", True),
+            ("halo", "1"),
+            ("batch_cursor", 0.9),
+            ("num_machines", "2"),
+            ("clock_s", True),
+            ("app", 7),
+            ("format_version", True),
+            ("format_version", 1.0),
+        ],
+    )
+    def test_wrong_typed_scalar_rejected_not_cast(
+        self, checkpoint, field, value
+    ):
+        payload = json.loads(checkpoint.canonical_json())
+        payload[field] = value
+        with pytest.raises(StreamCheckpointError):
+            StreamCheckpoint.from_jsonable(payload)
+
+    @pytest.mark.parametrize(
+        "field, items", [("assignment", [0.7, True]), ("weights", ["0.5", True])]
+    )
+    def test_wrong_typed_array_items_rejected_not_cast(
+        self, checkpoint, field, items
+    ):
+        for item in items:
+            payload = json.loads(checkpoint.canonical_json())
+            payload[field][0] = item
+            with pytest.raises(StreamCheckpointError, match=field):
+                StreamCheckpoint.from_jsonable(payload)
+
+    def test_missing_field_named(self, checkpoint):
+        payload = json.loads(checkpoint.canonical_json())
+        del payload["clock_s"]
+        with pytest.raises(StreamCheckpointError, match="clock_s"):
+            StreamCheckpoint.from_jsonable(payload)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epoch", 1.5),
+            ("epoch", True),
+            ("num_edges", "10"),
+            ("imbalance", True),
+            ("runtime_seconds", "0.5"),
+            ("energy_joules", float("nan")),
+            ("trace", []),
+            ("reassigned_edges", 2.0),
+            ("moved_edges", "0"),
+        ],
+    )
+    def test_wrong_typed_record_field_rejected_not_cast(
+        self, checkpoint, field, value
+    ):
+        record = dict(checkpoint.epoch_records[-1])
+        assert "reassigned_edges" in record
+        record[field] = value
+        with pytest.raises(StreamCheckpointError, match=field):
+            RestoredEpoch.from_record(record, checkpoint.num_machines)
+
+    def test_repaired_record_missing_a_count_rejected(self, checkpoint):
+        record = dict(checkpoint.epoch_records[-1])
+        del record["carried_edges"]
+        with pytest.raises(StreamCheckpointError, match="carried_edges"):
+            RestoredEpoch.from_record(record, checkpoint.num_machines)
 
     def test_record_count_invariant_enforced(self, checkpoint):
         with pytest.raises(StreamCheckpointError, match="epoch records"):

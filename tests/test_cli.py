@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import pathlib
 
 import pytest
@@ -268,6 +269,22 @@ class TestErrorContract:
                 {"format_version": 4, "jobs": [job]}
             ))
         (tmp / "bad-workload.json").write_text("{nope")
+        (tmp / "long-int-baseline.json").write_text(
+            '{"version": 1%s}' % ("0" * 5000)
+        )
+        for name, files in (
+            ("bad-manifest-run", {"manifest.json": "{bad"}),
+            ("list-manifest-run", {"manifest.json": "[1,2]"}),
+            ("bad-config-run", {"config.json": "{bad"}),
+            ("bad-metrics-run", {"metrics.json": "[]"}),
+            ("bad-trace-run", {"trace.json": "{bad"}),
+            ("bad-spans-run", {"spans.jsonl": '{"name": "a"}\n{bad\n'}),
+        ):
+            run = tmp / name
+            run.mkdir()
+            (run / "manifest.json").write_text('{"format_version": 1}')
+            for file, text in files.items():
+                (run / file).write_text(text)
         # The first bytes of a zip archive, cut off before its directory.
         (tmp / "trunc.npz").write_bytes(b"PK\x03\x04" + bytes(60))
 
@@ -364,6 +381,24 @@ class TestErrorContract:
             pytest.param(
                 ["metrics", "{tmp}/no-such-run"], 2, "err", "error:",
                 "no-such-run", id="metrics-missing-dir"),
+            pytest.param(
+                ["lint", "src/repro/utils",
+                 "--baseline", "{tmp}/long-int-baseline.json"],
+                2, "err", "error:", "long-int-baseline.json",
+                id="lint-baseline-over-long-integer-text"),
+            *[
+                pytest.param(
+                    ["metrics", "{tmp}/%s-run" % run], 2, "err", "error:",
+                    f"{run}-run{os.sep}{file}", id=f"metrics-{run}")
+                for run, file in (
+                    ("bad-manifest", "manifest.json"),
+                    ("list-manifest", "manifest.json"),
+                    ("bad-config", "config.json"),
+                    ("bad-metrics", "metrics.json"),
+                    ("bad-trace", "trace.json"),
+                    ("bad-spans", "spans.jsonl:2"),
+                )
+            ],
             pytest.param(
                 ["profile", "--cluster", "c4.xlarge", "--apps", "bogus"],
                 2, "err", "error:", "bogus", id="profile-unknown-app"),

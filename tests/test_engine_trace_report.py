@@ -12,13 +12,9 @@ from repro.cluster.machine import MachineSpec
 from repro.cluster.network import NetworkModel
 from repro.cluster.perfmodel import PerformanceModel, WorkProfile
 from repro.engine.report import simulate_execution
-from repro.engine.trace import (
-    ExecutionTrace,
-    MachinePhase,
-    SuperstepTrace,
-    _jsonable,
-)
+from repro.engine.trace import ExecutionTrace, MachinePhase, SuperstepTrace
 from repro.errors import EngineError
+from repro.utils.canonical import jsonable
 from tests.oracle.trace import reference_jsonable
 
 
@@ -66,11 +62,11 @@ def _object_array(values):
 
 class TestJsonable:
     def test_zero_d_arrays_become_scalars(self):
-        assert _jsonable(np.array(2.5)) == 2.5
-        assert type(_jsonable(np.array(2.5))) is float
-        assert _jsonable(np.array(7, dtype=np.int64)) == 7
-        assert _jsonable(np.array(True)) is True
-        assert _jsonable({"total": np.array(3)}) == {"total": 3}
+        assert jsonable(np.array(2.5)) == 2.5
+        assert type(jsonable(np.array(2.5))) is float
+        assert jsonable(np.array(7, dtype=np.int64)) == 7
+        assert jsonable(np.array(True)) is True
+        assert jsonable({"total": np.array(3)}) == {"total": 3}
 
     def test_trace_with_zero_d_result_serializes(self):
         t = ExecutionTrace(
@@ -82,7 +78,7 @@ class TestJsonable:
     @given(numeric_arrays_st)
     @settings(max_examples=60, deadline=None)
     def test_numeric_arrays_match_reference(self, arr):
-        ours, ref = _jsonable({"a": arr}), reference_jsonable({"a": arr})
+        ours, ref = jsonable({"a": arr}), reference_jsonable({"a": arr})
         # repr pins leaf types (1 vs 1.0 vs True) and spells NaN alike.
         assert repr(ours) == repr(ref)
         assert json.dumps(ours) == json.dumps(ref)
@@ -91,9 +87,9 @@ class TestJsonable:
     @settings(max_examples=60, deadline=None)
     def test_object_arrays_match_reference(self, values):
         arr = _object_array(values)
-        assert repr(_jsonable(arr)) == repr(reference_jsonable(arr))
+        assert repr(jsonable(arr)) == repr(reference_jsonable(arr))
         grid = _object_array(values).reshape(1, -1)
-        assert repr(_jsonable(grid)) == repr(reference_jsonable(grid))
+        assert repr(jsonable(grid)) == repr(reference_jsonable(grid))
 
 
 class TestTrace:
