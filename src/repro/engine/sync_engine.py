@@ -20,7 +20,8 @@ cluster only enters later, when the recorded trace is priced by
 :func:`repro.engine.report.simulate_execution`.
 
 A ``sum`` program gathers on the layout superstep by superstep
-(:func:`repro.kernels.engine.gather_sum`).  A ``min`` program's values
+(:func:`repro.kernels.engine.gather_sum`), into the one workspace that
+the superstep loop keeps for the run.  A ``min`` program's values
 and frontiers do not depend on the partition, so it runs once per graph
 (:func:`repro.kernels.engine.frontier_log`) and each layout is accounted
 from that log; the emitted trace and spans are the same either way.

@@ -131,9 +131,24 @@ def require_array(
     if not isinstance(value, (list, tuple)):
         raise error(f"{what} must be an array, got {type(value).__name__}")
     if item is not None:
+        # One C-speed pass over the entries' exact types settles the
+        # common all-valid array; anything else (``bool`` included, since
+        # ``type(True) is bool``) takes the per-entry check, so the first
+        # bad entry is reported as before.
+        plain = _PLAIN_TYPES.get(item)
+        if plain is not None and set(map(type, value)) <= plain:
+            return
         entries = f"{what} entry"
         for entry in value:
             item(entry, entries, error)
+
+
+#: Entry types that :func:`require_array` passes for an ``item`` check
+#: without calling it: exactly the types the check accepts.
+_PLAIN_TYPES = {
+    require_integer: frozenset({int}),
+    require_real: frozenset({int, float}),
+}
 
 
 def require_seed(value: object, what: str, error: Type[Exception]) -> None:

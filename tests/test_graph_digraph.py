@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphError
-from repro.graph.digraph import DiGraph
+from repro.graph.digraph import MAX_VERTICES, DiGraph
 
 
 class TestConstruction:
@@ -97,6 +97,23 @@ class TestDerivedGraphs:
         assert d.num_edges == 6
         pairs = set(zip(d.src.tolist(), d.dst.tolist()))
         assert len(pairs) == d.num_edges
+
+    def test_deduplicate_keys_fit_int64_at_the_vertex_bound(self):
+        # src * n + dst for the largest ids stays below 2**62 when
+        # n == MAX_VERTICES, so no two distinct edges share a key.
+        top = MAX_VERTICES - 1
+        g = DiGraph(
+            MAX_VERTICES,
+            np.array([top, top, top - 1, top], dtype=np.int64),
+            np.array([top, top - 1, top, top], dtype=np.int64),
+        )
+        d = g.deduplicate()
+        assert list(d.iter_edges()) == [(top, top), (top, top - 1), (top - 1, top)]
+
+    def test_vertex_count_past_the_bound(self):
+        empty = np.empty(0, dtype=np.int64)
+        with pytest.raises(GraphError, match="at most"):
+            DiGraph(MAX_VERTICES + 1, empty, empty)
 
     def test_without_self_loops(self):
         g = DiGraph.from_edges([(0, 0), (0, 1), (1, 1)], num_vertices=2)

@@ -1,8 +1,10 @@
 """Unit tests for repro.graph.io (edge-list serialisation)."""
 
+import tracemalloc
+
 import pytest
 
-from repro.errors import GraphFormatError
+from repro.errors import GraphError, GraphFormatError
 from repro.graph.io import read_edge_list, write_edge_list
 
 
@@ -54,6 +56,21 @@ def test_endpoint_outside_int64(tmp_path, line):
     path.write_text(f"0 1\n{line}\n")
     with pytest.raises(GraphFormatError, match=r":2: endpoint outside int64"):
         read_edge_list(path)
+
+
+def test_vertex_id_past_the_bound_fails_before_allocating(tmp_path):
+    # Inferred from the largest id: 4e9 + 1 vertices, past MAX_VERTICES.
+    # The error comes before any vertex-length array exists.
+    path = tmp_path / "g.txt"
+    path.write_text("0 4000000000\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match="at most 2147483648"):
+            read_edge_list(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_cleanup_options(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import GraphFormatError
+from repro.errors import GraphError, GraphFormatError
 from repro.graph.io import read_npz, write_npz
 
 
@@ -83,6 +83,18 @@ def test_corrupt_member_is_a_format_error(tmp_path, powerlaw_graph):
         data[i] ^= 0xFF
     path.write_bytes(bytes(data))
     with pytest.raises(GraphFormatError, match="corrupt.npz"):
+        read_npz(path)
+
+
+def test_vertex_count_past_the_bound_is_a_graph_error(tmp_path):
+    path = tmp_path / "huge.npz"
+    np.savez_compressed(
+        path,
+        num_vertices=np.int64(4_000_000_001),
+        src=np.array([0], dtype=np.int64),
+        dst=np.array([4_000_000_000], dtype=np.int64),
+    )
+    with pytest.raises(GraphError, match="at most 2147483648"):
         read_npz(path)
 
 

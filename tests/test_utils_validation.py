@@ -8,6 +8,9 @@ from repro.utils.validation import (
     check_in_range,
     check_positive,
     check_probability,
+    require_array,
+    require_integer,
+    require_real,
 )
 
 
@@ -66,3 +69,45 @@ class TestCheckArray1d:
     def test_rejects_2d(self):
         with pytest.raises(ValueError, match="one-dimensional"):
             check_array_1d("a", np.zeros((2, 2)))
+
+
+class _Bad(Exception):
+    pass
+
+
+class TestRequireArray:
+    """The exact-type pass accepts what the per-entry check accepts and
+    leaves every rejection, and its message, to that check."""
+
+    @pytest.mark.parametrize(
+        "value, item",
+        [
+            ([0, 3, 2**70], require_integer),
+            ((), require_integer),
+            ([np.int64(4), 5], require_integer),
+            ([1, 2.5, float("nan"), float("inf")], require_real),
+            ([np.float32(1.5), 2], require_real),
+        ],
+    )
+    def test_accepts(self, value, item):
+        require_array(value, "xs", _Bad, item)
+
+    @pytest.mark.parametrize(
+        "value, item, bad",
+        [
+            ([1, True, 2], require_integer, "True"),
+            ([1, 2.0], require_integer, "2.0"),
+            ([1, "3", None], require_integer, "'3'"),
+            ([1.0, False], require_real, "False"),
+            ([1.0, None, "x"], require_real, "None"),
+        ],
+    )
+    def test_first_bad_entry_is_named(self, value, item, bad):
+        with pytest.raises(_Bad) as info:
+            require_array(value, "xs", _Bad, item)
+        assert str(info.value).startswith("xs entry must be")
+        assert str(info.value).endswith(f"got {bad}")
+
+    def test_not_an_array(self):
+        with pytest.raises(_Bad, match="xs must be an array, got dict"):
+            require_array({}, "xs", _Bad, require_integer)
