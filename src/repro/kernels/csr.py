@@ -149,7 +149,10 @@ class CSRAdjacency:
         src = np.ascontiguousarray(src, dtype=np.int64)
         dst = np.ascontiguousarray(dst, dtype=np.int64)
         order = stable_argsort(src, num_vertices)
-        degrees = np.bincount(src, minlength=num_vertices).astype(np.int64)
+        # ``add.at`` reads a frozen ``src`` in place; ``bincount`` would
+        # copy it whole first.
+        degrees = np.zeros(num_vertices, dtype=np.int64)
+        np.add.at(degrees, src, 1)
         indptr = np.zeros(num_vertices + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
         return cls(

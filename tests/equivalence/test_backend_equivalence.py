@@ -27,6 +27,7 @@ from repro.kernels.cache import (
     machine_time_cache,
 )
 from repro.partition import make_partitioner
+from repro.partition.base import PartitionResult
 from repro.powerlaw.generator import generate_power_law_graph
 from tests.oracle.engine import (
     reference_layout,
@@ -140,17 +141,33 @@ class _DeltaPageRank(PageRank):
         return new_values, np.abs(new_values - values) > self.tolerance
 
 
-@pytest.mark.parametrize("partitioner_name", PARTITIONERS)
+def _one_machine_partition(graph: DiGraph) -> PartitionResult:
+    """Every edge on one machine: the layout whose edge view is the
+    graph's own read-only endpoint arrays."""
+    return PartitionResult(
+        graph=graph,
+        assignment=np.zeros(graph.num_edges, dtype=np.int32),
+        num_machines=1,
+        algorithm="single",
+        weights=np.array([1.0]),
+    )
+
+
+@pytest.mark.parametrize("partitioner_name", PARTITIONERS + ("single",))
 @pytest.mark.parametrize("graph_name", ["powerlaw"] + sorted(_edge_case_graphs()))
 def test_partial_frontier_sum_gather_matches_reference(
     partitioner_name, graph_name, pl_graph
 ):
     """Per-machine live counts read at the view's bounds equal the
-    per-machine loop's, superstep by superstep."""
+    per-machine loop's, superstep by superstep, on four machines and on
+    one (``"single"``)."""
     graph = pl_graph if graph_name == "powerlaw" else _edge_case_graphs()[graph_name]
-    res = make_partitioner(partitioner_name, seed=3).partition(
-        graph, NUM_MACHINES, np.array(WEIGHTS)
-    )
+    if partitioner_name == "single":
+        res = _one_machine_partition(graph)
+    else:
+        res = make_partitioner(partitioner_name, seed=3).partition(
+            graph, NUM_MACHINES, np.array(WEIGHTS)
+        )
     program = _DeltaPageRank(max_supersteps=12)
     ours = program.execute(DistributedGraph(res))
     ref = reference_sync_run(program, DistributedGraph(res))
